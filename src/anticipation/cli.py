@@ -27,6 +27,8 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
+import zlib
 from typing import Optional
 
 import numpy as np
@@ -202,9 +204,17 @@ def _record_run(out_dir: str, command: str, config: dict, artifacts: list[str]) 
         "resolved_config": config,
         "artifacts": {os.path.relpath(p, out_dir): _sha256(p) for p in sorted(artifacts)},
     })
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # Write beside the old manifest and swap it in, so a failed write never
+    # leaves a truncated manifest behind.
+    tmp_path = manifest_path + ".tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp_path, manifest_path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
 
 
 def _refuse_existing(paths: list[str], overwrite: bool) -> None:
@@ -291,6 +301,7 @@ def cmd_baseline(config: dict, out_dir: str, data_dir: str, mode: str, overwrite
         raise ConfigError(f"baseline mode must be one of {baselines.MODES}, got {mode!r}")
     train_seqs = load_dataset(data_dir, "train")
     has_test = os.path.isdir(os.path.join(data_dir, "test"))
+    test_seqs = load_dataset(data_dir, "test") if has_test else []
     if mode == "oracle" and not has_test:
         raise InputError(
             "oracle mode requires per-video durations of an evaluation split; "
@@ -306,7 +317,6 @@ def cmd_baseline(config: dict, out_dir: str, data_dir: str, mode: str, overwrite
         baselines.save_baseline(model, path)
         written.append(path)
         if has_test:
-            test_seqs = load_dataset(data_dir, "test")
             preds = [baselines.predict_baseline(model, duration=s.n_frames) for s in test_seqs]
             targets = [labels.compute_targets(s, h) for s in test_seqs]
             report = metrics.evaluate_predictions(
@@ -348,18 +358,42 @@ def cmd_train(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> lis
     return written
 
 
-def _summaries_for_split(config: dict, out_dir: str, data_dir: str, h: float,
-                         overwrite: bool, reuse: bool = True):
+def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float) -> inference.PredictiveSummary:
+    """Read a reused summary file and check that it belongs to ``seq`` at horizon ``h``."""
+    try:
+        summary = inference.load_summary_npz(path)
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        raise InputError(f"unreadable summary {path}: {exc}") from None
+    if summary.horizon != h:
+        raise InputError(f"summary {path}: horizon {summary.horizon:g}, expected {h:g}")
+    n, k = seq.n_frames, seq.n_instruments
+    expected = {
+        "reg_mean": (n, k), "reg_epistemic_var": (n, k),
+        "class_epistemic_var": (n, k), "class_aleatoric_var": (n, k),
+        "class_mean": (n, k, 3), "class_epistemic_per_class": (n, k, 3),
+        "class_aleatoric_per_class": (n, k, 3),
+    }
+    for name, shape in expected.items():
+        found = getattr(summary, name).shape
+        if found != shape:
+            raise InputError(
+                f"summary {path}: {name} has shape {found}, expected {shape} for sequence {seq.id}"
+            )
+    return summary
+
+
+def _summaries_for_split(config: dict, out_dir: str, test_seqs: list[workflow.ProcedureSequence],
+                         h: float, overwrite: bool, reuse: bool = True):
     """MC summaries for every test sequence (reusing files when present)."""
-    test_seqs = load_dataset(data_dir, "test")
     summary_dir = os.path.join(out_dir, "summaries")
     os.makedirs(summary_dir, exist_ok=True)
     params = net_config = None
     summaries, written = [], []
     for idx, seq in enumerate(test_seqs):
-        path = os.path.join(summary_dir, f"summary_{seq.id}_h{h:g}.csv")
+        path = os.path.join(summary_dir, f"summary_{seq.id}_h{h:g}.npz")
         if reuse and os.path.exists(path):
-            summaries.append(inference.load_summary_csv(path))
+            summaries.append(_load_summary(path, seq, h))
             continue
         _refuse_existing([path], overwrite)
         if params is None:
@@ -369,22 +403,26 @@ def _summaries_for_split(config: dict, out_dir: str, data_dir: str, h: float,
             net_config = network_config(
                 config, seq.features.shape[1], seq.n_instruments, h
             )
-            params = network.load_params(ckpt_path, net_config)
+            try:
+                params = network.load_params(ckpt_path, net_config)
+            except ValueError as exc:
+                raise InputError(str(exc)) from None
         summary = inference.mc_predict(
             params, net_config, seq.features,
             samples=config["eval"]["samples"],
             seed=_summary_seed(config["seed"], h, idx),
         )
-        inference.save_summary_csv(summary, path)
+        inference.save_summary_npz(summary, path)
         summaries.append(summary)
         written.append(path)
-    return test_seqs, summaries, written
+    return summaries, written
 
 
 def cmd_predict(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> list[str]:
+    test_seqs = load_dataset(data_dir, "test")
     written = []
     for h in config["horizons"]:
-        _, _, paths = _summaries_for_split(config, out_dir, data_dir, h, overwrite, reuse=False)
+        _, paths = _summaries_for_split(config, out_dir, test_seqs, h, overwrite, reuse=False)
         written += paths
     return written
 
@@ -421,7 +459,7 @@ def cmd_evaluate(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> 
                      for s in test_seqs]
             table[method] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
         if "model" in methods:
-            _, summaries, paths = _summaries_for_split(config, out_dir, data_dir, h, overwrite)
+            summaries, paths = _summaries_for_split(config, out_dir, test_seqs, h, overwrite)
             written += paths
             preds = [np.clip(s.reg_mean[:, subset], 0.0, h) for s in summaries]
             table["model"] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
@@ -441,8 +479,9 @@ def cmd_analyze(config: dict, out_dir: str, data_dir: str, overwrite: bool,
     percentiles = config["analysis"]["percentiles"]
     use_std = config["analysis"]["use_std"]
     trigger_cfg = config["analysis"]["trigger"]
+    test_seqs = load_dataset(data_dir, "test")
     for h in config["horizons"]:
-        test_seqs, summaries, paths = _summaries_for_split(config, out_dir, data_dir, h, overwrite)
+        summaries, paths = _summaries_for_split(config, out_dir, test_seqs, h, overwrite)
         written += paths
         targets = [labels.compute_targets(s, h) for s in test_seqs]
         names = test_seqs[0].names

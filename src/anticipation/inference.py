@@ -13,13 +13,13 @@ the T passes would aggregate to the identical summary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .labels import ANTICIPATING
+from .metrics import anticipating_selection
 from .network import DropoutMasks, NetworkConfig, Params, forward, sample_masks, softmax
 
 
@@ -125,75 +125,14 @@ def anticipating_mask(
     anticipating class (ties resolve in class order, anticipating first).
     """
     h = summary.horizon if horizon is None else horizon
-    reg_mask = (summary.reg_mean > 0.1 * h) & (summary.reg_mean < 0.9 * h)
+    reg_mask = anticipating_selection(summary.reg_mean, h)
     cls_mask = summary.class_mean.argmax(axis=2) == ANTICIPATING
     return reg_mask, cls_mask
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV (one row per frame x instrument) and a binary variant
+# Serialization: one compressed npz archive per summary (exact float64)
 # ---------------------------------------------------------------------------
-
-_CSV_COLUMNS = (
-    "frame", "instrument", "reg_mean", "reg_epistemic_var",
-    "p_anticipating", "p_present", "p_background",
-    "class_epistemic_var", "class_aleatoric_var",
-    "epi_anticipating", "epi_present", "epi_background",
-    "alea_anticipating", "alea_present", "alea_background",
-)
-
-
-def save_summary_csv(summary: PredictiveSummary, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("samples", summary.samples, "horizon", repr(summary.horizon)))
-        writer.writerow(_CSV_COLUMNS)
-        for i in range(summary.n_frames):
-            for j in range(summary.n_instruments):
-                writer.writerow(
-                    (i, j)
-                    + tuple(
-                        repr(float(v)) for v in (
-                            summary.reg_mean[i, j], summary.reg_epistemic_var[i, j],
-                            *summary.class_mean[i, j],
-                            summary.class_epistemic_var[i, j], summary.class_aleatoric_var[i, j],
-                            *summary.class_epistemic_per_class[i, j],
-                            *summary.class_aleatoric_per_class[i, j],
-                        )
-                    )
-                )
-
-
-def load_summary_csv(path: str) -> PredictiveSummary:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        meta = next(reader)
-        samples, horizon = int(meta[1]), float(meta[3])
-        header = next(reader)
-        if tuple(header) != _CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected summary columns")
-        rows = [(int(r[0]), int(r[1]), *map(float, r[2:])) for r in reader]
-    if not rows:
-        raise ValueError(f"{path}: summary has no rows")
-    n = max(r[0] for r in rows) + 1
-    k = max(r[1] for r in rows) + 1
-    out = {
-        "reg_mean": np.zeros((n, k)), "reg_epistemic_var": np.zeros((n, k)),
-        "class_mean": np.zeros((n, k, 3)),
-        "class_epistemic_var": np.zeros((n, k)), "class_aleatoric_var": np.zeros((n, k)),
-        "class_epistemic_per_class": np.zeros((n, k, 3)),
-        "class_aleatoric_per_class": np.zeros((n, k, 3)),
-    }
-    for row in rows:
-        i, j, values = row[0], row[1], row[2:]
-        out["reg_mean"][i, j], out["reg_epistemic_var"][i, j] = values[0], values[1]
-        out["class_mean"][i, j] = values[2:5]
-        out["class_epistemic_var"][i, j] = values[5]
-        out["class_aleatoric_var"][i, j] = values[6]
-        out["class_epistemic_per_class"][i, j] = values[7:10]
-        out["class_aleatoric_per_class"][i, j] = values[10:13]
-    return PredictiveSummary(samples=samples, horizon=horizon, **out)
-
 
 def save_summary_npz(summary: PredictiveSummary, path: str) -> None:
     np.savez_compressed(

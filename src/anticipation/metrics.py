@@ -27,6 +27,11 @@ def _as_pooled(arrays) -> np.ndarray:
     return np.concatenate([a if a.ndim == 2 else a[:, None] for a in arrays], axis=0)
 
 
+def anticipating_selection(predictions: np.ndarray, horizon: float) -> np.ndarray:
+    """Predictions strictly inside (0.1 h, 0.9 h): the frames pMAE scores."""
+    return (predictions > 0.1 * horizon) & (predictions < 0.9 * horizon)
+
+
 def wmae(predictions, remaining, horizon: float) -> np.ndarray:
     """Per-instrument wMAE in minutes; NaN where both frame groups are empty.
 
@@ -56,7 +61,7 @@ def pmae(predictions, remaining, horizon: float) -> np.ndarray:
     r = _as_pooled(remaining)
     if pred.shape != r.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {r.shape}")
-    selected = (pred > 0.1 * horizon) & (pred < 0.9 * horizon)
+    selected = anticipating_selection(pred, horizon)
     k = r.shape[1]
     out = np.full(k, np.nan)
     for j in range(k):
@@ -132,7 +137,7 @@ def evaluate_predictions(
         names = tuple(f"inst_{j}" for j in range(k))
     anticipating = (r > 0.0) & (r < horizon)
     background = r == horizon
-    selected = (pred > 0.1 * horizon) & (pred < 0.9 * horizon)
+    selected = anticipating_selection(pred, horizon)
     return MetricsReport(
         horizon=float(horizon),
         names=tuple(names),

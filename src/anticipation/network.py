@@ -578,15 +578,26 @@ def save_params(params: Params, path: str, config: Optional[NetworkConfig] = Non
 
 
 def load_params(path: str, config: Optional[NetworkConfig] = None) -> Params:
+    """Read a :func:`save_params` checkpoint; ``ValueError`` names the path on any defect."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != CHECKPOINT_FORMAT:
+        try:
+            header = json.loads(fh.readline().decode())
+        except ValueError:  # binary garbage or a broken header line
+            header = None
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: not a parameter checkpoint")
         if config is not None and header.get("config_hash") not in (None, config_hash(config)):
             raise ValueError(f"{path}: checkpoint was written for a different configuration")
         params: Params = {}
         for name, shape in header["params"]:
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-            params[name] = data.reshape(shape).copy()
+            size = 8 * int(np.prod(shape))
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(
+                    f"{path}: truncated checkpoint: parameter {name!r} needs {size} bytes, "
+                    f"found {len(data)}"
+                )
+            params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: checkpoint has bytes beyond its declared parameters")
     return params

@@ -1,4 +1,4 @@
-"""Writers for metric tables, target dumps, and analysis outputs.
+"""Writers for metric tables and analysis outputs.
 
 CSV layouts mirror the usual results tables: one row per method, wMAE and
 pMAE columns per instrument plus the mean over instruments.  Analysis
@@ -16,7 +16,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .analysis import FilterCurve, PccResult, TpFpResult, TriggerResult
-from .labels import AnticipationTargets
 from .metrics import MetricsReport
 
 
@@ -52,20 +51,6 @@ def write_metrics_table(reports: Mapping[str, MetricsReport], csv_path: str,
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
-
-
-def write_targets_csv(targets: AnticipationTargets, path: str,
-                      names: Optional[Sequence[str]] = None) -> None:
-    names = list(names) if names else [f"inst_{j}" for j in range(targets.n_instruments)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame"] + [f"r_{n}" for n in names] + [f"c_{n}" for n in names])
-        for i in range(targets.n_frames):
-            writer.writerow(
-                [i]
-                + [repr(float(v)) for v in targets.remaining[i]]
-                + [int(v) for v in targets.classes[i]]
-            )
 
 
 def write_pcc_csv(results: Sequence[PccResult], path: str,

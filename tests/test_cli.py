@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 from xml.etree import ElementTree
 
 import numpy as np
@@ -208,7 +209,7 @@ class TestExitCodes:
 
     def test_empty_analysis(self, config_path, tmp_path):
         """Hand-written summaries with no anticipating predictions anywhere."""
-        from anticipation.inference import PredictiveSummary, save_summary_csv
+        from anticipation.inference import PredictiveSummary, save_summary_npz
 
         out = str(tmp_path / "run")
         run_chain(config_path, out, commands=("simulate",))
@@ -231,8 +232,8 @@ class TestExitCodes:
                 class_epistemic_per_class=np.zeros((n, 2, 3)),
                 class_aleatoric_per_class=np.zeros((n, 2, 3)),
             )
-            save_summary_csv(summary, os.path.join(out, "summaries",
-                                                   f"summary_{seq_id}_h3.csv"))
+            save_summary_npz(summary, os.path.join(out, "summaries",
+                                                   f"summary_{seq_id}_h3.npz"))
         assert cli.main(["analyze", "--config", config_path, "--out", out]) == 5
 
     def test_programmatic_run_wrapper(self, config_path, tmp_path):
@@ -252,6 +253,126 @@ class TestExitCodes:
         with np.errstate(all="ignore"):
             assert cli.main(["train", "--config", str(path), "--out", out]) == 4
 
+
+@pytest.fixture(scope="module")
+def predicted_run(tmp_path_factory):
+    """A run directory after simulate, train and predict on ``tiny_config``."""
+    root = tmp_path_factory.mktemp("predicted")
+    path = root / "config.json"
+    path.write_text(json.dumps(tiny_config()))
+    out = str(root / "run")
+    run_chain(str(path), out, commands=("simulate", "train", "predict"))
+    return str(path), out
+
+
+def copy_run(predicted_run, tmp_path):
+    config_path, out = predicted_run
+    copy = str(tmp_path / "run")
+    shutil.copytree(out, copy)
+    return config_path, copy
+
+
+class TestDamagedRunDirectory:
+    """Damaged or mismatched artifacts exit 3 and name the file, never a traceback."""
+
+    def test_summaries_are_npz_listed_in_manifest(self, predicted_run):
+        _, out = predicted_run
+        files = sorted(os.listdir(os.path.join(out, "summaries")))
+        assert files and all(f.endswith(".npz") for f in files)
+        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        assert run["command"] == "predict"
+        for name in files:
+            rel = os.path.join("summaries", name)
+            assert run["artifacts"][rel] == checksum(os.path.join(out, rel))
+
+    def test_truncated_summary(self, predicted_run, tmp_path, capsys):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
+        data = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        for command in ("evaluate", "analyze"):
+            capsys.readouterr()
+            assert cli.main([command, "--config", config_path, "--out", out]) == 3
+            assert path in capsys.readouterr().err
+
+    def test_summary_of_wrong_length(self, predicted_run, tmp_path, capsys):
+        from anticipation.inference import load_summary_npz, save_summary_npz
+
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
+        summary = load_summary_npz(path)
+        n = summary.n_frames
+        for name in ("reg_mean", "reg_epistemic_var", "class_mean", "class_epistemic_var",
+                     "class_aleatoric_var", "class_epistemic_per_class",
+                     "class_aleatoric_per_class"):
+            setattr(summary, name, getattr(summary, name)[: n - 7])
+        save_summary_npz(summary, path)
+        for command in ("evaluate", "analyze"):
+            capsys.readouterr()
+            assert cli.main([command, "--config", config_path, "--out", out]) == 3
+            err = capsys.readouterr().err
+            assert path in err and f"({n - 7}, 2)" in err and f"({n}, 2)" in err
+
+    def test_truncated_checkpoint(self, predicted_run, tmp_path, capsys):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "checkpoints", "model_h3.bin")
+        data = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(data[:-100])
+        assert cli.main(["predict", "--config", config_path, "--out", out, "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert path in err and "truncated" in err
+
+    def test_checkpoint_for_other_model_config(self, predicted_run, tmp_path, capsys):
+        _, out = copy_run(predicted_run, tmp_path)
+        config = tiny_config()
+        config["model"]["hidden"] = 16
+        config_path = tmp_path / "other.json"
+        config_path.write_text(json.dumps(config))
+        assert cli.main(["predict", "--config", str(config_path), "--out", out,
+                         "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert os.path.join(out, "checkpoints", "model_h3.bin") in err
+        assert "different configuration" in err
+
+    def test_failed_manifest_write_keeps_previous_manifest(self, config_path, tmp_path,
+                                                          monkeypatch):
+        out = str(tmp_path / "run")
+        run_chain(config_path, out, commands=("simulate",))
+        manifest_path = os.path.join(out, "manifest.json")
+        before = open(manifest_path, "rb").read()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"runs": [')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", failing_dump)
+        assert cli.main(["simulate", "--config", config_path, "--out", out, "--overwrite"]) == 3
+        monkeypatch.undo()
+        assert open(manifest_path, "rb").read() == before
+        assert [r["command"] for r in json.loads(before)["runs"]] == ["simulate"]
+        assert sorted(os.listdir(out)) == ["dataset", "manifest.json"]
+
+    def test_evaluate_loads_each_sequence_once(self, tmp_path, monkeypatch):
+        config = tiny_config(horizons=[2.0, 3.0])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        run_chain(str(config_path), out, commands=("simulate", "train"))
+        loaded = []
+        load = cli.workflow.load_annotations
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(os.path.relpath(path, out))
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli.workflow, "load_annotations", counting_load)
+        assert cli.main(["evaluate", "--config", str(config_path), "--out", out]) == 0
+        test_files = [os.path.join("dataset", "test", f"proc_{i:04d}.csv") for i in (3, 4)]
+        assert sorted(p for p in loaded if p.startswith(os.path.join("dataset", "test"))) \
+            == test_files
+        assert len(loaded) == len(set(loaded)) == 5
 
 class TestConfigHandling:
     def test_defaults_fill_missing_sections(self, tmp_path):

@@ -75,9 +75,11 @@ class TestPmae:
         assert np.isnan(pmae(pred, r, horizon=3.0)[0])
 
     def test_selection_is_strict_open_interval(self):
-        pred = col([0.3, 2.7, 1.5])
-        r = col([1.5, 1.5, 1.5])
+        # 0.1 * 3.0 and 0.9 * 3.0 are the exact interval ends, both excluded.
+        pred = col([0.3, 2.7, 1.5, 0.1 * 3.0, 0.9 * 3.0])
+        r = col([1.5, 1.5, 1.5, 1.5, 1.5])
         assert pmae(pred, r, horizon=3.0)[0] == 0.0  # only the middle frame counts
+        assert evaluate_predictions(pred, r, horizon=3.0).n_selected[0] == 1
 
 
 class TestReport:
