@@ -31,7 +31,6 @@ from .network import (
     DropoutMasks,
     NetworkConfig,
     RawOutputs,
-    backward,
     compute_loss,
     forward,
     init_params,

@@ -22,14 +22,16 @@ Exit codes: 0 ok, 2 config error, 3 input error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import hashlib
 import json
 import os
 import sys
+import typing
 import zipfile
 import zlib
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -53,48 +55,95 @@ EXIT_EMPTY = 5
 # Config file handling
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "": {"seed", "horizons", "sim", "split", "model", "train", "eval", "analysis"},
-    "sim": {
-        "instruments", "phases", "duration_mean", "duration_std", "phase_plan",
-        "usage_rules", "trigger_rules", "features", "fps", "instrument_names",
-    },
-    "sim.phase_plan": {"length_mean", "length_std"},
-    "sim.usage_rules": {"instrument", "phase", "probability", "length_mean", "length_std", "segments"},
-    "sim.trigger_rules": {"trigger", "target", "delay_mean", "delay_jitter", "probability",
-                          "length_mean", "length_std"},
-    "sim.features": {"dim", "noise_std", "instrument_gain", "phase_gain"},
-    "split": {"n_train", "n_test"},
-    "model": {"hidden", "encoder", "dropout", "output_mode", "phase_classes",
-              "lambda_cls", "lambda_phase", "weight_decay"},
-    "train": {"epochs", "learning_rate", "window", "accum_steps"},
-    "eval": {"samples", "bins", "instruments", "methods"},
-    "analysis": {"percentiles", "trigger", "use_std", "memory_frames"},
-    "analysis.trigger": {"trigger", "target"},
-}
+# ``model`` and ``train`` hold the fields of ``network.NetworkConfig`` except
+# the ones set from the data and the top level; _TRAIN_FIELDS form ``train``.
+# ``sim`` holds the fields of ``workflow.SimConfig``, nested parts included.
+_TRAIN_FIELDS = ("learning_rate", "window", "accum_steps", "epochs")
+_DATA_FIELDS = ("input_dim", "instruments", "horizon", "seed")
+# FeatureSpec's signature arrays are set from Python only, never from JSON.
+_ARRAY_FIELDS = ("instrument_signatures", "phase_signatures")
+_NETWORK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(network.NetworkConfig)
+                     if f.name not in _DATA_FIELDS}
 
 DEFAULT_CONFIG = {
     "seed": 0,
     "horizons": [3.0],
     "sim": None,
     "split": {"n_train": 12, "n_test": 8},
-    "model": {"hidden": 64, "encoder": [64, 64], "dropout": 0.2,
-              "output_mode": "linear_clamped", "phase_classes": 0,
-              "lambda_cls": 1e-2, "lambda_phase": None, "weight_decay": 1e-5},
-    "train": {"epochs": 100, "learning_rate": 1e-4, "window": 128, "accum_steps": 3},
+    "model": {k: v for k, v in _NETWORK_DEFAULTS.items() if k not in _TRAIN_FIELDS},
+    "train": {k: v for k, v in _NETWORK_DEFAULTS.items() if k in _TRAIN_FIELDS},
     "eval": {"samples": 10, "bins": 1000, "instruments": None,
              "methods": ["meanhist", "oraclehist", "model"]},
     "analysis": {"percentiles": list(analysis.DEFAULT_PERCENTILES), "trigger": None,
                  "use_std": False, "memory_frames": 0},
 }
 
+# Types of the keys whose literal default does not give them; every other key
+# has the type of its default value (a list: that of its first item).
+_NETWORK_TYPES = typing.get_type_hints(network.NetworkConfig)
+_TYPES = {
+    "sim": Optional[workflow.SimConfig],
+    "model": {k: _NETWORK_TYPES[k] for k in DEFAULT_CONFIG["model"]},
+    "train": {k: _NETWORK_TYPES[k] for k in DEFAULT_CONFIG["train"]},
+    "eval.instruments": Optional[tuple[Union[str, int], ...]],
+    "analysis.percentiles": tuple[float, ...],
+    "analysis.trigger": Optional[typing.TypedDict("TriggerPair", {"trigger": int, "target": int})],
+}
+_JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
-def _check_keys(payload: dict, schema_key: str) -> None:
-    allowed = _SCHEMA[schema_key]
-    unknown = set(payload) - allowed
-    if unknown:
-        where = schema_key or "top level"
-        raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
+
+def _types(default, key: str = ""):
+    """Type tree of the config below ``key``: ``_TYPES`` where given, else from the defaults."""
+    if key in _TYPES:
+        return _TYPES[key]
+    if isinstance(default, dict):
+        return {k: _types(v, f"{key}.{k}" if key else k) for k, v in default.items()}
+    return tuple[type(default[0]), ...] if isinstance(default, list) else type(default)
+
+
+_CONFIG_TYPES = _types(DEFAULT_CONFIG)
+
+
+def _is_scalar(value, hint) -> bool:
+    """A float field accepts an int; no field but a bool accepts true or false."""
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check(value, hint, key: str) -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is JSON of type ``hint``.
+
+    A record type (a dict of key types, a dataclass or a TypedDict) is a JSON
+    object without unknown keys; ``tuple[X, ...]`` is a JSON list.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union and type(None) in args:  # Optional[X]
+        if value is not None:
+            _check(value, args[0], key)
+        return
+    if origin is Union:  # a choice of scalar types
+        ok = any(_is_scalar(value, a) for a in args)
+        expected = " or ".join(_JSON_NAMES[a] for a in args)
+    elif origin is tuple:
+        ok, expected = isinstance(value, list), "a list"
+    elif isinstance(hint, dict) or dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
+        ok, expected = isinstance(value, dict), "an object"
+    else:
+        ok, expected = _is_scalar(value, hint), _JSON_NAMES[hint]
+    if not ok:
+        raise ConfigError(f"{key}: expected {expected}, got {json.dumps(value)}")
+    if origin is tuple:
+        for i, item in enumerate(value):
+            _check(item, args[0], f"{key}[{i}]")
+    elif isinstance(value, dict):
+        fields = hint if isinstance(hint, dict) else typing.get_type_hints(hint)
+        unknown = set(value) - set(fields).difference(_ARRAY_FIELDS)
+        if unknown:
+            where = key or "top level"
+            raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
+        for k, item in value.items():
+            _check(item, fields[k], f"{key}.{k}" if key else k)
 
 
 def load_config(path: str) -> dict:
@@ -107,43 +156,33 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _check_keys(raw, "")
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     for section, value in raw.items():
         if isinstance(value, dict) and isinstance(config.get(section), dict):
-            _check_keys(value, section)
             config[section].update(value)
         else:
-            if section in ("sim",) and isinstance(value, dict):
-                _check_keys(value, section)
             config[section] = value
-    for rule_key in ("phase_plan", "usage_rules", "trigger_rules"):
-        for entry in (config.get("sim") or {}).get(rule_key, []) or []:
-            _check_keys(entry, f"sim.{rule_key}")
-    if (config.get("sim") or {}).get("features"):
-        _check_keys(config["sim"]["features"], "sim.features")
-    if config["analysis"].get("trigger"):
-        _check_keys(config["analysis"]["trigger"], "analysis.trigger")
+    _check(config, _CONFIG_TYPES, "")
     return config
+
+
+def _build(hint, value):
+    """``value`` as type ``hint``: dataclasses built from their fields, lists as tuples."""
+    if typing.get_origin(hint) is Union and value is not None:  # Optional[X]
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        return tuple(_build(typing.get_args(hint)[0], v) for v in value)
+    if dataclasses.is_dataclass(hint):
+        types = typing.get_type_hints(hint)
+        return hint(**{k: _build(types[k], v) for k, v in value.items()})
+    return value
 
 
 def sim_config_from_dict(payload: dict) -> workflow.SimConfig:
     if not payload:
         raise ConfigError("config has no 'sim' section")
     try:
-        features = workflow.FeatureSpec(**(payload.get("features") or {}))
-        config = workflow.SimConfig(
-            instruments=payload["instruments"],
-            phases=payload["phases"],
-            duration_mean=payload["duration_mean"],
-            duration_std=payload.get("duration_std", 0.0),
-            phase_plan=tuple(workflow.PhaseSpec(**p) for p in payload.get("phase_plan", [])),
-            usage_rules=tuple(workflow.UsageRule(**r) for r in payload.get("usage_rules", [])),
-            trigger_rules=tuple(workflow.TriggerRule(**r) for r in payload.get("trigger_rules", [])),
-            features=features,
-            fps=payload.get("fps", 1.0),
-            instrument_names=tuple(payload["instrument_names"]) if payload.get("instrument_names") else None,
-        )
+        config = _build(workflow.SimConfig, payload)
         config.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'sim' section: {exc}") from None
@@ -151,28 +190,18 @@ def sim_config_from_dict(payload: dict) -> workflow.SimConfig:
 
 
 def network_config(config: dict, input_dim: int, instruments: int, horizon: float) -> network.NetworkConfig:
-    model, tr = config["model"], config["train"]
     try:
         return network.NetworkConfig(
-            input_dim=input_dim,
-            instruments=instruments,
-            hidden=model["hidden"],
-            encoder=tuple(model["encoder"]),
-            phase_classes=model["phase_classes"],
-            dropout=model["dropout"],
-            output_mode=model["output_mode"],
-            horizon=horizon,
-            lambda_cls=model["lambda_cls"],
-            lambda_phase=model["lambda_phase"],
-            weight_decay=model["weight_decay"],
-            learning_rate=tr["learning_rate"],
-            window=tr["window"],
-            accum_steps=tr["accum_steps"],
-            epochs=tr["epochs"],
-            seed=config["seed"],
+            input_dim=input_dim, instruments=instruments, horizon=horizon, seed=config["seed"],
+            **{**config["model"], **config["train"], "encoder": tuple(config["model"]["encoder"])},
         )
     except ValueError as exc:
         raise ConfigError(f"invalid model/train section: {exc}") from None
+
+
+def _dataset_fps(config: dict) -> float:
+    """Frame rate the dataset is read at: the simulated one, or 1.0 for ingested data."""
+    return float(sim_config_from_dict(config["sim"]).fps) if config["sim"] else 1.0
 
 
 def resolved_config_hash(config: dict) -> str:
@@ -299,9 +328,9 @@ def cmd_simulate(config: dict, out_dir: str, overwrite: bool) -> list[str]:
 def cmd_baseline(config: dict, out_dir: str, data_dir: str, mode: str, overwrite: bool) -> list[str]:
     if mode not in baselines.MODES:
         raise ConfigError(f"baseline mode must be one of {baselines.MODES}, got {mode!r}")
-    train_seqs = load_dataset(data_dir, "train")
+    train_seqs = load_dataset(data_dir, "train", _dataset_fps(config))
     has_test = os.path.isdir(os.path.join(data_dir, "test"))
-    test_seqs = load_dataset(data_dir, "test") if has_test else []
+    test_seqs = load_dataset(data_dir, "test", _dataset_fps(config)) if has_test else []
     if mode == "oracle" and not has_test:
         raise InputError(
             "oracle mode requires per-video durations of an evaluation split; "
@@ -331,7 +360,7 @@ def cmd_baseline(config: dict, out_dir: str, data_dir: str, mode: str, overwrite
 
 
 def cmd_train(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> list[str]:
-    train_seqs = load_dataset(data_dir, "train")
+    train_seqs = load_dataset(data_dir, "train", _dataset_fps(config))
     if train_seqs[0].features is None:
         raise InputError("training requires feature files alongside the annotations")
     ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -389,12 +418,20 @@ def _summaries_for_split(config: dict, out_dir: str, test_seqs: list[workflow.Pr
     summary_dir = os.path.join(out_dir, "summaries")
     os.makedirs(summary_dir, exist_ok=True)
     params = net_config = None
+    samples = config["eval"]["samples"]
     summaries, written = [], []
     for idx, seq in enumerate(test_seqs):
         path = os.path.join(summary_dir, f"summary_{seq.id}_h{h:g}.npz")
         if reuse and os.path.exists(path):
-            summaries.append(_load_summary(path, seq, h))
-            continue
+            summary = _load_summary(path, seq, h)
+            if summary.samples == samples:
+                summaries.append(summary)
+                continue
+            if not overwrite:
+                raise InputError(
+                    f"summary {path}: drawn with {summary.samples} MC samples, eval.samples is "
+                    f"{samples} (use --overwrite to recompute it)"
+                )
         _refuse_existing([path], overwrite)
         if params is None:
             ckpt_path = os.path.join(out_dir, "checkpoints", f"model_h{h:g}.bin")
@@ -409,7 +446,7 @@ def _summaries_for_split(config: dict, out_dir: str, test_seqs: list[workflow.Pr
                 raise InputError(str(exc)) from None
         summary = inference.mc_predict(
             params, net_config, seq.features,
-            samples=config["eval"]["samples"],
+            samples=samples,
             seed=_summary_seed(config["seed"], h, idx),
         )
         inference.save_summary_npz(summary, path)
@@ -419,7 +456,7 @@ def _summaries_for_split(config: dict, out_dir: str, test_seqs: list[workflow.Pr
 
 
 def cmd_predict(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> list[str]:
-    test_seqs = load_dataset(data_dir, "test")
+    test_seqs = load_dataset(data_dir, "test", _dataset_fps(config))
     written = []
     for h in config["horizons"]:
         _, paths = _summaries_for_split(config, out_dir, test_seqs, h, overwrite, reuse=False)
@@ -428,8 +465,8 @@ def cmd_predict(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> l
 
 
 def cmd_evaluate(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> list[str]:
-    train_seqs = load_dataset(data_dir, "train")
-    test_seqs = load_dataset(data_dir, "test")
+    train_seqs = load_dataset(data_dir, "train", _dataset_fps(config))
+    test_seqs = load_dataset(data_dir, "test", _dataset_fps(config))
     methods = [m.lower() for m in config["eval"]["methods"]]
     unknown = set(methods) - {"meanhist", "oraclehist", "model"}
     if unknown:
@@ -479,7 +516,7 @@ def cmd_analyze(config: dict, out_dir: str, data_dir: str, overwrite: bool,
     percentiles = config["analysis"]["percentiles"]
     use_std = config["analysis"]["use_std"]
     trigger_cfg = config["analysis"]["trigger"]
-    test_seqs = load_dataset(data_dir, "test")
+    test_seqs = load_dataset(data_dir, "test", _dataset_fps(config))
     for h in config["horizons"]:
         summaries, paths = _summaries_for_split(config, out_dir, test_seqs, h, overwrite)
         written += paths

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,36 +104,8 @@ class RawOutputs:
 
 
 def config_hash(config: NetworkConfig) -> str:
-    blob = json.dumps(config_to_dict(config), sort_keys=True).encode()
+    blob = json.dumps(asdict(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def config_to_dict(config: NetworkConfig) -> dict:
-    return {
-        "input_dim": config.input_dim,
-        "instruments": config.instruments,
-        "hidden": config.hidden,
-        "encoder": list(config.encoder),
-        "phase_classes": config.phase_classes,
-        "dropout": config.dropout,
-        "output_mode": config.output_mode,
-        "horizon": config.horizon,
-        "lambda_cls": config.lambda_cls,
-        "lambda_phase": config.lambda_phase,
-        "weight_decay": config.weight_decay,
-        "learning_rate": config.learning_rate,
-        "window": config.window,
-        "accum_steps": config.accum_steps,
-        "epochs": config.epochs,
-        "seed": config.seed,
-    }
-
-
-def config_from_dict(payload: dict) -> NetworkConfig:
-    payload = dict(payload)
-    if "encoder" in payload:
-        payload["encoder"] = tuple(payload["encoder"])
-    return NetworkConfig(**payload)
 
 
 def init_params(config: NetworkConfig, seed: int) -> Params:
@@ -430,27 +402,6 @@ def loss_and_gradients(
     return total, terms, grads, final_state
 
 
-def backward(
-    params: Params,
-    masks: DropoutMasks,
-    features: np.ndarray,
-    remaining: np.ndarray,
-    classes: np.ndarray,
-    config: NetworkConfig,
-    phase_labels: Optional[np.ndarray] = None,
-    state: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> Params:
-    """Gradient of :func:`compute_loss` with respect to every parameter."""
-    _, _, grads, _ = loss_and_gradients(
-        params, masks, features, remaining, classes, config,
-        phase_labels=phase_labels, state=state,
-    )
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
-    return grads
-
-
 class Adam:
     """Adaptive-moment update with bias correction."""
 
@@ -487,6 +438,8 @@ def train(
     frames while gradients stop at window boundaries.  Gradients are
     averaged over groups of ``config.accum_steps`` windows before each Adam
     update (a shorter leftover group at the end of a video still updates).
+    A non-finite loss or gradient raises ``NumericError`` naming the epoch,
+    video and window start frame (and the parameter) before Adam sees it.
     Returns the trained parameters and a per-epoch log of loss terms.
     """
     if not sequences:
@@ -534,10 +487,12 @@ def train(
                     phase_labels=phase_slice,
                     state=state,
                 )
+                where = f"at epoch {epoch}, video {seq.id!r}, frame {start}"
                 if not np.isfinite(total):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, video {seq.id!r}, frame {start}"
-                    )
+                    raise NumericError(f"non-finite loss {where}")
+                for name, g in grads.items():
+                    if not np.isfinite(g).all():
+                        raise NumericError(f"non-finite gradient in parameter {name!r} {where}")
                 if acc is None:
                     acc = {k: g.copy() for k, g in grads.items()}
                 else:

@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from anticipation import cli
+from anticipation import NetworkConfig, cli, labels, workflow
 
 
 def tiny_config(**overrides):
@@ -123,6 +125,31 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "baselines", "baseline_oracle_h3.json"))
         assert os.path.exists(os.path.join(out, "baselines", "metrics_oracle_h3.csv"))
 
+    def test_sim_fps_is_honoured(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        config["sim"]["fps"] = 5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        run_chain(str(path), out, commands=("simulate",))
+        compute = labels.compute_targets
+        targets = {}
+
+        def recording(seq, h):
+            targets[seq.id] = compute(seq, h)
+            return targets[seq.id]
+
+        monkeypatch.setattr(cli.labels, "compute_targets", recording)
+        assert cli.main(["baseline", "--config", str(path), "--out", out]) == 0
+        text = open(os.path.join(out, "baselines", "baseline_mean_h3.json")).read()
+        assert '"fps": 5.0' in text
+        generated = workflow.generate_dataset(cli.sim_config_from_dict(config["sim"]), 5, seed=5)
+        for seq in generated[3:]:  # the test split
+            expected = compute(seq, 3.0)
+            assert targets[seq.id].fps == 5.0
+            np.testing.assert_array_equal(targets[seq.id].remaining, expected.remaining)
+            np.testing.assert_array_equal(targets[seq.id].classes, expected.classes)
+
     def test_analyze_emits_svg_plots(self, config_path, tmp_path):
         out = str(tmp_path / "run")
         run_chain(config_path, out, commands=("simulate", "train", "predict"))
@@ -164,6 +191,33 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 1, "mystery": True}))
         assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "model.hidden", "abc"),
+        ("train", "model.encoder", 64),
+        ("train", "train.epochs", 2.5),
+        ("train", "model", 5),
+        ("simulate", "sim.phase_plan", [5, 5]),
+        ("simulate", "sim.features", [1]),
+        ("simulate", "split.n_train", "3"),
+        ("predict", "eval.samples", "3"),
+        ("analyze", "analysis.trigger", 5),
+        ("train", "horizons", "3"),
+    ])
+    def test_malformed_value_names_its_key(self, predicted_run, tmp_path, capsys,
+                                           command, key, value):
+        _, out = copy_run(predicted_run, tmp_path)
+        config = tiny_config()
+        *parents, name = key.split(".")
+        section = config
+        for part in parents:
+            section = section[part]
+        section[name] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path), "--out", out, "--overwrite"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and "Traceback" not in err
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -225,7 +279,7 @@ class TestExitCodes:
             background = np.tile([0.0, 0.0, 1.0], (n, 2, 1))
             zeros = np.zeros((n, 2))
             summary = PredictiveSummary(
-                samples=1, horizon=3.0,
+                samples=3, horizon=3.0,
                 reg_mean=np.full((n, 2), 3.0), reg_epistemic_var=zeros,
                 class_mean=background, class_epistemic_var=zeros,
                 class_aleatoric_var=zeros,
@@ -314,6 +368,31 @@ class TestDamagedRunDirectory:
             err = capsys.readouterr().err
             assert path in err and f"({n - 7}, 2)" in err and f"({n}, 2)" in err
 
+    def test_summary_of_other_sample_count_recomputed_with_overwrite(self, predicted_run,
+                                                                      tmp_path):
+        from anticipation.inference import load_summary_npz
+
+        config_path, out = copy_run(predicted_run, tmp_path)
+        assert cli.main(["evaluate", "--config", config_path, "--out", out,
+                         "--samples", "7", "--overwrite"]) == 0
+        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        assert run["resolved_config"]["eval"]["samples"] == 7
+        files = sorted(os.listdir(os.path.join(out, "summaries")))
+        for name in files:
+            rel = os.path.join("summaries", name)
+            assert load_summary_npz(os.path.join(out, rel)).samples == 7
+            assert run["artifacts"][rel] == checksum(os.path.join(out, rel))
+
+    def test_summary_of_other_sample_count_refused(self, predicted_run, tmp_path, capsys):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
+        before = checksum(path)
+        assert cli.main(["evaluate", "--config", config_path, "--out", out,
+                         "--samples", "7"]) == 3
+        err = capsys.readouterr().err
+        assert path in err and "3 MC samples" in err and "eval.samples is 7" in err
+        assert checksum(path) == before
+
     def test_truncated_checkpoint(self, predicted_run, tmp_path, capsys):
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "checkpoints", "model_h3.bin")
@@ -390,12 +469,54 @@ class TestConfigHandling:
         assert config["eval"]["bins"] == 1000
 
     def test_nested_unknown_keys_rejected(self, tmp_path):
-        config = tiny_config()
-        config["model"]["wings"] = 2
+        levels = [
+            ("top level", lambda c: c), ("sim", lambda c: c["sim"]),
+            ("split", lambda c: c["split"]), ("model", lambda c: c["model"]),
+            ("train", lambda c: c["train"]), ("eval", lambda c: c["eval"]),
+            ("analysis", lambda c: c["analysis"]),
+            ("sim.phase_plan[1]", lambda c: c["sim"]["phase_plan"][1]),
+            ("sim.usage_rules[0]", lambda c: c["sim"]["usage_rules"][0]),
+            ("sim.trigger_rules[0]", lambda c: c["sim"]["trigger_rules"][0]),
+            ("sim.features", lambda c: c["sim"]["features"]),
+            ("analysis.trigger", lambda c: c["analysis"]["trigger"]),
+        ]
+        cases = [(where, at, "wings") for where, at in levels] + [
+            ("sim.features", lambda c: c["sim"]["features"], key)
+            for key in ("instrument_signatures", "phase_signatures")
+        ]
+        for where, at, key in cases:
+            config = tiny_config()
+            config["sim"]["trigger_rules"] = [{"trigger": 0, "target": 1, "delay_mean": 5}]
+            at(config)[key] = [[1.0]]
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            with pytest.raises(cli.ConfigError, match=rf"in {re.escape(where)}: {key}$"):
+                cli.load_config(str(path))
+
+    # A non-default value for every NetworkConfig field the config file sets,
+    # with the section it belongs in.
+    NON_DEFAULT = {
+        "hidden": ("model", 7), "encoder": ("model", [5, 3]), "phase_classes": ("model", 2),
+        "dropout": ("model", 0.3), "output_mode": ("model", "scaled_sigmoid"),
+        "lambda_cls": ("model", 0.5), "lambda_phase": ("model", 0.25),
+        "weight_decay": ("model", 0.0), "learning_rate": ("train", 0.01),
+        "window": ("train", 17), "accum_steps": ("train", 4), "epochs": ("train", 9),
+    }
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(NetworkConfig)
+        if f.name not in ("input_dim", "instruments", "horizon", "seed")
+    ])
+    def test_section_value_reaches_network_config(self, tmp_path, field):
+        section, value = self.NON_DEFAULT[field]
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        with pytest.raises(cli.ConfigError, match="wings"):
-            cli.load_config(str(path))
+        path.write_text(json.dumps({"seed": 11, section: {field: value}}))
+        config = cli.load_config(str(path))
+        net = cli.network_config(config, input_dim=4, instruments=2, horizon=2.5)
+        expected = tuple(value) if isinstance(value, list) else value
+        assert getattr(net, field) == expected
+        assert getattr(NetworkConfig(input_dim=4, instruments=2), field) != expected
+        assert (net.input_dim, net.instruments, net.horizon, net.seed) == (4, 2, 2.5, 11)
 
     def test_rule_level_unknown_keys_rejected(self, tmp_path):
         config = tiny_config()

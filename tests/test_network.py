@@ -3,7 +3,6 @@ import pytest
 
 from anticipation import (
     NetworkConfig,
-    backward,
     compute_loss,
     compute_targets,
     forward,
@@ -282,7 +281,7 @@ class TestGradients:
         masks = sample_masks(config, seed=10)
         out, _ = forward(params, masks, feats, config)
         classes = np.zeros((6, 2), dtype=np.int8)
-        grads = backward(params, masks, feats, out.regression, classes, config)
+        _, _, grads, _ = loss_and_gradients(params, masks, feats, out.regression, classes, config)
         for name in params:
             np.testing.assert_array_equal(grads[name], 2e-3 * params[name])
 
@@ -292,20 +291,34 @@ class TestGradients:
         feats = np.random.default_rng(12).normal(size=(5, 3))
         masks = sample_masks(config, seed=13)
         out, _ = forward(params, masks, feats, config)
-        grads = backward(params, masks, feats, out.regression,
-                         np.zeros((5, 2), dtype=np.int8), config)
+        _, _, grads, _ = loss_and_gradients(params, masks, feats, out.regression,
+                                            np.zeros((5, 2), dtype=np.int8), config)
         np.testing.assert_array_equal(grads["reg_W"], 0.0)
         np.testing.assert_array_equal(grads["reg_b"], 0.0)
 
-    def test_non_finite_gradient_reported_with_name(self):
-        config = tiny_config()
-        params = init_params(config, seed=0)
-        params["reg_W"][0, 0] = np.inf
-        masks = sample_masks(config, seed=0)
-        feats = np.ones((3, 3))
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite gradient in parameter '\\w+"):
-            backward(params, masks, feats, np.ones((3, 2)),
-                     np.zeros((3, 2), dtype=np.int8), config)
+    def test_non_finite_gradient_reported_with_name(self, monkeypatch):
+        """A NaN gradient behind a finite loss stops training before the Adam step."""
+        from anticipation import ProcedureSequence, network
+
+        config = tiny_config(epochs=1, window=4)
+        rng = np.random.default_rng(0)
+        presence = np.zeros((8, 2), dtype=bool)
+        presence[5:, 0] = True
+        seq = ProcedureSequence(id="vid_7", presence=presence, features=rng.normal(size=(8, 3)))
+        exact = network.loss_and_gradients
+        steps = []
+
+        def poisoned(*args, **kwargs):
+            total, terms, grads, state = exact(*args, **kwargs)
+            grads["lstm_Wh"][1, 2] = np.nan
+            return total, terms, grads, state
+
+        monkeypatch.setattr(network, "loss_and_gradients", poisoned)
+        monkeypatch.setattr(network.Adam, "step", lambda self, params, grads: steps.append(1))
+        with pytest.raises(NumericError, match="non-finite gradient in parameter 'lstm_Wh' at "
+                                               "epoch 0, video 'vid_7', frame 0"):
+            train([seq], config)
+        assert steps == []
 
 
 class TestTraining:
