@@ -37,6 +37,7 @@ from .network import (
     load_params,
     sample_masks,
     save_params,
+    stack_masks,
     train,
 )
 from .workflow import (

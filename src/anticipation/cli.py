@@ -26,12 +26,13 @@ import dataclasses
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 import typing
 import zipfile
 import zlib
-from typing import Optional, Union
+from typing import Annotated, Optional, Union
 
 import numpy as np
 
@@ -78,16 +79,28 @@ DEFAULT_CONFIG = {
                  "use_std": False, "memory_frames": 0},
 }
 
-# Types of the keys whose literal default does not give them; every other key
-# has the type of its default value (a list: that of its first item).
+
+def _at_least(low: int):
+    return Annotated[int, f"an integer >= {low}", lambda v: v >= low]
+
+
+# Types of the keys whose literal default does not give them, or whose values
+# have a range; every other key has the type of its default value (a list:
+# that of its first item).
 _NETWORK_TYPES = typing.get_type_hints(network.NetworkConfig)
 _TYPES = {
+    "horizons": tuple[Annotated[float, "a finite number > 0", lambda v: 0 < v < math.inf], ...],
     "sim": Optional[workflow.SimConfig],
+    "split.n_train": _at_least(1),
+    "split.n_test": _at_least(0),
     "model": {k: _NETWORK_TYPES[k] for k in DEFAULT_CONFIG["model"]},
     "train": {k: _NETWORK_TYPES[k] for k in DEFAULT_CONFIG["train"]},
+    "eval.samples": _at_least(1),
+    "eval.bins": _at_least(1),
     "eval.instruments": Optional[tuple[Union[str, int], ...]],
-    "analysis.percentiles": tuple[float, ...],
+    "analysis.percentiles": tuple[Annotated[float, "a number in (0, 100]", lambda v: 0 < v <= 100], ...],
     "analysis.trigger": Optional[typing.TypedDict("TriggerPair", {"trigger": int, "target": int})],
+    "analysis.memory_frames": _at_least(0),
 }
 _JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
@@ -115,9 +128,15 @@ def _check(value, hint, key: str) -> None:
     """Raise a ConfigError naming ``key`` unless ``value`` is JSON of type ``hint``.
 
     A record type (a dict of key types, a dataclass or a TypedDict) is a JSON
-    object without unknown keys; ``tuple[X, ...]`` is a JSON list.
+    object without unknown keys; ``tuple[X, ...]`` is a JSON list; a value
+    of type ``Annotated[X, text, test]`` is an X that passes ``test``.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        _check(value, args[0], key)
+        if not args[2](value):
+            raise ConfigError(f"{key}: expected {args[1]}, got {json.dumps(value)}")
+        return
     if origin is Union and type(None) in args:  # Optional[X]
         if value is not None:
             _check(value, args[0], key)
@@ -314,8 +333,6 @@ def _instrument_subset(config: dict, names: tuple[str, ...]) -> list[int]:
 def cmd_simulate(config: dict, out_dir: str, overwrite: bool) -> list[str]:
     sim = sim_config_from_dict(config["sim"])
     n_train, n_test = config["split"]["n_train"], config["split"]["n_test"]
-    if n_train < 1 or n_test < 0:
-        raise ConfigError("split.n_train must be >= 1 and split.n_test >= 0")
     dataset_dir = os.path.join(out_dir, "dataset")
     _refuse_existing([dataset_dir], overwrite)
     data = workflow.generate_dataset(sim, n_train + n_test, seed=config["seed"])
@@ -636,6 +653,7 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
 
 def _dispatch(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    _check(config, _CONFIG_TYPES, "")  # flag values pass the same checks as file values
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     data_dir = getattr(args, "data", None) or os.path.join(out_dir, "dataset")

@@ -1,14 +1,16 @@
 """Monte-Carlo dropout prediction.
 
-Running the network T times with freshly sampled dropout masks yields T
+Running the network with T freshly sampled dropout mask sets yields T
 posterior samples of its outputs.  Their average approximates the
 predictive expectation (regression) and predictive posterior (class
 probabilities); spread across samples gives the epistemic variance, and
 the mean multinomial variance p(1-p) of the softmax samples gives the
 aleatoric class variance.  All variances use the population 1/T form.
 
-Per-sample seeds are ``seed ^ sample_index``, so a parallel execution of
-the T passes would aggregate to the identical summary.
+The T passes are not run one after another: their mask sets are stacked
+and run as T rows of one network scan, which gives the same samples as T
+separate passes.  Sample t's masks come from seed ``seed ^ t``; this XOR
+derivation lets the seeds of different calls collide (ROADMAP defect b).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .labels import ANTICIPATING
 from .metrics import anticipating_selection
-from .network import DropoutMasks, NetworkConfig, Params, forward, sample_masks, softmax
+from .network import NetworkConfig, Params, forward, sample_masks, softmax, stack_masks
 
 
 @dataclass
@@ -93,7 +95,7 @@ def mc_predict(
     seed: int = 0,
     keep_samples: bool = False,
 ) -> PredictiveSummary:
-    """Draw ``samples`` mask sets and aggregate the resulting forward passes.
+    """Draw ``samples`` mask sets, run them as the rows of one forward pass, aggregate.
 
     Regression samples are clamped to ``[0, horizon]`` before aggregation
     (the clamp policy of ``linear_clamped`` mode; a no-op for
@@ -101,16 +103,10 @@ def mc_predict(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    k = config.instruments
-    reg = np.empty((samples, n, k))
-    cls = np.empty((samples, n, k, 3))
-    for t in range(samples):
-        masks: DropoutMasks = sample_masks(config, seed ^ t)
-        outputs, _ = forward(params, masks, features, config)
-        reg[t] = np.clip(outputs.regression, 0.0, config.horizon)
-        cls[t] = softmax(outputs.class_logits)
+    masks = stack_masks([sample_masks(config, seed ^ t) for t in range(samples)])
+    outputs, _ = forward(params, masks, features, config)
+    reg = np.clip(outputs.regression, 0.0, config.horizon)
+    cls = softmax(outputs.class_logits)
     return aggregate_samples(reg, cls, config.horizon, keep_samples=keep_samples)
 
 

@@ -10,6 +10,12 @@ group: encoder input, recurrent input, recurrent hidden state).  A fixed
 mask set is one posterior sample of the parameters; averaging passes over
 resampled masks is how inference approximates the predictive distribution.
 
+One scan runs the network for every caller.  Its rows are mask sets that
+read the same frames: ``forward`` and training use one row, MC-dropout
+prediction stacks T sets (``stack_masks``) and runs them as T rows of one
+recurrence.  Time runs in blocks of ``BLOCK`` frames, so the memory a scan
+needs does not grow with the sequence length beyond its outputs.
+
 Everything runs on float64 numpy.  Gradients are computed by hand with
 backpropagation through time, truncated at window boundaries during
 training (state is carried forward, gradients are not).
@@ -23,13 +29,17 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import labels
 from .errors import NumericError
 from .workflow import ProcedureSequence
 
 OUTPUT_MODES = ("linear_clamped", "scaled_sigmoid")
+
+# Frames per block of the scan.  The encoder and the LSTM input projection
+# are computed one block at a time, so a scan over R mask sets holds about
+# R x BLOCK x 4H gate values however long the sequence is.
+BLOCK = 64
 
 Params = dict  # name -> np.ndarray, insertion-ordered
 
@@ -92,7 +102,8 @@ class DropoutMasks:
 
 @dataclass
 class RawOutputs:
-    """Per-frame head outputs before any clamping."""
+    """Per-frame head outputs before any clamping (with a leading row axis
+    when the pass ran a stack of mask sets)."""
 
     regression: np.ndarray                 # (n, K) minutes
     class_logits: np.ndarray               # (n, K, 3)
@@ -100,7 +111,7 @@ class RawOutputs:
 
     @property
     def n_frames(self) -> int:
-        return self.regression.shape[0]
+        return self.regression.shape[-2]
 
 
 def config_hash(config: NetworkConfig) -> str:
@@ -163,74 +174,135 @@ def zero_state(config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(config.hidden), np.zeros(config.hidden)
 
 
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic function as ``0.5 * (1 + tanh(x / 2))``.
+
+    It never overflows, returns exactly 0.0 and 1.0 far in the tails and is
+    within one unit in the last place of ``1 / (1 + exp(-x))`` elsewhere.
+    ``out`` may be ``x`` itself (or a view of it) for an in-place update.
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def stack_masks(masks: Sequence[DropoutMasks]) -> DropoutMasks:
+    """R mask sets as one whose arrays have a leading axis of R rows."""
+    return DropoutMasks(
+        rate=masks[0].rate,
+        encoder_input=np.stack([m.encoder_input for m in masks]),
+        recurrent_input=np.stack([m.recurrent_input for m in masks]),
+        recurrent_hidden=np.stack([m.recurrent_hidden for m in masks]),
+    )
+
+
 def _check_dims(config: NetworkConfig, masks: DropoutMasks, features: np.ndarray) -> None:
     if features.ndim != 2 or features.shape[1] != config.input_dim:
         raise ValueError(
             f"features must be (n, {config.input_dim}), got {features.shape}"
         )
-    if (masks.encoder_input.shape != (config.input_dim,)
-            or masks.recurrent_input.shape != (config.encoder_out,)
-            or masks.recurrent_hidden.shape != (config.hidden,)):
+    rows = masks.recurrent_hidden.shape[:-1]
+    if (len(rows) > 1
+            or masks.encoder_input.shape != rows + (config.input_dim,)
+            or masks.recurrent_input.shape != rows + (config.encoder_out,)
+            or masks.recurrent_hidden.shape != rows + (config.hidden,)):
         raise ValueError("dropout masks do not match the network configuration")
 
 
-def _forward_cached(params, masks, features, config, state):
-    n = features.shape[0]
-    h_dim = config.hidden
-    h, c = state if state is not None else zero_state(config)
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` over the last axis of ``x``, as one matrix product."""
+    out = x.reshape(-1, x.shape[-1]) @ w
+    out += b
+    return out.reshape(*x.shape[:-1], w.shape[1])
 
-    enc_acts = [features * masks.encoder_input]
-    for l in range(len(config.encoder)):
-        enc_acts.append(np.tanh(enc_acts[-1] @ params[f"enc{l}_W"] + params[f"enc{l}_b"]))
-    xi = enc_acts[-1] * masks.recurrent_input
-    xpart = xi @ params["lstm_Wx"] + params["lstm_b"]
 
-    wh = params["lstm_Wh"]
-    gates_i = np.empty((n, h_dim))
-    gates_f = np.empty((n, h_dim))
-    gates_o = np.empty((n, h_dim))
-    gates_g = np.empty((n, h_dim))
-    cells = np.empty((n, h_dim))
-    cells_prev = np.empty((n, h_dim))
-    tanh_c = np.empty((n, h_dim))
-    hidden = np.empty((n, h_dim))
-    hidden_masked_prev = np.empty((n, h_dim))
-    for t in range(n):
-        hm = h * masks.recurrent_hidden
-        a = xpart[t] + hm @ wh
-        gi = expit(a[:h_dim])
-        gf = expit(a[h_dim:2 * h_dim])
-        go = expit(a[2 * h_dim:3 * h_dim])
-        gg = np.tanh(a[3 * h_dim:])
-        cells_prev[t] = c
-        c = gf * c + gi * gg
-        tc = np.tanh(c)
-        h_new = go * tc
-        gates_i[t], gates_f[t], gates_o[t], gates_g[t] = gi, gf, go, gg
-        cells[t], tanh_c[t], hidden[t] = c, tc, h_new
-        hidden_masked_prev[t] = hm
-        h = h_new
+def _scan(params, masks, features, config, state, keep=False):
+    """The network over ``features`` for every row of a stacked mask set.
 
-    reg_lin = hidden @ params["reg_W"] + params["reg_b"]
+    A row is one mask set (``masks`` arrays are (R, dim)); all rows read the
+    same frames.  Per block of ``BLOCK`` frames the encoder and the input
+    projection ``x @ W_x + b`` are computed at once, the recurrence steps
+    through the block writing the gate values in place over that projection,
+    and the heads read the block's hidden states.  The recurrent state is
+    unit-major, (H, R) and (4H, R), so that each gate is one contiguous
+    slice.  Returns the outputs with a leading row axis, the final ``(h, c)``
+    as (R, H) arrays, and with ``keep`` (one row only) the per-frame arrays
+    BPTT reads, each (n, width).
+    """
+    rows = masks.recurrent_hidden.shape[0]
+    n, h_dim, k = features.shape[0], config.hidden, config.instruments
+    h, c = np.zeros((h_dim, rows)), np.zeros((h_dim, rows))
+    if state is not None:
+        h.T[:], c.T[:] = state
+    head_names = ["reg", "cls"] + (["phase"] if config.phase_classes > 0 else [])
+    heads = {name: np.empty((rows, n, params[f"{name}_b"].size)) for name in head_names}
+    # sigmoid(a) = (1 + tanh(a / 2)) / 2, so with the i, f and o columns of
+    # W_x, W_h and b halved (exact in binary) one tanh over all 4H units
+    # yields tanh(a / 2) there and tanh(a) for g: the same values, bit for bit,
+    # as ``sigmoid`` on the i/f/o pre-activations.
+    half = np.where(np.arange(4 * h_dim) < 3 * h_dim, 0.5, 1.0)
+    wx, b = params["lstm_Wx"] * half, params["lstm_b"] * half
+    wh_t = (params["lstm_Wh"] * half).T.copy()
+    m_h = masks.recurrent_hidden.T.copy()
+    hm, hw, ig = np.empty((h_dim, rows)), np.empty((4 * h_dim, rows)), np.empty((h_dim, rows))
+    blocks = []
+    for start in range(0, n, BLOCK):
+        frames = features[start:start + BLOCK]
+        acts = [frames[:, None, :] * masks.encoder_input]
+        for l in range(len(config.encoder)):
+            z = _dense(acts[-1], params[f"enc{l}_W"], params[f"enc{l}_b"])
+            acts.append(np.tanh(z, out=z))
+        xi = acts[-1] * masks.recurrent_input
+        xw = (xi.reshape(-1, xi.shape[-1]) @ wx).reshape(len(frames), rows, 4 * h_dim)
+        gates = np.add(xw.transpose(0, 2, 1), b[:, None], order="C")
+        cells = np.empty((len(frames), h_dim, rows))
+        hidden = np.empty((len(frames), h_dim, rows))
+        steps = zip(gates, gates[:, :3 * h_dim], gates.reshape(len(frames), 4, h_dim, rows),
+                    cells, hidden)
+        for a, ifo, (i, f, o, g), c_t, h_t in steps:
+            np.multiply(h, m_h, out=hm)
+            np.matmul(wh_t, hm, out=hw)
+            a += hw
+            np.tanh(a, out=a)
+            ifo += 1.0
+            ifo *= 0.5
+            c = np.multiply(f, c, out=c_t)
+            c += np.multiply(i, g, out=ig)
+            h = np.tanh(c, out=h_t)
+            h *= o
+        by_row = np.ascontiguousarray(hidden.transpose(2, 0, 1))
+        for name, out in heads.items():
+            out[:, start:start + len(frames)] = _dense(by_row, params[f"{name}_W"], params[f"{name}_b"])
+        if keep:
+            blocks.append((*(act[:, 0] for act in acts), xi[:, 0],
+                           gates[..., 0], cells[..., 0], hidden[..., 0]))
+
+    reg_sig = None
+    regression = heads["reg"]
     if config.output_mode == "scaled_sigmoid":
-        reg_sig = expit(reg_lin)
+        reg_sig = sigmoid(regression)
         regression = config.horizon * reg_sig
-    else:
-        reg_sig = None
-        regression = reg_lin
-    class_logits = (hidden @ params["cls_W"] + params["cls_b"]).reshape(n, config.instruments, 3)
-    phase_logits = None
-    if config.phase_classes > 0:
-        phase_logits = hidden @ params["phase_W"] + params["phase_b"]
+    outputs = RawOutputs(
+        regression=regression,
+        class_logits=heads["cls"].reshape(rows, n, k, 3),
+        phase_logits=heads.get("phase"),
+    )
+    cache = None
+    if keep:
+        *acts, xi, gates, cells, hidden = (np.concatenate(parts) for parts in zip(*blocks))
+        cache = {"enc_acts": acts, "xi": xi, "gates": gates, "cells": cells, "hidden": hidden,
+                 "reg_sig": None if reg_sig is None else reg_sig[0]}
+    return outputs, (h.T.copy(), c.T.copy()), cache
 
-    outputs = RawOutputs(regression=regression, class_logits=class_logits, phase_logits=phase_logits)
-    cache = {
-        "enc_acts": enc_acts, "xi": xi,
-        "gi": gates_i, "gf": gates_f, "go": gates_o, "gg": gates_g,
-        "cells": cells, "cells_prev": cells_prev, "tanh_c": tanh_c,
-        "hidden": hidden, "hm_prev": hidden_masked_prev, "reg_sig": reg_sig,
-    }
-    return outputs, (h.copy(), c.copy()), cache
+
+def _first_row(outputs: RawOutputs) -> RawOutputs:
+    return RawOutputs(
+        regression=outputs.regression[0],
+        class_logits=outputs.class_logits[0],
+        phase_logits=None if outputs.phase_logits is None else outputs.phase_logits[0],
+    )
 
 
 def forward(
@@ -245,11 +317,16 @@ def forward(
     The output at frame t depends only on ``features[0..t]`` and the
     initial state; in ``linear_clamped`` mode the regression output is the
     raw linear value (clamping to [0, horizon] happens at metric time).
+    ``masks`` is one mask set, or R sets made by :func:`stack_masks`; then
+    every output and the returned state carry a leading axis of R rows, one
+    pass per set, all computed in one scan.
     """
     features = np.asarray(features, dtype=np.float64)
     _check_dims(config, masks, features)
-    outputs, final_state, _ = _forward_cached(params, masks, features, config, state)
-    return outputs, final_state
+    if masks.recurrent_hidden.ndim == 2:
+        return _scan(params, masks, features, config, state)[:2]
+    outputs, (h, c), _ = _scan(params, stack_masks([masks]), features, config, state)
+    return _first_row(outputs), (h[0], c[0])
 
 
 def smooth_l1(diff: np.ndarray) -> np.ndarray:
@@ -324,7 +401,8 @@ def loss_and_gradients(
     """
     features = np.asarray(features, dtype=np.float64)
     _check_dims(config, masks, features)
-    outputs, final_state, cache = _forward_cached(params, masks, features, config, state)
+    outputs, (h, c), cache = _scan(params, stack_masks([masks]), features, config, state, keep=True)
+    outputs = _first_row(outputs)
     total, terms = compute_loss(
         outputs, remaining, classes, params,
         config.lambda_cls, config.weight_decay,
@@ -333,7 +411,10 @@ def loss_and_gradients(
 
     n = features.shape[0]
     h_dim = config.hidden
-    hidden = cache["hidden"]
+    gates, cells, hidden = cache["gates"], cache["cells"], cache["hidden"]
+    h0, c0 = zero_state(config) if state is None else state
+    hidden_prev = np.concatenate([np.reshape(h0, (1, h_dim)), hidden[:-1]])
+    cells_prev = np.concatenate([np.reshape(c0, (1, h_dim)), cells[:-1]])
 
     # Head gradients.
     diff = outputs.regression - remaining
@@ -362,29 +443,36 @@ def loss_and_gradients(
         grads["phase_b"] = d_phase.sum(axis=0)
         d_hidden = d_hidden + d_phase @ params["phase_W"].T
 
-    # Backward through time; gate pre-activation gradients collected per frame.
-    gi, gf, go, gg = cache["gi"], cache["gf"], cache["go"], cache["gg"]
-    tanh_c, cells_prev = cache["tanh_c"], cache["cells_prev"]
-    wh = params["lstm_Wh"]
+    # Backward through time.  The gate-derivative factors are computed for all
+    # frames first; the loop only carries dh and dc.  d_gates[t] is dc[t] times
+    # dc_factor[t] for the i, f and g gates and dh[t] times o_factor[t] for o.
+    gi, gf, go, gg = np.split(gates, 4, axis=1)
+    tanh_c = np.tanh(cells)
+    slope = gates[:, :3 * h_dim] * (1.0 - gates[:, :3 * h_dim])
+    dc_factor = np.zeros((n, 4, h_dim))
+    dc_factor[:, 0] = gg * slope[:, :h_dim]
+    dc_factor[:, 1] = cells_prev * slope[:, h_dim:2 * h_dim]
+    dc_factor[:, 3] = gi * (1.0 - gg * gg)
+    o_factor = tanh_c * slope[:, 2 * h_dim:]
+    dh_to_dc = go * (1.0 - tanh_c * tanh_c)
+    # dh_carry = (d_gates[t] @ W_h^T) * m_h, with the constant mask folded in.
+    wh_t = params["lstm_Wh"].T * masks.recurrent_hidden
     d_gates = np.empty((n, 4 * h_dim))
     dh_carry = np.zeros(h_dim)
     dc_carry = np.zeros(h_dim)
-    for t in range(n - 1, -1, -1):
-        dh = d_hidden[t] + dh_carry
-        d_o = dh * tanh_c[t]
-        dc = dc_carry + dh * go[t] * (1.0 - tanh_c[t] ** 2)
-        d_i = dc * gg[t]
-        d_g = dc * gi[t]
-        d_f = dc * cells_prev[t]
-        dc_carry = dc * gf[t]
-        d_gates[t, :h_dim] = d_i * gi[t] * (1.0 - gi[t])
-        d_gates[t, h_dim:2 * h_dim] = d_f * gf[t] * (1.0 - gf[t])
-        d_gates[t, 2 * h_dim:3 * h_dim] = d_o * go[t] * (1.0 - go[t])
-        d_gates[t, 3 * h_dim:] = d_g * (1.0 - gg[t] ** 2)
-        dh_carry = (d_gates[t] @ wh.T) * masks.recurrent_hidden
+    steps = zip(d_hidden[::-1], dh_to_dc[::-1], dc_factor[::-1], o_factor[::-1], gf[::-1],
+                d_gates[::-1], d_gates.reshape(n, 4, h_dim)[::-1])
+    for dh, to_dc, factor, o_fac, f, dg, dg_by_gate in steps:
+        dh += dh_carry
+        dc = dh * to_dc
+        dc += dc_carry
+        np.multiply(dc, factor, out=dg_by_gate)
+        np.multiply(dh, o_fac, out=dg_by_gate[2])
+        dc_carry = dc * f
+        dh_carry = dg @ wh_t
 
     grads["lstm_Wx"] = cache["xi"].T @ d_gates
-    grads["lstm_Wh"] = cache["hm_prev"].T @ d_gates
+    grads["lstm_Wh"] = (hidden_prev * masks.recurrent_hidden).T @ d_gates
     grads["lstm_b"] = d_gates.sum(axis=0)
 
     d_enc = (d_gates @ params["lstm_Wx"].T) * masks.recurrent_input
@@ -399,7 +487,7 @@ def loss_and_gradients(
     for name, value in params.items():
         grads[name] += two_gamma * value
 
-    return total, terms, grads, final_state
+    return total, terms, grads, (h[0], c[0])
 
 
 class Adam:

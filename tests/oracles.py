@@ -2,15 +2,18 @@
 
 Everything here is deliberately written against the definitions rather
 than the library's code paths: targets by a per-frame forward scan,
-feature decoding by nearest-signature enumeration, and baseline threshold
-selection by a from-scratch exhaustive search.
+feature decoding by nearest-signature enumeration, baseline threshold
+selection by a from-scratch exhaustive search, and MC-dropout prediction
+by one single-mask-set pass per sample.
 """
 
 import itertools
 
 import numpy as np
 
+from anticipation.inference import aggregate_samples
 from anticipation.labels import ANTICIPATING, BACKGROUND, PRESENT
+from anticipation.network import forward, sample_masks, softmax
 
 
 def scan_forward_targets(presence: np.ndarray, fps: float, horizon: float):
@@ -101,3 +104,13 @@ def exhaustive_baseline_search(
         if val <= best_val:
             best_thr, best_val = cand, val
     return float(best_thr), float(best_val)
+
+
+def serial_mc_predict(params, config, features, samples, seed):
+    """MC-dropout summary from ``samples`` separate passes, one mask set each."""
+    reg, cls = [], []
+    for t in range(samples):
+        outputs, _ = forward(params, sample_masks(config, seed ^ t), features, config)
+        reg.append(np.clip(outputs.regression, 0.0, config.horizon))
+        cls.append(softmax(outputs.class_logits))
+    return aggregate_samples(np.stack(reg), np.stack(cls), config.horizon)

@@ -4,11 +4,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+import anticipation
 from anticipation import NetworkConfig, cli, labels, workflow
 
 
@@ -186,6 +189,16 @@ class TestPipeline:
         assert "wmae_lifter" in header and "wmae_probe" not in header
 
 
+def test_cli_imports_numpy_only():
+    """The command line loads no scipy module; scipy is a test-only dependency."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anticipation.__file__)))
+    code = ("import sys, anticipation.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -203,6 +216,11 @@ class TestExitCodes:
         ("predict", "eval.samples", "3"),
         ("analyze", "analysis.trigger", 5),
         ("train", "horizons", "3"),
+        ("predict", "eval.samples", 0),
+        ("evaluate", "eval.bins", 0),
+        ("evaluate", "horizons", [-1.0]),
+        ("analyze", "analysis.percentiles", [150]),
+        ("analyze", "analysis.memory_frames", -1),
     ])
     def test_malformed_value_names_its_key(self, predicted_run, tmp_path, capsys,
                                            command, key, value):
@@ -218,6 +236,19 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(path), "--out", out, "--overwrite"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("predict", "--samples", "0", "eval.samples"),
+        ("evaluate", "--horizon", "-1", "horizons[0]"),
+        ("analyze", "--percentiles", "50,150", "analysis.percentiles[1]"),
+    ])
+    def test_out_of_range_flag_names_its_key(self, predicted_run, tmp_path, capsys,
+                                             command, flag, value, key):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite",
+                         flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: expected") and "Traceback" not in err
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

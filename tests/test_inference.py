@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import serial_mc_predict
 
 from anticipation import (
     NetworkConfig,
@@ -10,6 +13,7 @@ from anticipation import (
     mc_predict,
 )
 from anticipation.inference import load_summary_npz, save_summary_npz
+from anticipation.network import BLOCK
 
 
 def summary_from(reg_samples, class_samples, horizon=3.0, keep=True):
@@ -123,6 +127,36 @@ class TestMcPredict:
         config, params = self.net()
         with pytest.raises(ValueError):
             mc_predict(params, config, np.zeros((3, 4)), samples=0, seed=0)
+
+    @pytest.mark.parametrize("samples", [1, 3, 16])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_matches_serial_passes(self, samples, n):
+        """All T mask sets in one scan equal T separate single-set passes."""
+        config = NetworkConfig(input_dim=4, instruments=2, hidden=6, encoder=(5, 4),
+                               dropout=0.3, horizon=3.0, phase_classes=3)
+        params = init_params(config, seed=n)
+        feats = np.random.default_rng(samples).normal(size=(n, 4)) * 2
+        s = mc_predict(params, config, feats, samples=samples, seed=41)
+        ref = serial_mc_predict(params, config, feats, samples=samples, seed=41)
+        assert s.samples == ref.samples == samples
+        for name in ("reg_mean", "reg_epistemic_var", "class_mean", "class_epistemic_var",
+                     "class_aleatoric_var", "class_epistemic_per_class",
+                     "class_aleatoric_per_class"):
+            np.testing.assert_allclose(getattr(s, name), getattr(ref, name), rtol=0, atol=1e-12)
+
+    def test_memory_stays_blocked(self):
+        """Peak allocation stays under a quarter of one unblocked (n, T, 4H) gate array."""
+        config = NetworkConfig(input_dim=8, instruments=3, hidden=64, encoder=(64, 64))
+        params = init_params(config, seed=0)
+        n, samples = 3000, 16
+        feats = np.random.default_rng(0).normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            mc_predict(params, config, feats, samples=samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * samples * 4 * config.hidden * 8 / 4
 
     def test_std_shrinks_with_sample_count(self):
         """Repeated runs: spread of reg_mean follows roughly 1/sqrt(T)."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from anticipation import (
     NetworkConfig,
@@ -15,9 +16,11 @@ from anticipation import (
 )
 from anticipation.errors import NumericError
 from anticipation.network import (
+    BLOCK,
     Adam,
     loss_and_gradients,
     n_params,
+    sigmoid,
     smooth_l1,
 )
 from anticipation.workflow import (
@@ -123,16 +126,44 @@ class TestMasks:
         np.testing.assert_array_equal(a.recurrent_hidden, b.recurrent_hidden)
 
 
+class TestSigmoid:
+    GRID = np.concatenate([np.linspace(-800.0, 800.0, 160001),
+                           [-0.0, 0.0, -745.0, 745.0, -800.0, 800.0]])
+
+    def check(self, values):
+        reference = expit(self.GRID)
+        assert np.max(np.abs(values - reference)) <= 2.3e-16
+        tails = np.abs(self.GRID) >= 745.0
+        np.testing.assert_array_equal(values[tails], (self.GRID[tails] > 0).astype(float))
+
+    def test_matches_expit_out_of_place(self):
+        with np.errstate(all="raise"):
+            values = sigmoid(self.GRID)
+        self.check(values)
+
+    def test_matches_expit_in_place_on_a_slice(self):
+        size = self.GRID.size
+        buffer = np.full(size + 6, 7.0)
+        buffer[3:-3] = self.GRID
+        with np.errstate(all="raise"):
+            result = sigmoid(buffer[3:-3], out=buffer[3:-3])
+        assert np.shares_memory(result, buffer)
+        self.check(buffer[3:-3])
+        np.testing.assert_array_equal(buffer[:3], 7.0)
+        np.testing.assert_array_equal(buffer[-3:], 7.0)
+
+
 class TestForward:
     def test_prefix_invariance(self):
         """Causality: outputs over a prefix equal the prefix of the outputs."""
         rng = np.random.default_rng(0)
+        n = 2 * BLOCK + 9
         for trial in range(10):
             config = tiny_config(phase_classes=int(rng.choice([0, 3])))
             params = init_params(config, seed=trial)
             masks = sample_masks(config, seed=trial + 100)
-            feats = rng.normal(size=(30, config.input_dim))
-            cut = int(rng.integers(1, 30))
+            feats = rng.normal(size=(n, config.input_dim))
+            cut = int(rng.integers(1, n))
             full, _ = forward(params, masks, feats, config)
             part, _ = forward(params, masks, feats[:cut], config)
             np.testing.assert_allclose(part.regression, full.regression[:cut], atol=1e-10)
@@ -162,12 +193,13 @@ class TestForward:
         params = init_params(config, seed=4)
         masks = sample_masks(config, seed=5)
         rng = np.random.default_rng(6)
-        feats = rng.normal(size=(25, config.input_dim))
+        n, window = 3 * BLOCK + 5, BLOCK // 3 + 1
+        feats = rng.normal(size=(n, config.input_dim))
         full, _ = forward(params, masks, feats, config)
         state = None
         chunks = []
-        for start in range(0, 25, 8):
-            out, state = forward(params, masks, feats[start:start + 8], config, state=state)
+        for start in range(0, n, window):
+            out, state = forward(params, masks, feats[start:start + window], config, state=state)
             chunks.append(out.regression)
         np.testing.assert_allclose(np.concatenate(chunks), full.regression, atol=1e-12)
 
@@ -240,9 +272,12 @@ class TestLoss:
 
 class TestGradients:
     def test_matches_finite_differences(self):
-        """Randomized small nets, all parameters, central differences."""
+        """Randomized small nets, all parameters, central differences.
+
+        The last trial's window crosses a block boundary of the scan.
+        """
         rng = np.random.default_rng(123)
-        for trial in range(4):
+        for trial in range(5):
             config = tiny_config(
                 input_dim=int(rng.integers(2, 5)),
                 instruments=int(rng.integers(1, 3)),
@@ -254,7 +289,7 @@ class TestGradients:
             )
             params = init_params(config, seed=trial)
             masks = sample_masks(config, seed=trial + 50)
-            n = int(rng.integers(4, 16))
+            n = int(rng.integers(4, 16)) if trial < 4 else BLOCK + 3
             feats, remaining, classes = random_batch(rng, config, n=n)
             phase = rng.integers(0, 3, size=n) if config.phase_classes else None
             state = (rng.normal(size=config.hidden) * 0.2, rng.normal(size=config.hidden) * 0.2)
