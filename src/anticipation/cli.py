@@ -14,6 +14,12 @@ the fully resolved config lands in the run manifest together with the
 seed, a config hash, and SHA-256 checksums of the artifacts written.
 Artifacts are append-only per run directory: rerunning a command that
 would overwrite its own outputs fails unless ``--overwrite`` is given.
+Each command claims its outputs through one ledger (``_Run``), which
+refuses, makes directories and records them.  A command that fails after
+writing something still leaves a manifest entry: the files it wrote, with
+their checksums, and an ``error`` field holding the message.  Only
+``baseline`` writes ``baselines/baseline_*.json``; ``evaluate`` fits the
+histogram baselines in memory.
 
 Exit codes: 0 ok, 2 config error, 3 input error, 4 numeric failure,
 5 empty result.
@@ -22,6 +28,7 @@ Exit codes: 0 ok, 2 config error, 3 input error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import glob
 import hashlib
@@ -228,7 +235,7 @@ def resolved_config_hash(config: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Run directory: datasets, manifest, overwrite policy
+# Run directory: the ledger of one command's outputs, datasets
 # ---------------------------------------------------------------------------
 
 def _sha256(path: str) -> str:
@@ -239,52 +246,61 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _record_run(out_dir: str, command: str, config: dict, artifacts: list[str]) -> None:
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    manifest = {"runs": []}
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    manifest["runs"].append({
-        "command": command,
-        "seed": config["seed"],
-        "config_hash": resolved_config_hash(config),
-        "resolved_config": config,
-        "artifacts": {os.path.relpath(p, out_dir): _sha256(p) for p in sorted(artifacts)},
-    })
-    # Write beside the old manifest and swap it in, so a failed write never
-    # leaves a truncated manifest behind.
-    tmp_path = manifest_path + ".tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp_path, manifest_path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+class _Run:
+    """The run directory of one command and the ledger of the outputs it claims."""
 
+    def __init__(self, args: argparse.Namespace):
+        self.dir = args.out
+        self.data_dir = getattr(args, "data", None) or os.path.join(self.dir, "dataset")
+        self.overwrite = args.overwrite
+        self.claimed: list[str] = []
 
-def _refuse_existing(paths: list[str], overwrite: bool) -> None:
-    existing = [p for p in paths if os.path.exists(p)]
-    if existing and not overwrite:
-        raise InputError(
-            "output already exists (use --overwrite or a new run directory): "
-            + ", ".join(sorted(existing)[:4])
-        )
+    def claim(self, *rel_paths: str) -> list[str]:
+        """Paths of outputs about to be written: refused if they exist, unless ``--overwrite``."""
+        paths = [os.path.join(self.dir, p) for p in rel_paths]
+        existing = [p for p in paths if os.path.exists(p)]
+        if existing and not self.overwrite:
+            raise InputError(
+                "output already exists (use --overwrite or a new run directory): "
+                + ", ".join(sorted(existing)[:4])
+            )
+        for path in paths:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        self.claimed += paths
+        return paths
 
+    def record(self, command: str, config: dict, error: Optional[str] = None) -> None:
+        """Append the manifest entry: every claimed file that exists, with its SHA-256.
 
-def write_dataset(sequences, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for seq in sequences:
-        base = os.path.join(out_dir, seq.id)
-        workflow.save_annotations(seq, base + ".csv")
-        written.append(base + ".csv")
-        if seq.features is not None:
-            workflow.save_features(seq.features, base + ".features.csv", format="csv")
-            written.append(base + ".features.csv")
-    return written
+        A failed command's entry also carries its ``error``; one that wrote
+        nothing adds no entry.
+        """
+        artifacts = {os.path.relpath(p, self.dir): _sha256(p)
+                     for p in sorted(self.claimed) if os.path.exists(p)}
+        if error is not None and not artifacts:
+            return
+        entry = {"command": command, "seed": config["seed"],
+                 "config_hash": resolved_config_hash(config), "resolved_config": config,
+                 "artifacts": artifacts}
+        if error is not None:
+            entry["error"] = error
+        manifest_path = os.path.join(self.dir, "manifest.json")
+        manifest = {"runs": []}
+        if os.path.exists(manifest_path):
+            with open(manifest_path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        manifest["runs"].append(entry)
+        # Write beside the old manifest and swap it in, so a failed write never
+        # leaves a truncated manifest behind.
+        tmp_path = manifest_path + ".tmp"
+        try:
+            with open(tmp_path, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp_path, manifest_path)
+        finally:
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
 
 
 def load_dataset(data_dir: str, split: str, fps: float = 1.0) -> list[workflow.ProcedureSequence]:
@@ -330,38 +346,39 @@ def _instrument_subset(config: dict, names: tuple[str, ...]) -> list[int]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: dict, out_dir: str, overwrite: bool) -> list[str]:
+def _features(seq: workflow.ProcedureSequence, run: _Run, split: str) -> np.ndarray:
+    """Features of ``seq``, or an InputError naming its missing feature file."""
+    if seq.features is None:
+        path = os.path.join(run.data_dir, split, f"{seq.id}.features.csv")
+        raise InputError(f"feature file not found: {path} (the model needs one per sequence)")
+    return seq.features
+
+
+def cmd_simulate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     sim = sim_config_from_dict(config["sim"])
     n_train, n_test = config["split"]["n_train"], config["split"]["n_test"]
-    dataset_dir = os.path.join(out_dir, "dataset")
-    _refuse_existing([dataset_dir], overwrite)
     data = workflow.generate_dataset(sim, n_train + n_test, seed=config["seed"])
-    written = write_dataset(data[:n_train], os.path.join(dataset_dir, "train"))
-    if n_test:
-        written += write_dataset(data[n_train:], os.path.join(dataset_dir, "test"))
-    return written
+    for i, seq in enumerate(data):
+        base = os.path.join("dataset", "train" if i < n_train else "test", seq.id)
+        csv_path, features_path = run.claim(base + ".csv", base + ".features.csv")
+        workflow.save_annotations(seq, csv_path)
+        workflow.save_features(seq.features, features_path, format="csv")
 
 
-def cmd_baseline(config: dict, out_dir: str, data_dir: str, mode: str, overwrite: bool) -> list[str]:
-    if mode not in baselines.MODES:
-        raise ConfigError(f"baseline mode must be one of {baselines.MODES}, got {mode!r}")
-    train_seqs = load_dataset(data_dir, "train", _dataset_fps(config))
-    has_test = os.path.isdir(os.path.join(data_dir, "test"))
-    test_seqs = load_dataset(data_dir, "test", _dataset_fps(config)) if has_test else []
+def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
+    mode = args.mode
+    train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
+    has_test = os.path.isdir(os.path.join(run.data_dir, "test"))
+    test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config)) if has_test else []
     if mode == "oracle" and not has_test:
         raise InputError(
             "oracle mode requires per-video durations of an evaluation split; "
-            f"no test split found under {data_dir}"
+            f"no test split found under {run.data_dir}"
         )
-    written = []
-    base_dir = os.path.join(out_dir, "baselines")
-    os.makedirs(base_dir, exist_ok=True)
     for h in config["horizons"]:
         model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=mode)
-        path = os.path.join(base_dir, f"baseline_{mode}_h{h:g}.json")
-        _refuse_existing([path], overwrite)
+        path, = run.claim(os.path.join("baselines", f"baseline_{mode}_h{h:g}.json"))
         baselines.save_baseline(model, path)
-        written.append(path)
         if has_test:
             preds = [baselines.predict_baseline(model, duration=s.n_frames) for s in test_seqs]
             targets = [labels.compute_targets(s, h) for s in test_seqs]
@@ -369,29 +386,26 @@ def cmd_baseline(config: dict, out_dir: str, data_dir: str, mode: str, overwrite
                 preds, [t.remaining for t in targets], h,
                 names=test_seqs[0].names,
             )
-            report_path = os.path.join(base_dir, f"metrics_{mode}_h{h:g}.csv")
-            _refuse_existing([report_path], overwrite)
+            report_path, = run.claim(os.path.join("baselines", f"metrics_{mode}_h{h:g}.csv"))
             reports.write_metrics_table({mode: report}, report_path)
-            written.append(report_path)
-    return written
 
 
-def cmd_train(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> list[str]:
-    train_seqs = load_dataset(data_dir, "train", _dataset_fps(config))
-    if train_seqs[0].features is None:
-        raise InputError("training requires feature files alongside the annotations")
-    ckpt_dir = os.path.join(out_dir, "checkpoints")
-    log_dir = os.path.join(out_dir, "reports")
-    os.makedirs(ckpt_dir, exist_ok=True)
-    os.makedirs(log_dir, exist_ok=True)
-    written = []
+def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
+    train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
+    classes = config["model"]["phase_classes"]
+    for seq in train_seqs:
+        _features(seq, run, "train")
+        if classes and (seq.phase is None or int(seq.phase.max()) >= classes):
+            found = ("its annotations have no phase column" if seq.phase is None
+                     else f"it has phase index {int(seq.phase.max())}")
+            raise ConfigError(f"model.phase_classes: a head of {classes} class(es) does not fit "
+                              f"sequence {seq.id!r}: {found}")
     for h in config["horizons"]:
         net_config = network_config(
             config, train_seqs[0].features.shape[1], train_seqs[0].n_instruments, h
         )
-        ckpt_path = os.path.join(ckpt_dir, f"model_h{h:g}.bin")
-        log_path = os.path.join(log_dir, f"train_log_h{h:g}.csv")
-        _refuse_existing([ckpt_path, log_path], overwrite)
+        ckpt_path, log_path = run.claim(os.path.join("checkpoints", f"model_h{h:g}.bin"),
+                                        os.path.join("reports", f"train_log_h{h:g}.csv"))
         params, log = network.train(train_seqs, net_config)
         network.save_params(params, ckpt_path, net_config)
         with open(log_path, "w", encoding="utf-8", newline="") as fh:
@@ -400,8 +414,6 @@ def cmd_train(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> lis
             for row in log:
                 cells = (row.get(k, "") for k in keys)
                 fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
-        written += [ckpt_path, log_path]
-    return written
 
 
 def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float) -> inference.PredictiveSummary:
@@ -429,61 +441,55 @@ def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float) -> infer
     return summary
 
 
-def _summaries_for_split(config: dict, out_dir: str, test_seqs: list[workflow.ProcedureSequence],
-                         h: float, overwrite: bool, reuse: bool = True):
+def _summaries_for_split(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequence],
+                         h: float, reuse: bool = True) -> list[inference.PredictiveSummary]:
     """MC summaries for every test sequence (reusing files when present)."""
-    summary_dir = os.path.join(out_dir, "summaries")
-    os.makedirs(summary_dir, exist_ok=True)
     params = net_config = None
     samples = config["eval"]["samples"]
-    summaries, written = [], []
+    summaries = []
     for idx, seq in enumerate(test_seqs):
-        path = os.path.join(summary_dir, f"summary_{seq.id}_h{h:g}.npz")
+        rel_path = os.path.join("summaries", f"summary_{seq.id}_h{h:g}.npz")
+        path = os.path.join(run.dir, rel_path)
         if reuse and os.path.exists(path):
             summary = _load_summary(path, seq, h)
             if summary.samples == samples:
                 summaries.append(summary)
                 continue
-            if not overwrite:
+            if not run.overwrite:
                 raise InputError(
                     f"summary {path}: drawn with {summary.samples} MC samples, eval.samples is "
                     f"{samples} (use --overwrite to recompute it)"
                 )
-        _refuse_existing([path], overwrite)
+        features = _features(seq, run, "test")
         if params is None:
-            ckpt_path = os.path.join(out_dir, "checkpoints", f"model_h{h:g}.bin")
+            ckpt_path = os.path.join(run.dir, "checkpoints", f"model_h{h:g}.bin")
             if not os.path.exists(ckpt_path):
                 raise InputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
-            net_config = network_config(
-                config, seq.features.shape[1], seq.n_instruments, h
-            )
+            net_config = network_config(config, features.shape[1], seq.n_instruments, h)
             try:
                 params = network.load_params(ckpt_path, net_config)
             except ValueError as exc:
                 raise InputError(str(exc)) from None
+        run.claim(rel_path)
         summary = inference.mc_predict(
-            params, net_config, seq.features,
+            params, net_config, features,
             samples=samples,
             seed=_summary_seed(config["seed"], h, idx),
         )
         inference.save_summary_npz(summary, path)
         summaries.append(summary)
-        written.append(path)
-    return summaries, written
+    return summaries
 
 
-def cmd_predict(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> list[str]:
-    test_seqs = load_dataset(data_dir, "test", _dataset_fps(config))
-    written = []
+def cmd_predict(config: dict, run: _Run, args: argparse.Namespace) -> None:
+    test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
     for h in config["horizons"]:
-        _, paths = _summaries_for_split(config, out_dir, test_seqs, h, overwrite, reuse=False)
-        written += paths
-    return written
+        _summaries_for_split(config, run, test_seqs, h, reuse=False)
 
 
-def cmd_evaluate(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> list[str]:
-    train_seqs = load_dataset(data_dir, "train", _dataset_fps(config))
-    test_seqs = load_dataset(data_dir, "test", _dataset_fps(config))
+def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
+    train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
+    test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
     methods = [m.lower() for m in config["eval"]["methods"]]
     unknown = set(methods) - {"meanhist", "oraclehist", "model"}
     if unknown:
@@ -491,11 +497,6 @@ def cmd_evaluate(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> 
     names = test_seqs[0].names or tuple(f"inst_{j}" for j in range(test_seqs[0].n_instruments))
     subset = _instrument_subset(config, names)
     sub_names = tuple(names[j] for j in subset)
-    report_dir = os.path.join(out_dir, "reports")
-    base_dir = os.path.join(out_dir, "baselines")
-    os.makedirs(report_dir, exist_ok=True)
-    os.makedirs(base_dir, exist_ok=True)
-    written = []
     for h in config["horizons"]:
         targets = [labels.compute_targets(s, h) for s in test_seqs]
         remaining = [t.remaining[:, subset] for t in targets]
@@ -504,39 +505,27 @@ def cmd_evaluate(config: dict, out_dir: str, data_dir: str, overwrite: bool) -> 
             method = f"{mode}hist"
             if method not in methods:
                 continue
+            # Fitted in memory only: baseline files are the 'baseline' command's.
             model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=mode)
-            path = os.path.join(base_dir, f"baseline_{mode}_h{h:g}.json")
-            if not os.path.exists(path):
-                baselines.save_baseline(model, path)
-                written.append(path)
             preds = [baselines.predict_baseline(model, duration=s.n_frames)[:, subset]
                      for s in test_seqs]
             table[method] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
         if "model" in methods:
-            summaries, paths = _summaries_for_split(config, out_dir, test_seqs, h, overwrite)
-            written += paths
+            summaries = _summaries_for_split(config, run, test_seqs, h)
             preds = [np.clip(s.reg_mean[:, subset], 0.0, h) for s in summaries]
             table["model"] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
-        csv_path = os.path.join(report_dir, f"metrics_h{h:g}.csv")
-        json_path = os.path.join(report_dir, f"metrics_h{h:g}.json")
-        _refuse_existing([csv_path, json_path], overwrite)
+        csv_path, json_path = run.claim(os.path.join("reports", f"metrics_h{h:g}.csv"),
+                                        os.path.join("reports", f"metrics_h{h:g}.json"))
         reports.write_metrics_table(table, csv_path, json_path)
-        written += [csv_path, json_path]
-    return written
 
 
-def cmd_analyze(config: dict, out_dir: str, data_dir: str, overwrite: bool,
-                plots: bool = False) -> list[str]:
-    report_dir = os.path.join(out_dir, "reports")
-    os.makedirs(report_dir, exist_ok=True)
-    written = []
+def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
     percentiles = config["analysis"]["percentiles"]
     use_std = config["analysis"]["use_std"]
     trigger_cfg = config["analysis"]["trigger"]
-    test_seqs = load_dataset(data_dir, "test", _dataset_fps(config))
+    test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
     for h in config["horizons"]:
-        summaries, paths = _summaries_for_split(config, out_dir, test_seqs, h, overwrite)
-        written += paths
+        summaries = _summaries_for_split(config, run, test_seqs, h)
         targets = [labels.compute_targets(s, h) for s in test_seqs]
         names = test_seqs[0].names
 
@@ -548,16 +537,13 @@ def cmd_analyze(config: dict, out_dir: str, data_dir: str, overwrite: bool,
             raise EmptyResultError(
                 f"no anticipating predictions anywhere at horizon {h:g}; nothing to analyze"
             )
-        out_paths = {
-            "pcc": os.path.join(report_dir, f"analysis_pcc_h{h:g}.csv"),
-            "filter": os.path.join(report_dir, f"analysis_filtering_h{h:g}.csv"),
-            "tpfp": os.path.join(report_dir, f"analysis_tpfp_h{h:g}.csv"),
-        }
-        _refuse_existing(list(out_paths.values()), overwrite)
-        reports.write_pcc_csv(pcc, out_paths["pcc"], names)
-        reports.write_filter_csv(curves, out_paths["filter"], names)
-        reports.write_tpfp_csv(tpfp, out_paths["tpfp"], names)
-        written += list(out_paths.values())
+        pcc_path, filter_path, tpfp_path = run.claim(
+            *(os.path.join("reports", f"analysis_{name}_h{h:g}.csv")
+              for name in ("pcc", "filtering", "tpfp"))
+        )
+        reports.write_pcc_csv(pcc, pcc_path, names)
+        reports.write_filter_csv(curves, filter_path, names)
+        reports.write_tpfp_csv(tpfp, tpfp_path, names)
 
         trigger_result = None
         if trigger_cfg:
@@ -572,14 +558,10 @@ def cmd_analyze(config: dict, out_dir: str, data_dir: str, overwrite: bool,
                 trigger_presence=tracks,
                 memory_frames=config["analysis"]["memory_frames"],
             )
-            trig_path = os.path.join(report_dir, f"analysis_trigger_h{h:g}.csv")
-            _refuse_existing([trig_path], overwrite)
+            trig_path, = run.claim(os.path.join("reports", f"analysis_trigger_h{h:g}.csv"))
             reports.write_trigger_csv(trigger_result, trig_path, names)
-            written.append(trig_path)
 
-        if plots:
-            plot_dir = os.path.join(out_dir, "plots")
-            os.makedirs(plot_dir, exist_ok=True)
+        if args.plots:
             pool_reg = np.concatenate([s.reg_mean for s in summaries])
             pool_var = np.concatenate([s.reg_epistemic_var for s in summaries])
             pool_r = np.concatenate([t.remaining for t in targets])
@@ -588,19 +570,21 @@ def cmd_analyze(config: dict, out_dir: str, data_dir: str, overwrite: bool,
                 sel = reg_mask[:, j]
                 if sel.sum() < 2:
                     continue
-                p = os.path.join(plot_dir, f"error_uncertainty_{name}_h{h:g}.svg")
+                p, = run.claim(os.path.join("plots", f"error_uncertainty_{name}_h{h:g}.svg"))
                 reports.plot_error_uncertainty(
                     np.abs(pool_reg[sel, j] - pool_r[sel, j]), pool_var[sel, j], p, title=name
                 )
-                written.append(p)
-            p = os.path.join(plot_dir, f"filtering_h{h:g}.svg")
+            p, = run.claim(os.path.join("plots", f"filtering_h{h:g}.svg"))
             reports.plot_filter_curves(curves, p, names)
-            written.append(p)
             if trigger_result is not None:
-                p = os.path.join(plot_dir, f"trigger_h{h:g}.svg")
+                p, = run.claim(os.path.join("plots", f"trigger_h{h:g}.svg"))
                 reports.plot_trigger_box(trigger_result, p)
-                written.append(p)
-    return written
+
+
+COMMANDS = {
+    "simulate": cmd_simulate, "baseline": cmd_baseline, "train": cmd_train,
+    "predict": cmd_predict, "evaluate": cmd_evaluate, "analyze": cmd_analyze,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Anticipate sparse instrument usage in procedural timelines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "baseline", "train", "predict", "evaluate", "analyze"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="run directory for artifacts")
@@ -654,25 +638,18 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
 def _dispatch(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     _check(config, _CONFIG_TYPES, "")  # flag values pass the same checks as file values
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    data_dir = getattr(args, "data", None) or os.path.join(out_dir, "dataset")
-    if args.command == "simulate":
-        written = cmd_simulate(config, out_dir, args.overwrite)
-    elif args.command == "baseline":
-        written = cmd_baseline(config, out_dir, data_dir, args.mode, args.overwrite)
-    elif args.command == "train":
-        written = cmd_train(config, out_dir, data_dir, args.overwrite)
-    elif args.command == "predict":
-        written = cmd_predict(config, out_dir, data_dir, args.overwrite)
-    elif args.command == "evaluate":
-        written = cmd_evaluate(config, out_dir, data_dir, args.overwrite)
-    elif args.command == "analyze":
-        written = cmd_analyze(config, out_dir, data_dir, args.overwrite, plots=args.plots)
-    else:  # pragma: no cover - argparse guards this
-        raise ConfigError(f"unknown command {args.command!r}")
-    _record_run(out_dir, args.command, config, written)
-    print(f"{args.command}: wrote {len(written)} artifact(s) under {out_dir}")
+    os.makedirs(args.out, exist_ok=True)
+    run = _Run(args)
+    try:
+        COMMANDS[args.command](config, run, args)
+    except BaseException as exc:
+        # List what the command wrote before it failed; a failure to do so
+        # must not hide the command's own error.
+        with contextlib.suppress(OSError):
+            run.record(args.command, config, error=str(exc) or type(exc).__name__)
+        raise
+    run.record(args.command, config)
+    print(f"{args.command}: wrote {len(run.claimed)} artifact(s) under {args.out}")
     return EXIT_OK
 
 
@@ -696,10 +673,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AnnotationParseError, InputError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, OSError) as exc:
+    except (AnnotationParseError, InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:

@@ -484,6 +484,120 @@ class TestDamagedRunDirectory:
             == test_files
         assert len(loaded) == len(set(loaded)) == 5
 
+    @pytest.mark.parametrize("command, split, seq_id", [
+        ("train", "train", "proc_0001"),
+        ("predict", "test", "proc_0004"),
+        ("evaluate", "test", "proc_0004"),
+        ("analyze", "test", "proc_0004"),
+    ])
+    def test_missing_feature_file_names_it(self, predicted_run, tmp_path, capsys,
+                                           command, split, seq_id):
+        """Every sequence is checked, not only the first one of its split."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "summaries"))
+        path = os.path.join(out, "dataset", split, f"{seq_id}.features.csv")
+        os.remove(path)
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: feature file not found: {path}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("phase_classes, strip_phase_column, found", [
+        (1, False, "it has phase index 1"),
+        (2, True, "its annotations have no phase column"),
+    ])
+    def test_phase_head_that_does_not_fit_names_its_key(self, tmp_path, capsys, phase_classes,
+                                                        strip_phase_column, found):
+        config = tiny_config()
+        config["model"]["phase_classes"] = phase_classes
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        run_chain(str(path), out, commands=("simulate",))
+        if strip_phase_column:
+            for name in os.listdir(os.path.join(out, "dataset", "train")):
+                if not name.endswith(".features.csv"):
+                    csv = os.path.join(out, "dataset", "train", name)
+                    lines = open(csv).read().splitlines()
+                    assert lines[0].endswith(",phase")
+                    with open(csv, "w") as fh:
+                        fh.write("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.phase_classes: ")
+        assert "'proc_0000'" in err and found in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "checkpoints"))
+
+
+class TestRunLedger:
+    """Every output a command writes is listed in its manifest entry, also on failure."""
+
+    @staticmethod
+    def write_summaries(out, h, anticipating):
+        from anticipation.inference import PredictiveSummary, save_summary_npz
+
+        rng = np.random.default_rng(int(h))
+        for seq in cli.load_dataset(os.path.join(out, "dataset"), "test"):
+            n = seq.n_frames
+            probs = [1.0, 0.0, 0.0] if anticipating else [0.0, 0.0, 1.0]
+            summary = PredictiveSummary(
+                samples=3, horizon=h,
+                reg_mean=np.full((n, 2), h / 2 if anticipating else h),
+                reg_epistemic_var=rng.uniform(0.1, 1.0, (n, 2)),
+                class_mean=np.tile(probs, (n, 2, 1)),
+                class_epistemic_var=rng.uniform(0.1, 1.0, (n, 2)),
+                class_aleatoric_var=rng.uniform(0.1, 1.0, (n, 2)),
+                class_epistemic_per_class=np.zeros((n, 2, 3)),
+                class_aleatoric_per_class=np.zeros((n, 2, 3)),
+            )
+            save_summary_npz(summary, os.path.join(out, "summaries",
+                                                   f"summary_{seq.id}_h{h:g}.npz"))
+
+    def test_partial_failure_lists_what_was_written(self, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(tiny_config(horizons=[3.0, 5.0])))
+        out = str(tmp_path / "run")
+        run_chain(str(config_path), out, commands=("simulate",))
+        os.makedirs(os.path.join(out, "summaries"))
+        self.write_summaries(out, 3.0, anticipating=True)
+        self.write_summaries(out, 5.0, anticipating=False)
+        capsys.readouterr()
+        assert cli.main(["analyze", "--config", str(config_path), "--out", out]) == 5
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out
+        runs = json.load(open(os.path.join(out, "manifest.json")))["runs"]
+        assert [r["command"] for r in runs] == ["simulate", "analyze"]
+        written = {os.path.join("reports", f"analysis_{name}_h3.csv")
+                   for name in ("pcc", "filtering", "tpfp", "trigger")}
+        assert set(runs[1]["artifacts"]) == written
+        for rel in written:
+            assert runs[1]["artifacts"][rel] == checksum(os.path.join(out, rel))
+        assert runs[1]["error"] == \
+            "no anticipating predictions anywhere at horizon 5; nothing to analyze"
+        assert captured.err == f"empty result: {runs[1]['error']}\n"
+        assert "error" not in runs[0]
+        # The overwrite policy is unchanged: the listed outputs are still refused.
+        assert cli.main(["analyze", "--config", str(config_path), "--out", out,
+                         "--horizon", "3"]) == 3
+
+    def test_failure_before_writing_adds_no_entry(self, config_path, tmp_path):
+        out = str(tmp_path / "run")
+        run_chain(config_path, out, commands=("simulate",))
+        before = open(os.path.join(out, "manifest.json"), "rb").read()
+        assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 3  # no checkpoint
+        assert open(os.path.join(out, "manifest.json"), "rb").read() == before
+        assert sorted(os.listdir(out)) == ["dataset", "manifest.json"]
+
+    def test_evaluate_writes_no_baseline_files(self, predicted_run, tmp_path):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 0
+        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        assert run["command"] == "evaluate"
+        assert sorted(run["artifacts"]) == [os.path.join("reports", "metrics_h3.csv"),
+                                            os.path.join("reports", "metrics_h3.json")]
+        assert not os.path.exists(os.path.join(out, "baselines"))
+
+
 class TestConfigHandling:
     def test_defaults_fill_missing_sections(self, tmp_path):
         path = tmp_path / "c.json"
