@@ -4,7 +4,7 @@ Subcommands cover the whole pipeline on one run directory::
 
     simulate   generate a synthetic train/test dataset
     baseline   fit a histogram baseline (and score it on the test split)
-    train      train one recurrent model per horizon
+    train      train the recurrent models of all horizons in one lockstep pass
     predict    MC-dropout summaries for the test split
     evaluate   metric tables for baselines and model per horizon
     analyze    uncertainty analyses (PCC, filtering, TP/FP, trigger)
@@ -96,7 +96,12 @@ def _at_least(low: int):
 # that of its first item).
 _NETWORK_TYPES = typing.get_type_hints(network.NetworkConfig)
 _TYPES = {
-    "horizons": tuple[Annotated[float, "a finite number > 0", lambda v: 0 < v < math.inf], ...],
+    # Artifact names tag a horizon as f"{h:g}", so no two horizons may share a tag.
+    "horizons": Annotated[
+        tuple[Annotated[float, "a finite number > 0", lambda v: 0 < v < math.inf], ...],
+        "one or more horizons with distinct file tags (6 significant digits)",
+        lambda v: 0 < len({f"{h:g}" for h in v}) == len(v),
+    ],
     "sim": Optional[workflow.SimConfig],
     "split.n_train": _at_least(1),
     "split.n_test": _at_least(0),
@@ -254,6 +259,20 @@ class _Run:
         self.data_dir = getattr(args, "data", None) or os.path.join(self.dir, "dataset")
         self.overwrite = args.overwrite
         self.claimed: list[str] = []
+        # Read before the command runs, so a damaged manifest stops it before it
+        # writes anything that the manifest could then not list.
+        self.manifest_path = os.path.join(self.dir, "manifest.json")
+        self.manifest = {"runs": []}
+        if os.path.exists(self.manifest_path):
+            try:
+                with open(self.manifest_path, "r", encoding="utf-8") as fh:
+                    self.manifest = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise InputError(f"damaged run manifest {self.manifest_path}: {exc}") from None
+            runs = self.manifest.get("runs") if isinstance(self.manifest, dict) else None
+            if not isinstance(runs, list):
+                raise InputError(f"damaged run manifest {self.manifest_path}: "
+                                 "expected an object with a 'runs' list")
 
     def claim(self, *rel_paths: str) -> list[str]:
         """Paths of outputs about to be written: refused if they exist, unless ``--overwrite``."""
@@ -284,20 +303,15 @@ class _Run:
                  "artifacts": artifacts}
         if error is not None:
             entry["error"] = error
-        manifest_path = os.path.join(self.dir, "manifest.json")
-        manifest = {"runs": []}
-        if os.path.exists(manifest_path):
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        manifest["runs"].append(entry)
         # Write beside the old manifest and swap it in, so a failed write never
         # leaves a truncated manifest behind.
-        tmp_path = manifest_path + ".tmp"
+        tmp_path = self.manifest_path + ".tmp"
         try:
             with open(tmp_path, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=1, sort_keys=True)
+                json.dump({**self.manifest, "runs": self.manifest["runs"] + [entry]}, fh,
+                          indent=1, sort_keys=True)
                 fh.write("\n")
-            os.replace(tmp_path, manifest_path)
+            os.replace(tmp_path, self.manifest_path)
         finally:
             if os.path.exists(tmp_path):
                 os.remove(tmp_path)
@@ -400,13 +414,13 @@ def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
                      else f"it has phase index {int(seq.phase.max())}")
             raise ConfigError(f"model.phase_classes: a head of {classes} class(es) does not fit "
                               f"sequence {seq.id!r}: {found}")
-    for h in config["horizons"]:
-        net_config = network_config(
-            config, train_seqs[0].features.shape[1], train_seqs[0].n_instruments, h
-        )
-        ckpt_path, log_path = run.claim(os.path.join("checkpoints", f"model_h{h:g}.bin"),
-                                        os.path.join("reports", f"train_log_h{h:g}.csv"))
-        params, log = network.train(train_seqs, net_config)
+    dims = train_seqs[0].features.shape[1], train_seqs[0].n_instruments
+    net_configs = [network_config(config, *dims, h) for h in config["horizons"]]
+    outputs = [run.claim(os.path.join("checkpoints", f"model_h{h:g}.bin"),
+                         os.path.join("reports", f"train_log_h{h:g}.csv"))
+               for h in config["horizons"]]
+    trained = network.train(train_seqs, net_configs[0], horizons=config["horizons"])
+    for (params, log), net_config, (ckpt_path, log_path) in zip(trained, net_configs, outputs):
         network.save_params(params, ckpt_path, net_config)
         with open(log_path, "w", encoding="utf-8", newline="") as fh:
             keys = list(log[0].keys()) if log else ["epoch"]

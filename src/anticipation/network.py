@@ -10,11 +10,16 @@ group: encoder input, recurrent input, recurrent hidden state).  A fixed
 mask set is one posterior sample of the parameters; averaging passes over
 resampled masks is how inference approximates the predictive distribution.
 
-One scan runs the network for every caller.  Its rows are mask sets that
-read the same frames: ``forward`` and training use one row, MC-dropout
-prediction stacks T sets (``stack_masks``) and runs them as T rows of one
-recurrence.  Time runs in blocks of ``BLOCK`` frames, so the memory a scan
-needs does not grow with the sequence length beyond its outputs.
+One scan runs the network for every caller, over two batch axes.  Its
+rows are mask sets that read the same frames: ``forward`` uses one row,
+MC-dropout prediction stacks T sets (``stack_masks``) and runs them as T
+rows of one recurrence.  Its models are parameter sets stacked on a leading
+model axis: training runs the K models of K horizons on one row, in
+lockstep, since they share their initial weights, video order and masks and
+differ only in their targets (and, under ``scaled_sigmoid``, the output
+scale).  BPTT and Adam carry the same model axis.  Time runs in blocks of
+``BLOCK`` frames, so the memory a scan needs does not grow with the
+sequence length beyond its outputs.
 
 Everything runs on float64 numpy.  Gradients are computed by hand with
 backpropagation through time, truncated at window boundaries during
@@ -102,8 +107,8 @@ class DropoutMasks:
 
 @dataclass
 class RawOutputs:
-    """Per-frame head outputs before any clamping (with a leading row axis
-    when the pass ran a stack of mask sets)."""
+    """Per-frame head outputs before any clamping (with leading model and row
+    axes where a pass ran several)."""
 
     regression: np.ndarray                 # (n, K) minutes
     class_logits: np.ndarray               # (n, K, 3)
@@ -170,10 +175,6 @@ def sample_masks(config: NetworkConfig, seed: int) -> DropoutMasks:
     )
 
 
-def zero_state(config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(config.hidden), np.zeros(config.hidden)
-
-
 def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Logistic function as ``0.5 * (1 + tanh(x / 2))``.
 
@@ -211,57 +212,75 @@ def _check_dims(config: NetworkConfig, masks: DropoutMasks, features: np.ndarray
         raise ValueError("dropout masks do not match the network configuration")
 
 
+def _stacked(params: Params) -> Params:
+    """One model's parameters as a stack of one: each array gains a leading model axis."""
+    return {name: value[None] for name, value in params.items()}
+
+
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b`` over the last axis of ``x``, as one matrix product."""
-    out = x.reshape(-1, x.shape[-1]) @ w
-    out += b
-    return out.reshape(*x.shape[:-1], w.shape[1])
+    """``x @ w + b`` over the last axis of ``x``, as one matrix product per model.
 
-
-def _scan(params, masks, features, config, state, keep=False):
-    """The network over ``features`` for every row of a stacked mask set.
-
-    A row is one mask set (``masks`` arrays are (R, dim)); all rows read the
-    same frames.  Per block of ``BLOCK`` frames the encoder and the input
-    projection ``x @ W_x + b`` are computed at once, the recurrence steps
-    through the block writing the gate values in place over that projection,
-    and the heads read the block's hidden states.  The recurrent state is
-    unit-major, (H, R) and (4H, R), so that each gate is one contiguous
-    slice.  Returns the outputs with a leading row axis, the final ``(h, c)``
-    as (R, H) arrays, and with ``keep`` (one row only) the per-frame arrays
-    BPTT reads, each (n, width).
+    ``x`` is (K or 1, ..., d), ``w`` (K, d, out) and ``b`` (K, out); a model
+    axis of one in ``x`` is shared by all K models.
     """
-    rows = masks.recurrent_hidden.shape[0]
+    out = x.reshape(x.shape[0], -1, x.shape[-1]) @ w
+    out += b[:, None]
+    return out.reshape(out.shape[0], *x.shape[1:-1], w.shape[-1])
+
+
+def _scan(params, masks, features, config, state, keep=False, horizons=None):
+    """The network over ``features`` for every model and every row of a stacked mask set.
+
+    A model is one parameter set (``params`` arrays are (K, ...)), a row is
+    one mask set (``masks`` arrays are (R, dim)); every model runs every row
+    and all read the same frames.  Per block of ``BLOCK`` frames the encoder
+    and the input projection ``x @ W_x + b`` are computed at once, the
+    recurrence steps through the block writing the gate values in place over
+    that projection, and the heads read the block's hidden states.  The
+    recurrent state is unit-major, (K, H, R) and (K, 4H, R), so that each
+    gate is one slice.  ``horizons`` (K,) scales the ``scaled_sigmoid``
+    output of each model (default ``config.horizon``).  Returns the outputs
+    with leading (K, R) axes, the final ``(h, c)`` as (K, R, H) arrays, and
+    with ``keep`` (one row only) the per-frame arrays BPTT reads: the
+    encoder activations and ``xi`` model-major, (K or 1, n, width), and the
+    gates, cells and hidden states step-major, (n, K, 1, width).
+    """
+    models, rows = params["lstm_b"].shape[0], masks.recurrent_hidden.shape[0]
     n, h_dim, k = features.shape[0], config.hidden, config.instruments
-    h, c = np.zeros((h_dim, rows)), np.zeros((h_dim, rows))
+    h, c = np.zeros((models, h_dim, rows)), np.zeros((models, h_dim, rows))
     if state is not None:
-        h.T[:], c.T[:] = state
+        h.transpose(0, 2, 1)[:], c.transpose(0, 2, 1)[:] = state
     head_names = ["reg", "cls"] + (["phase"] if config.phase_classes > 0 else [])
-    heads = {name: np.empty((rows, n, params[f"{name}_b"].size)) for name in head_names}
+    heads = {name: np.empty((models, rows, n, params[f"{name}_b"].shape[-1]))
+             for name in head_names}
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, so with the i, f and o columns of
     # W_x, W_h and b halved (exact in binary) one tanh over all 4H units
     # yields tanh(a / 2) there and tanh(a) for g: the same values, bit for bit,
     # as ``sigmoid`` on the i/f/o pre-activations.
     half = np.where(np.arange(4 * h_dim) < 3 * h_dim, 0.5, 1.0)
     wx, b = params["lstm_Wx"] * half, params["lstm_b"] * half
-    wh_t = (params["lstm_Wh"] * half).T.copy()
-    m_h = masks.recurrent_hidden.T.copy()
-    hm, hw, ig = np.empty((h_dim, rows)), np.empty((4 * h_dim, rows)), np.empty((h_dim, rows))
+    wh_t = (params["lstm_Wh"] * half).transpose(0, 2, 1).copy()
+    # One copy per model: a multiply without broadcasting is the cheaper one.
+    m_h = np.broadcast_to(masks.recurrent_hidden.T, (models, h_dim, rows)).copy()
+    hm, ig = np.empty((models, h_dim, rows)), np.empty((models, h_dim, rows))
+    hw = np.empty((models, 4 * h_dim, rows))
     blocks = []
     for start in range(0, n, BLOCK):
         frames = features[start:start + BLOCK]
-        acts = [frames[:, None, :] * masks.encoder_input]
+        acts = [(frames[:, None, :] * masks.encoder_input)[None]]
         for l in range(len(config.encoder)):
             z = _dense(acts[-1], params[f"enc{l}_W"], params[f"enc{l}_b"])
             acts.append(np.tanh(z, out=z))
         xi = acts[-1] * masks.recurrent_input
-        xw = (xi.reshape(-1, xi.shape[-1]) @ wx).reshape(len(frames), rows, 4 * h_dim)
-        gates = np.add(xw.transpose(0, 2, 1), b[:, None], order="C")
-        cells = np.empty((len(frames), h_dim, rows))
-        hidden = np.empty((len(frames), h_dim, rows))
-        steps = zip(gates, gates[:, :3 * h_dim], gates.reshape(len(frames), 4, h_dim, rows),
+        xw = xi.reshape(xi.shape[0], -1, xi.shape[-1]) @ wx
+        xw = xw.reshape(models, len(frames), rows, 4 * h_dim)
+        gates = np.add(xw.transpose(1, 0, 3, 2), b[:, :, None], order="C")
+        cells = np.empty((len(frames), models, h_dim, rows))
+        hidden = np.empty((len(frames), models, h_dim, rows))
+        by_gate = gates.reshape(len(frames), models, 4, h_dim, rows)
+        steps = zip(gates, gates[:, :, :3 * h_dim], *(by_gate[:, :, j] for j in range(4)),
                     cells, hidden)
-        for a, ifo, (i, f, o, g), c_t, h_t in steps:
+        for a, ifo, i, f, o, g, c_t, h_t in steps:
             np.multiply(h, m_h, out=hm)
             np.matmul(wh_t, hm, out=hw)
             a += hw
@@ -272,36 +291,41 @@ def _scan(params, masks, features, config, state, keep=False):
             c += np.multiply(i, g, out=ig)
             h = np.tanh(c, out=h_t)
             h *= o
-        by_row = np.ascontiguousarray(hidden.transpose(2, 0, 1))
+        by_row = np.ascontiguousarray(hidden.transpose(1, 3, 0, 2))
         for name, out in heads.items():
-            out[:, start:start + len(frames)] = _dense(by_row, params[f"{name}_W"], params[f"{name}_b"])
+            out[:, :, start:start + len(frames)] = _dense(by_row, params[f"{name}_W"],
+                                                          params[f"{name}_b"])
         if keep:
-            blocks.append((*(act[:, 0] for act in acts), xi[:, 0],
-                           gates[..., 0], cells[..., 0], hidden[..., 0]))
+            blocks.append(([act[:, :, 0] for act in acts + [xi]],
+                           [gates[..., 0], cells[..., 0], hidden[..., 0]]))
 
     reg_sig = None
     regression = heads["reg"]
     if config.output_mode == "scaled_sigmoid":
+        if horizons is None:
+            horizons = np.full(models, config.horizon)
         reg_sig = sigmoid(regression)
-        regression = config.horizon * reg_sig
+        regression = horizons[:, None, None, None] * reg_sig
     outputs = RawOutputs(
         regression=regression,
-        class_logits=heads["cls"].reshape(rows, n, k, 3),
+        class_logits=heads["cls"].reshape(models, rows, n, k, 3),
         phase_logits=heads.get("phase"),
     )
     cache = None
     if keep:
-        *acts, xi, gates, cells, hidden = (np.concatenate(parts) for parts in zip(*blocks))
+        by_model, by_step = zip(*blocks)
+        *acts, xi = (np.concatenate(parts, axis=1) for parts in zip(*by_model))
+        gates, cells, hidden = (np.concatenate(parts)[:, :, None] for parts in zip(*by_step))
         cache = {"enc_acts": acts, "xi": xi, "gates": gates, "cells": cells, "hidden": hidden,
-                 "reg_sig": None if reg_sig is None else reg_sig[0]}
-    return outputs, (h.T.copy(), c.T.copy()), cache
+                 "reg_sig": None if reg_sig is None else reg_sig[:, 0]}
+    return outputs, (h.transpose(0, 2, 1).copy(), c.transpose(0, 2, 1).copy()), cache
 
 
-def _first_row(outputs: RawOutputs) -> RawOutputs:
+def _select(outputs: RawOutputs, index) -> RawOutputs:
     return RawOutputs(
-        regression=outputs.regression[0],
-        class_logits=outputs.class_logits[0],
-        phase_logits=None if outputs.phase_logits is None else outputs.phase_logits[0],
+        regression=outputs.regression[index],
+        class_logits=outputs.class_logits[index],
+        phase_logits=None if outputs.phase_logits is None else outputs.phase_logits[index],
     )
 
 
@@ -323,10 +347,11 @@ def forward(
     """
     features = np.asarray(features, dtype=np.float64)
     _check_dims(config, masks, features)
-    if masks.recurrent_hidden.ndim == 2:
-        return _scan(params, masks, features, config, state)[:2]
-    outputs, (h, c), _ = _scan(params, stack_masks([masks]), features, config, state)
-    return _first_row(outputs), (h[0], c[0])
+    one = masks.recurrent_hidden.ndim == 1
+    outputs, (h, c), _ = _scan(_stacked(params), stack_masks([masks]) if one else masks,
+                               features, config, state)
+    index = (0, 0) if one else 0
+    return _select(outputs, index), (h[index], c[index])
 
 
 def smooth_l1(diff: np.ndarray) -> np.ndarray:
@@ -361,15 +386,20 @@ def compute_loss(
     total = mean over frames of sum over instruments of
             [SmoothL1(f, r) + lambda_cls * CE(softmax(logits), c)]
             + weight_decay * ||theta||^2  (+ phase cross entropy term).
+
+    With a leading model axis on the outputs, targets and ``params`` (K
+    models; the phase labels are shared) the total and every term are (K,)
+    arrays, one loss per model; otherwise they are floats.
     """
+    lead = outputs.regression.shape[:-2]
     n = outputs.n_frames
     if remaining.shape != outputs.regression.shape or classes.shape != remaining.shape:
         raise ValueError("outputs and targets have mismatched shapes")
-    reg_term = float(smooth_l1(outputs.regression - remaining).sum(axis=1).mean())
+    reg_term = smooth_l1(outputs.regression - remaining).sum(axis=-1).mean(axis=-1)
     logp = _log_softmax(outputs.class_logits)
-    picked = np.take_along_axis(logp, classes[:, :, None].astype(np.int64), axis=2)[:, :, 0]
-    cls_term = float(lambda_cls * (-picked).sum(axis=1).mean())
-    l2_term = float(weight_decay * sum(float((v * v).sum()) for v in params.values()))
+    picked = np.take_along_axis(logp, classes[..., None].astype(np.int64), axis=-1)[..., 0]
+    cls_term = lambda_cls * (-picked).sum(axis=-1).mean(axis=-1)
+    l2_term = weight_decay * sum((v * v).reshape(*lead, -1).sum(axis=-1) for v in params.values())
     terms = {"regression": reg_term, "classification": cls_term, "l2": l2_term}
     if phase_labels is not None:
         if outputs.phase_logits is None:
@@ -378,10 +408,22 @@ def compute_loss(
             raise ValueError("phase labels length mismatch")
         lam_ph = lambda_cls if lambda_phase is None else lambda_phase
         logp_ph = _log_softmax(outputs.phase_logits)
-        picked_ph = np.take_along_axis(logp_ph, phase_labels[:, None].astype(np.int64), axis=1)[:, 0]
-        terms["phase"] = float(lam_ph * (-picked_ph).mean())
-    total = float(sum(terms.values()))
-    return total, terms
+        picked_ph = np.take_along_axis(logp_ph, _phase_index(phase_labels, lead), axis=-1)[..., 0]
+        terms["phase"] = lam_ph * (-picked_ph).mean(axis=-1)
+    total = sum(terms.values())
+    if lead:
+        return total, terms
+    return float(total), {name: float(value) for name, value in terms.items()}
+
+
+def _t(w: np.ndarray) -> np.ndarray:
+    """Each model's matrix transposed: a view swapping the last two axes."""
+    return w.swapaxes(-1, -2)
+
+
+def _phase_index(phase_labels: np.ndarray, lead: tuple) -> np.ndarray:
+    """(n,) phase labels as an index array (1, ..., n, 1) over logits with leading axes ``lead``."""
+    return phase_labels.astype(np.int64).reshape((1,) * len(lead) + (-1, 1))
 
 
 def loss_and_gradients(
@@ -393,101 +435,130 @@ def loss_and_gradients(
     config: NetworkConfig,
     phase_labels: Optional[np.ndarray] = None,
     state: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    horizons: Optional[np.ndarray] = None,
 ):
     """Forward pass, loss, and analytic gradients for one window.
 
     Gradients are truncated at the window boundary: the initial state is
     treated as a constant.  Returns (total, terms, grads, final_state).
+
+    ``params`` is one model, or K models stacked on a leading axis.  Then
+    ``remaining`` and ``classes`` are (K, n, I), the state is a pair of
+    (K, H) arrays, ``horizons`` (K,) gives each model's ``scaled_sigmoid``
+    horizon (default ``config.horizon``), and the loss, every term, every
+    gradient and the final state carry the model axis.  All models share the
+    masks, frames and phase labels.
     """
+    if params["lstm_b"].ndim == 1:
+        total, terms, grads, (h, c) = loss_and_gradients(
+            _stacked(params), masks, features, remaining[None], classes[None], config,
+            phase_labels, None if state is None else (state[0][None], state[1][None]),
+        )
+        return (float(total[0]), {name: float(v[0]) for name, v in terms.items()},
+                {name: g[0] for name, g in grads.items()}, (h[0], c[0]))
+
     features = np.asarray(features, dtype=np.float64)
     _check_dims(config, masks, features)
-    outputs, (h, c), cache = _scan(params, stack_masks([masks]), features, config, state, keep=True)
-    outputs = _first_row(outputs)
+    models, n, h_dim = params["lstm_b"].shape[0], features.shape[0], config.hidden
+    if horizons is None:
+        horizons = np.full(models, config.horizon)
+    if state is None:
+        state = (np.zeros((models, h_dim)), np.zeros((models, h_dim)))
+    outputs, (h, c), cache = _scan(params, stack_masks([masks]), features, config,
+                                   (state[0][:, None], state[1][:, None]), keep=True,
+                                   horizons=horizons)
+    outputs = _select(outputs, (slice(None), 0))
     total, terms = compute_loss(
         outputs, remaining, classes, params,
         config.lambda_cls, config.weight_decay,
         phase_labels=phase_labels, lambda_phase=config.lambda_phase,
     )
 
-    n = features.shape[0]
-    h_dim = config.hidden
+    # The recurrence arrays are step-major, (n, K, 1, width), so that the
+    # backward loop gets each step's (K, 1, width) views from ``zip``; the
+    # head and weight gradients read them per model through transposed views.
     gates, cells, hidden = cache["gates"], cache["cells"], cache["hidden"]
-    h0, c0 = zero_state(config) if state is None else state
-    hidden_prev = np.concatenate([np.reshape(h0, (1, h_dim)), hidden[:-1]])
-    cells_prev = np.concatenate([np.reshape(c0, (1, h_dim)), cells[:-1]])
+    hidden_prev = np.concatenate([np.reshape(state[0], (1, models, 1, h_dim)), hidden[:-1]])
+    cells_prev = np.concatenate([np.reshape(state[1], (1, models, 1, h_dim)), cells[:-1]])
+    hidden_t = hidden[:, :, 0].transpose(1, 2, 0)  # (K, H, n)
 
-    # Head gradients.
+    # Head gradients, model-major: (K, n, width).
     diff = outputs.regression - remaining
     d_reg = np.clip(diff, -1.0, 1.0) / n
     if config.output_mode == "scaled_sigmoid":
         sig = cache["reg_sig"]
-        d_reg = d_reg * config.horizon * sig * (1.0 - sig)
+        d_reg = d_reg * horizons[:, None, None] * sig * (1.0 - sig)
     probs = softmax(outputs.class_logits)
     onehot = np.zeros_like(probs)
-    np.put_along_axis(onehot, classes[:, :, None].astype(np.int64), 1.0, axis=2)
+    np.put_along_axis(onehot, classes[..., None].astype(np.int64), 1.0, axis=-1)
     d_logits = (config.lambda_cls / n) * (probs - onehot)
-    d_logits_flat = d_logits.reshape(n, -1)
+    d_logits_flat = d_logits.reshape(models, n, -1)
 
     grads: Params = {name: np.zeros_like(value) for name, value in params.items()}
-    grads["reg_W"] = hidden.T @ d_reg
-    grads["reg_b"] = d_reg.sum(axis=0)
-    grads["cls_W"] = hidden.T @ d_logits_flat
-    grads["cls_b"] = d_logits_flat.sum(axis=0)
-    d_hidden = d_reg @ params["reg_W"].T + d_logits_flat @ params["cls_W"].T
+    grads["reg_W"] = hidden_t @ d_reg
+    grads["reg_b"] = d_reg.sum(axis=1)
+    grads["cls_W"] = hidden_t @ d_logits_flat
+    grads["cls_b"] = d_logits_flat.sum(axis=1)
+    d_hidden = d_reg @ _t(params["reg_W"]) + d_logits_flat @ _t(params["cls_W"])
     if phase_labels is not None and outputs.phase_logits is not None:
         probs_ph = softmax(outputs.phase_logits)
         onehot_ph = np.zeros_like(probs_ph)
-        np.put_along_axis(onehot_ph, phase_labels[:, None].astype(np.int64), 1.0, axis=1)
+        np.put_along_axis(onehot_ph, _phase_index(phase_labels, (models,)), 1.0, axis=-1)
         d_phase = (config.phase_weight / n) * (probs_ph - onehot_ph)
-        grads["phase_W"] = hidden.T @ d_phase
-        grads["phase_b"] = d_phase.sum(axis=0)
-        d_hidden = d_hidden + d_phase @ params["phase_W"].T
+        grads["phase_W"] = hidden_t @ d_phase
+        grads["phase_b"] = d_phase.sum(axis=1)
+        d_hidden = d_hidden + d_phase @ _t(params["phase_W"])
+    d_hidden = np.ascontiguousarray(d_hidden.transpose(1, 0, 2))[:, :, None]
 
     # Backward through time.  The gate-derivative factors are computed for all
     # frames first; the loop only carries dh and dc.  d_gates[t] is dc[t] times
     # dc_factor[t] for the i, f and g gates and dh[t] times o_factor[t] for o.
-    gi, gf, go, gg = np.split(gates, 4, axis=1)
+    gi, gf, go, gg = np.split(gates, 4, axis=-1)
     tanh_c = np.tanh(cells)
-    slope = gates[:, :3 * h_dim] * (1.0 - gates[:, :3 * h_dim])
-    dc_factor = np.zeros((n, 4, h_dim))
-    dc_factor[:, 0] = gg * slope[:, :h_dim]
-    dc_factor[:, 1] = cells_prev * slope[:, h_dim:2 * h_dim]
-    dc_factor[:, 3] = gi * (1.0 - gg * gg)
-    o_factor = tanh_c * slope[:, 2 * h_dim:]
+    slope = gates[..., :3 * h_dim] * (1.0 - gates[..., :3 * h_dim])
+    dc_factor = np.zeros((n, models, 4, h_dim))
+    dc_factor[:, :, 0:1] = gg * slope[..., :h_dim]
+    dc_factor[:, :, 1:2] = cells_prev * slope[..., h_dim:2 * h_dim]
+    dc_factor[:, :, 3:4] = gi * (1.0 - gg * gg)
+    o_factor = tanh_c * slope[..., 2 * h_dim:]
     dh_to_dc = go * (1.0 - tanh_c * tanh_c)
     # dh_carry = (d_gates[t] @ W_h^T) * m_h, with the constant mask folded in.
-    wh_t = params["lstm_Wh"].T * masks.recurrent_hidden
-    d_gates = np.empty((n, 4 * h_dim))
-    dh_carry = np.zeros(h_dim)
-    dc_carry = np.zeros(h_dim)
+    wh_t = _t(params["lstm_Wh"]) * masks.recurrent_hidden
+    d_gates = np.empty((n, models, 1, 4 * h_dim))
+    dg_by_gate = d_gates.reshape(n, models, 4, h_dim)
+    dh_carry = np.zeros((models, 1, h_dim))
+    dc_carry = np.zeros((models, 1, h_dim))
     steps = zip(d_hidden[::-1], dh_to_dc[::-1], dc_factor[::-1], o_factor[::-1], gf[::-1],
-                d_gates[::-1], d_gates.reshape(n, 4, h_dim)[::-1])
-    for dh, to_dc, factor, o_fac, f, dg, dg_by_gate in steps:
+                d_gates[::-1], dg_by_gate[::-1], dg_by_gate[:, :, 2:3][::-1])
+    for dh, to_dc, factor, o_fac, f, dg, dg_gates, dg_o in steps:
         dh += dh_carry
         dc = dh * to_dc
         dc += dc_carry
-        np.multiply(dc, factor, out=dg_by_gate)
-        np.multiply(dh, o_fac, out=dg_by_gate[2])
+        np.multiply(dc, factor, out=dg_gates)
+        np.multiply(dh, o_fac, out=dg_o)
         dc_carry = dc * f
         dh_carry = dg @ wh_t
 
-    grads["lstm_Wx"] = cache["xi"].T @ d_gates
-    grads["lstm_Wh"] = (hidden_prev * masks.recurrent_hidden).T @ d_gates
+    d_gates = d_gates[:, :, 0]
+    d_gates_m = d_gates.transpose(1, 0, 2)  # (K, n, 4H)
+    grads["lstm_Wx"] = _t(cache["xi"]) @ d_gates_m
+    hm_prev = hidden_prev[:, :, 0] * masks.recurrent_hidden
+    grads["lstm_Wh"] = hm_prev.transpose(1, 2, 0) @ d_gates_m
     grads["lstm_b"] = d_gates.sum(axis=0)
 
-    d_enc = (d_gates @ params["lstm_Wx"].T) * masks.recurrent_input
+    d_enc = (d_gates_m @ _t(params["lstm_Wx"])) * masks.recurrent_input
     for l in range(len(config.encoder) - 1, -1, -1):
         act = cache["enc_acts"][l + 1]
         dz = d_enc * (1.0 - act ** 2)
-        grads[f"enc{l}_W"] = cache["enc_acts"][l].T @ dz
-        grads[f"enc{l}_b"] = dz.sum(axis=0)
-        d_enc = dz @ params[f"enc{l}_W"].T
+        grads[f"enc{l}_W"] = _t(cache["enc_acts"][l]) @ dz
+        grads[f"enc{l}_b"] = dz.sum(axis=1)
+        d_enc = dz @ _t(params[f"enc{l}_W"])
 
     two_gamma = 2.0 * config.weight_decay
     for name, value in params.items():
         grads[name] += two_gamma * value
 
-    return total, terms, grads, (h[0], c[0])
+    return total, terms, grads, (h[:, 0], c[:, 0])
 
 
 class Adam:
@@ -518,7 +589,8 @@ def _derived_seed(*parts: int) -> int:
 def train(
     sequences: Sequence[ProcedureSequence],
     config: NetworkConfig,
-) -> tuple[Params, list[dict]]:
+    horizons: Optional[Sequence[float]] = None,
+):
     """Train on full sequences with windowed truncated BPTT.
 
     Per video and epoch one dropout mask set is sampled and reused for every
@@ -527,8 +599,17 @@ def train(
     averaged over groups of ``config.accum_steps`` windows before each Adam
     update (a shorter leftover group at the end of a video still updates).
     A non-finite loss or gradient raises ``NumericError`` naming the epoch,
-    video and window start frame (and the parameter) before Adam sees it.
-    Returns the trained parameters and a per-epoch log of loss terms.
+    video, window start frame and horizon (and the parameter) before Adam
+    sees it.  Returns the trained parameters and a per-epoch log of loss
+    terms.
+
+    With ``horizons``, one model per horizon is trained and a list of
+    ``(params, log)`` pairs is returned, one per horizon; ``config.horizon``
+    is then unused.  The models share their initial weights, video order and
+    masks, which depend on ``config.seed`` only, so they are trained in
+    lockstep: one scan, one BPTT pass and one Adam update per step carry
+    all of them on a leading model axis, and each model comes out exactly
+    as a run of its own would give it.
     """
     if not sequences:
         raise ValueError("train set must be nonempty")
@@ -547,20 +628,34 @@ def train(
                     f"sequence {seq.id!r} has phase index {int(seq.phase.max())} but the "
                     f"head covers {config.phase_classes} classes"
                 )
+    horizon_list = [config.horizon] if horizons is None else [float(h) for h in horizons]
+    if not horizon_list or not all(h > 0 for h in horizon_list):
+        raise ValueError(f"horizons must be a nonempty list of positive numbers, got {horizons}")
 
-    targets = [labels.compute_targets(seq, config.horizon) for seq in sequences]
-    params = init_params(config, config.seed)
+    models, horizon_array = len(horizon_list), np.array(horizon_list)
+    targets = []
+    for seq in sequences:
+        per_horizon = [labels.compute_targets(seq, h) for h in horizon_list]
+        targets.append((np.stack([t.remaining for t in per_horizon]),
+                        np.stack([t.classes for t in per_horizon])))
+    params = {name: np.stack([value] * models)
+              for name, value in init_params(config, config.seed).items()}
     adam = Adam(params, lr=config.learning_rate)
-    log: list[dict] = []
+    logs: list[list[dict]] = [[] for _ in horizon_list]
+
+    def first_bad(values: np.ndarray) -> str:
+        """The horizon of the first model whose ``values`` are not all finite."""
+        finite = np.isfinite(values).reshape(models, -1).all(axis=1)
+        return f"horizon {horizon_list[int(np.argmin(finite))]:g}"
 
     for epoch in range(config.epochs):
         order = np.random.default_rng(_derived_seed(config.seed, 1, epoch)).permutation(len(sequences))
         sums: dict = {}
         frames_seen = 0
         for vi in order:
-            seq, tgt = sequences[vi], targets[vi]
+            seq, (remaining, classes) = sequences[vi], targets[vi]
             masks = sample_masks(config, _derived_seed(config.seed, 2, epoch, int(vi)))
-            state = zero_state(config)
+            state = (np.zeros((models, config.hidden)), np.zeros((models, config.hidden)))
             acc: Optional[Params] = None
             acc_count = 0
             for start in range(0, seq.n_frames, config.window):
@@ -569,18 +664,21 @@ def train(
                 total, terms, grads, state = loss_and_gradients(
                     params, masks,
                     seq.features[start:stop],
-                    tgt.remaining[start:stop],
-                    tgt.classes[start:stop],
+                    remaining[:, start:stop],
+                    classes[:, start:stop],
                     config,
                     phase_labels=phase_slice,
                     state=state,
+                    horizons=horizon_array,
                 )
                 where = f"at epoch {epoch}, video {seq.id!r}, frame {start}"
-                if not np.isfinite(total):
-                    raise NumericError(f"non-finite loss {where}")
+                if not np.isfinite(total).all():
+                    raise NumericError(f"non-finite loss {where}, {first_bad(total)}")
                 for name, g in grads.items():
                     if not np.isfinite(g).all():
-                        raise NumericError(f"non-finite gradient in parameter {name!r} {where}")
+                        raise NumericError(
+                            f"non-finite gradient in parameter {name!r} {where}, {first_bad(g)}"
+                        )
                 if acc is None:
                     acc = {k: g.copy() for k, g in grads.items()}
                 else:
@@ -596,8 +694,12 @@ def train(
                     sums[key] = sums.get(key, 0.0) + value * nw
             if acc_count:
                 adam.step(params, {k: g / acc_count for k, g in acc.items()})
-        log.append({"epoch": epoch, **{k: v / max(frames_seen, 1) for k, v in sums.items()}})
-    return params, log
+        for m, log in enumerate(logs):
+            log.append({"epoch": epoch,
+                        **{k: float(v[m] / max(frames_seen, 1)) for k, v in sums.items()}})
+    pairs = [({name: value[m] for name, value in params.items()}, log)
+             for m, log in enumerate(logs)]
+    return pairs[0] if horizons is None else pairs
 
 
 # ---------------------------------------------------------------------------

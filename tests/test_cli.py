@@ -104,6 +104,22 @@ class TestPipeline:
         for h in (2, 3, 5, 7):
             assert os.path.exists(os.path.join(out, "reports", f"metrics_h{h}.csv"))
 
+    def test_lockstep_train_equals_one_run_per_horizon(self, config_path, tmp_path):
+        """All horizons train in one pass; each checkpoint and log is the file
+        a run of that horizon alone writes."""
+        config = tiny_config(horizons=[2.0, 3.0])
+        config["model"]["output_mode"] = "scaled_sigmoid"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        together = str(tmp_path / "together")
+        run_chain(str(path), together, commands=("simulate", "train"))
+        for h in ("2", "3"):
+            alone = str(tmp_path / f"alone{h}")
+            shutil.copytree(os.path.join(together, "dataset"), os.path.join(alone, "dataset"))
+            assert cli.main(["train", "--config", str(path), "--out", alone, "--horizon", h]) == 0
+            for rel in (f"checkpoints/model_h{h}.bin", f"reports/train_log_h{h}.csv"):
+                assert checksum(os.path.join(together, rel)) == checksum(os.path.join(alone, rel))
+
     def test_predict_then_evaluate_reuses_summaries(self, config_path, tmp_path):
         out = str(tmp_path / "run")
         run_chain(config_path, out, commands=("simulate", "train", "predict"))
@@ -249,6 +265,20 @@ class TestExitCodes:
                          flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: expected") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("horizons", [[1.0, 1.0000001], [3, 3.0], []])
+    def test_horizons_without_distinct_file_tags_rejected(self, tmp_path, capsys, command, horizons):
+        """Artifact names tag a horizon as f"{h:g}"; two horizons with one tag
+        would write one file twice.  No horizon at all is rejected too."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(horizons=horizons)))
+        out = tmp_path / "run"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: horizons: expected one or more horizons with "
+                              "distinct file tags")
+        assert not out.exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -587,6 +617,27 @@ class TestRunLedger:
         assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 3  # no checkpoint
         assert open(os.path.join(out, "manifest.json"), "rb").read() == before
         assert sorted(os.listdir(out)) == ["dataset", "manifest.json"]
+
+    @pytest.mark.parametrize("damage", [b"garbage", b"[]", b'{"runs": 5}', b"\xff\xfe"])
+    def test_damaged_manifest_stops_the_command_before_it_writes(self, config_path, tmp_path,
+                                                                capsys, damage):
+        out = str(tmp_path / "run")
+        run_chain(config_path, out, commands=("simulate",))
+        manifest = os.path.join(out, "manifest.json")
+        with open(manifest, "wb") as fh:
+            fh.write(damage)
+
+        def files():
+            return sorted(os.path.join(d, f) for d, _, names in os.walk(out) for f in names)
+
+        before = files()
+        capsys.readouterr()
+        assert cli.main(["baseline", "--config", config_path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: damaged run manifest {manifest}")
+        assert "Traceback" not in err
+        assert files() == before
+        assert open(manifest, "rb").read() == damage
 
     def test_evaluate_writes_no_baseline_files(self, predicted_run, tmp_path):
         config_path, out = copy_run(predicted_run, tmp_path)

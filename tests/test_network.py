@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -345,7 +347,7 @@ class TestGradients:
 
         def poisoned(*args, **kwargs):
             total, terms, grads, state = exact(*args, **kwargs)
-            grads["lstm_Wh"][1, 2] = np.nan
+            grads["lstm_Wh"][..., 1, 2] = np.nan
             return total, terms, grads, state
 
         monkeypatch.setattr(network, "loss_and_gradients", poisoned)
@@ -429,6 +431,107 @@ class TestTraining:
         for _ in range(400):
             adam.step(params, {"w": 2.0 * params["w"]})
         assert abs(params["w"][0]) < 1e-3
+
+
+class TestLockstep:
+    """Training every horizon on one model axis equals one run per horizon, bit for bit."""
+
+    @staticmethod
+    def videos():
+        config = SimConfig(
+            instruments=2, phases=2, duration_mean=300.0, duration_std=30.0,
+            phase_plan=(PhaseSpec(150.0, 20.0), PhaseSpec(150.0, 20.0)),
+            usage_rules=(UsageRule(0, 0, 1.0, length_mean=20.0),
+                         UsageRule(0, 1, 1.0, length_mean=20.0)),
+            trigger_rules=(TriggerRule(0, 1, delay_mean=45.0, length_mean=12.0),),
+            features=FeatureSpec(noise_std=0.05),
+        )
+        return generate_dataset(config, 2, seed=3)
+
+    @pytest.mark.parametrize("output_mode", ["linear_clamped", "scaled_sigmoid"])
+    def test_equals_one_run_per_horizon(self, output_mode):
+        """A phase head, windows longer than a scan block and a leftover
+        accumulation group included."""
+        videos = self.videos()
+        config = NetworkConfig(
+            input_dim=videos[0].feature_dim, instruments=2, hidden=6, encoder=(5,),
+            phase_classes=2, output_mode=output_mode, horizon=9.0, learning_rate=3e-3,
+            window=110, accum_steps=2, epochs=2, seed=4,
+        )
+        assert config.window > BLOCK
+        windows = [-(-v.n_frames // config.window) for v in videos]
+        assert any(w % config.accum_steps for w in windows)  # a leftover group
+        horizons = (1.0, 2.0, 3.0)
+        lockstep = train(videos, config, horizons=horizons)
+        assert len(lockstep) == len(horizons)
+        for h, (params, log) in zip(horizons, lockstep):
+            alone, alone_log = train(videos, dataclasses.replace(config, horizon=h))
+            assert list(params) == list(alone)
+            for name in alone:
+                np.testing.assert_array_equal(params[name], alone[name], err_msg=f"{h} {name}")
+            assert log == alone_log
+
+    def test_rejects_non_positive_horizon(self):
+        videos = self.videos()
+        config = NetworkConfig(input_dim=videos[0].feature_dim, instruments=2, epochs=1)
+        with pytest.raises(ValueError, match="horizons"):
+            train(videos, config, horizons=[1.0, 0.0])
+
+    def test_gradients_of_two_models_match_finite_differences(self):
+        """K=2: different parameters, targets and scaled_sigmoid horizons per model."""
+        rng = np.random.default_rng(77)
+        config = tiny_config(phase_classes=3, output_mode="scaled_sigmoid", dropout=0.3)
+        horizons = np.array([2.0, 4.5])
+        singles = [init_params(config, seed=s) for s in (1, 2)]
+        params = {name: np.stack([p[name] for p in singles]) for name in singles[0]}
+        masks = sample_masks(config, seed=8)
+        n = BLOCK + 5
+        feats = rng.normal(size=(n, config.input_dim))
+        remaining = np.stack([rng.uniform(0, h, size=(n, config.instruments)) for h in horizons])
+        classes = rng.integers(0, 3, size=(2, n, config.instruments)).astype(np.int8)
+        phase = rng.integers(0, 3, size=n)
+        state = tuple(rng.normal(size=(2, config.hidden)) * 0.2 for _ in range(2))
+
+        total, terms, grads, (h, c) = loss_and_gradients(
+            params, masks, feats, remaining, classes, config,
+            phase_labels=phase, state=state, horizons=horizons)
+        assert total.shape == (2,) and h.shape == c.shape == (2, config.hidden)
+        assert all(value.shape == (2,) for value in terms.values())
+
+        def model_loss(m):
+            cfg = dataclasses.replace(config, horizon=float(horizons[m]))
+            one = {name: value[m] for name, value in params.items()}
+            out, _ = forward(one, masks, feats, cfg, state=(state[0][m], state[1][m]))
+            return compute_loss(out, remaining[m], classes[m], one, cfg.lambda_cls,
+                                cfg.weight_decay, phase_labels=phase,
+                                lambda_phase=cfg.lambda_phase)[0]
+
+        np.testing.assert_allclose(total, [model_loss(0), model_loss(1)], rtol=1e-12)
+        fd = finite_difference(lambda: model_loss(0) + model_loss(1), params)
+        assert max_relative_error(grads, fd) < 1e-4
+
+    def test_non_finite_gradient_names_its_horizon(self, monkeypatch):
+        from anticipation import ProcedureSequence, network
+
+        config = tiny_config(epochs=1, window=4)
+        rng = np.random.default_rng(0)
+        presence = np.zeros((8, 2), dtype=bool)
+        presence[5:, 0] = True
+        seq = ProcedureSequence(id="vid_7", presence=presence, features=rng.normal(size=(8, 3)))
+        exact = network.loss_and_gradients
+        steps = []
+
+        def poisoned(*args, **kwargs):
+            total, terms, grads, state = exact(*args, **kwargs)
+            grads["enc0_b"][1, 2] = np.nan  # model 1 of 3
+            return total, terms, grads, state
+
+        monkeypatch.setattr(network, "loss_and_gradients", poisoned)
+        monkeypatch.setattr(network.Adam, "step", lambda self, params, grads: steps.append(1))
+        with pytest.raises(NumericError, match="^non-finite gradient in parameter 'enc0_b' at "
+                                               "epoch 0, video 'vid_7', frame 0, horizon 2.5$"):
+            train([seq], config, horizons=(1.0, 2.5, 3.0))
+        assert steps == []
 
 
 class TestCheckpoints:
