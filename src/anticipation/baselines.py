@@ -68,19 +68,17 @@ def expand_to_frames(bin_presence: np.ndarray, n_frames: int) -> np.ndarray:
     return bin_presence[_bin_index(n_frames, bin_presence.shape[0])]
 
 
-def _predict_track(
-    bin_presence: np.ndarray,
-    expand_len: int,
-    out_len: int,
-    horizon: float,
-    fps: float,
-) -> np.ndarray:
-    """Anticipation values for one instrument from an estimated timeline."""
-    synthetic = expand_to_frames(bin_presence, expand_len)
-    r = labels.remaining_time(synthetic, fps, horizon)
-    if out_len <= expand_len:
-        return r[:out_len]
-    return np.concatenate([r, np.full(out_len - expand_len, horizon)])
+def _remaining_track(bin_presence: np.ndarray, expand_len: int, horizon: float,
+                     fps: float) -> np.ndarray:
+    """Remaining times of one instrument's estimated timeline over ``expand_len`` frames."""
+    return labels.remaining_time(expand_to_frames(bin_presence, expand_len), fps, horizon)
+
+
+def _fit_length(track: np.ndarray, out_len: int, horizon: float) -> np.ndarray:
+    """``track`` cut to ``out_len`` frames, or padded with the horizon beyond its end."""
+    if out_len <= track.shape[0]:
+        return track[:out_len]
+    return np.concatenate([track, np.full(out_len - track.shape[0], horizon)])
 
 
 def predict_baseline(model: BaselineModel, duration: Optional[int] = None) -> np.ndarray:
@@ -102,7 +100,8 @@ def predict_baseline(model: BaselineModel, duration: Optional[int] = None) -> np
     bin_presence = model.bin_presence()
     out = np.empty((out_len, model.n_instruments))
     for j in range(model.n_instruments):
-        out[:, j] = _predict_track(bin_presence[j], expand_len, out_len, model.horizon, model.fps)
+        track = _remaining_track(bin_presence[j], expand_len, model.horizon, model.fps)
+        out[:, j] = _fit_length(track, out_len, model.horizon)
     return out
 
 
@@ -126,9 +125,11 @@ def _score_threshold(
 ) -> float:
     """Pooled train wMAE of the presence timeline induced by one threshold."""
     bin_presence = counts > threshold
-    preds = []
-    for r_true, expand_len in zip(train_targets, expand_lens):
-        preds.append(_predict_track(bin_presence, expand_len, r_true.shape[0], horizon, fps))
+    # The track depends on the expansion length alone, which mean mode shares
+    # across videos: compute it once per distinct length.
+    tracks = {n: _remaining_track(bin_presence, n, horizon, fps) for n in set(expand_lens)}
+    preds = [_fit_length(tracks[n], r_true.shape[0], horizon)
+             for r_true, n in zip(train_targets, expand_lens)]
     value = metrics.wmae(
         np.concatenate(preds)[:, None],
         np.concatenate(train_targets)[:, None],

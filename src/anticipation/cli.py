@@ -21,6 +21,12 @@ their checksums, and an ``error`` field holding the message.  Only
 ``baseline`` writes ``baselines/baseline_*.json``; ``evaluate`` fits the
 histogram baselines in memory.
 
+Checkpoints (``checkpoints/model_h<h>.bin``) and MC summaries
+(``summaries/summary_<id>_h<h>.bin``) share one binary container: a JSON
+header line, then raw little-endian float64 arrays.  ``predict`` writes the
+summaries; ``evaluate`` and ``analyze`` reuse them, and compute (and write)
+any that are missing from the checkpoint.
+
 Exit codes: 0 ok, 2 config error, 3 input error, 4 numeric failure,
 5 empty result.
 """
@@ -37,8 +43,6 @@ import math
 import os
 import sys
 import typing
-import zipfile
-import zlib
 from typing import Annotated, Optional, Union
 
 import numpy as np
@@ -433,10 +437,9 @@ def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
 def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float) -> inference.PredictiveSummary:
     """Read a reused summary file and check that it belongs to ``seq`` at horizon ``h``."""
     try:
-        summary = inference.load_summary_npz(path)
-    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile,
-            zlib.error) as exc:
-        raise InputError(f"unreadable summary {path}: {exc}") from None
+        summary = inference.load_summary(path)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"unreadable summary: {exc}") from None
     if summary.horizon != h:
         raise InputError(f"summary {path}: horizon {summary.horizon:g}, expected {h:g}")
     n, k = seq.n_frames, seq.n_instruments
@@ -462,7 +465,7 @@ def _summaries_for_split(config: dict, run: _Run, test_seqs: list[workflow.Proce
     samples = config["eval"]["samples"]
     summaries = []
     for idx, seq in enumerate(test_seqs):
-        rel_path = os.path.join("summaries", f"summary_{seq.id}_h{h:g}.npz")
+        rel_path = os.path.join("summaries", f"summary_{seq.id}_h{h:g}.bin")
         path = os.path.join(run.dir, rel_path)
         if reuse and os.path.exists(path):
             summary = _load_summary(path, seq, h)
@@ -490,7 +493,7 @@ def _summaries_for_split(config: dict, run: _Run, test_seqs: list[workflow.Proce
             samples=samples,
             seed=_summary_seed(config["seed"], h, idx),
         )
-        inference.save_summary_npz(summary, path)
+        inference.save_summary(summary, path)
         summaries.append(summary)
     return summaries
 

@@ -11,6 +11,12 @@ The T passes are not run one after another: their mask sets are stacked
 and run as T rows of one network scan, which gives the same samples as T
 separate passes.  Sample t's masks come from seed ``seed ^ t``; this XOR
 derivation lets the seeds of different calls collide (ROADMAP defect b).
+
+A summary is stored in the binary container of the checkpoints
+(``network.save_container``) under its own format tag: a JSON header line
+holding ``samples`` and ``horizon``, then the aggregate arrays as raw
+little-endian float64, so a reloaded summary equals the written one bit for
+bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,16 @@ import numpy as np
 
 from .labels import ANTICIPATING
 from .metrics import anticipating_selection
-from .network import NetworkConfig, Params, forward, sample_masks, softmax, stack_masks
+from .network import (
+    NetworkConfig,
+    Params,
+    forward,
+    load_container,
+    sample_masks,
+    save_container,
+    softmax,
+    stack_masks,
+)
 
 
 @dataclass
@@ -127,34 +142,28 @@ def anticipating_mask(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one compressed npz archive per summary (exact float64)
+# Serialization: one summary per file, in the checkpoints' binary container
 # ---------------------------------------------------------------------------
 
-def save_summary_npz(summary: PredictiveSummary, path: str) -> None:
-    np.savez_compressed(
-        path,
-        samples=summary.samples,
-        horizon=summary.horizon,
-        reg_mean=summary.reg_mean,
-        reg_epistemic_var=summary.reg_epistemic_var,
-        class_mean=summary.class_mean,
-        class_epistemic_var=summary.class_epistemic_var,
-        class_aleatoric_var=summary.class_aleatoric_var,
-        class_epistemic_per_class=summary.class_epistemic_per_class,
-        class_aleatoric_per_class=summary.class_aleatoric_per_class,
-    )
+SUMMARY_FORMAT = "anticipation-summary-v1"
+SUMMARY_ARRAYS = (
+    "reg_mean", "reg_epistemic_var", "class_mean", "class_epistemic_var",
+    "class_aleatoric_var", "class_epistemic_per_class", "class_aleatoric_per_class",
+)
 
 
-def load_summary_npz(path: str) -> PredictiveSummary:
-    with np.load(path) as data:
-        return PredictiveSummary(
-            samples=int(data["samples"]),
-            horizon=float(data["horizon"]),
-            reg_mean=data["reg_mean"],
-            reg_epistemic_var=data["reg_epistemic_var"],
-            class_mean=data["class_mean"],
-            class_epistemic_var=data["class_epistemic_var"],
-            class_aleatoric_var=data["class_aleatoric_var"],
-            class_epistemic_per_class=data["class_epistemic_per_class"],
-            class_aleatoric_per_class=data["class_aleatoric_per_class"],
-        )
+def save_summary(summary: PredictiveSummary, path: str) -> None:
+    """Write the aggregates of ``summary`` (not its raw samples), exact to the bit."""
+    save_container(path, SUMMARY_FORMAT, {name: getattr(summary, name) for name in SUMMARY_ARRAYS},
+                   samples=int(summary.samples), horizon=float(summary.horizon))
+
+
+def load_summary(path: str) -> PredictiveSummary:
+    """Read a :func:`save_summary` file; ``ValueError`` names the path on any defect."""
+    header, arrays = load_container(path, SUMMARY_FORMAT, required=("samples", "horizon"))
+    samples, horizon = header["samples"], header["horizon"]
+    if type(samples) is not int or samples < 1 or type(horizon) not in (int, float):
+        raise ValueError(f"{path}: malformed header: samples {samples!r}, horizon {horizon!r}")
+    if sorted(arrays) != sorted(SUMMARY_ARRAYS):
+        raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(SUMMARY_ARRAYS)}")
+    return PredictiveSummary(samples=samples, horizon=float(horizon), **arrays)

@@ -24,12 +24,17 @@ sequence length beyond its outputs.
 Everything runs on float64 numpy.  Gradients are computed by hand with
 backpropagation through time, truncated at window boundaries during
 training (state is carried forward, gradients are not).
+
+Checkpoints are written in a binary container (``save_container``) that
+MC-dropout summaries share under their own format tag: one JSON header
+line, then raw little-endian float64 arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -703,46 +708,85 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one JSON header line, then raw float64 little-endian values
+# Binary container of checkpoints and summaries: one JSON header line, then
+# raw float64 little-endian arrays in header order
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "anticipation-params-v1"
 
 
-def save_params(params: Params, path: str, config: Optional[NetworkConfig] = None) -> None:
+def save_container(path: str, tag: str, arrays: dict[str, np.ndarray], **meta) -> None:
+    """Write ``arrays`` under a header of format ``tag`` that also holds ``meta``."""
     header = {
-        "format": CHECKPOINT_FORMAT,
+        "format": tag,
         "dtype": "<f8",
-        "params": [[name, list(value.shape)] for name, value in params.items()],
-        "config_hash": config_hash(config) if config is not None else None,
+        # The array list keeps the key of the first format, checkpoints.
+        "params": [[name, list(value.shape)] for name, value in arrays.items()],
+        **meta,
     }
+    chunks = [json.dumps(header, sort_keys=True).encode() + b"\n"]
+    chunks += [np.ascontiguousarray(value, dtype="<f8").tobytes() for value in arrays.values()]
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for value in params.values():
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        fh.write(b"".join(chunks))  # one write call: measurably faster than one per array
+
+
+def _is_entry(entry) -> bool:
+    """``[name, shape]`` with a string name and a list of non-negative ints."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(d) is int and d >= 0 for d in entry[1]))
+
+
+def load_container(path: str, tag: str, required: tuple[str, ...] = ()) -> tuple[dict, Params]:
+    """Read a :func:`save_container` file of format ``tag``: its header and its arrays.
+
+    ``required`` names header keys the caller needs besides the array list.
+    ``ValueError`` names the path on any defect: a foreign or malformed
+    header, an array cut short, or bytes beyond the declared arrays.  The
+    arrays are writable views of one buffer read in a single call.
+    """
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline().decode())
+        except (ValueError, RecursionError):  # binary garbage or a broken header line
+            header = None
+        if not isinstance(header, dict) or header.get("format") != tag:
+            raise ValueError(f"{path}: not an {tag} file")
+        missing = [key for key in ("dtype", "params", *required) if key not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+        entries = header["params"]
+        if header["dtype"] != "<f8" or not isinstance(entries, list) \
+                or not all(_is_entry(e) for e in entries) \
+                or len({name for name, _ in entries}) != len(entries):
+            raise ValueError(f"{path}: malformed header: expected dtype '<f8' and a list of "
+                             "distinct [name, [non-negative ints]] arrays")
+        payload = bytearray(fh.read())
+    arrays: Params = {}
+    offset = 0
+    for name, shape in entries:
+        count = math.prod(shape)
+        if offset + 8 * count > len(payload):
+            raise ValueError(f"{path}: truncated file: array {name!r} needs {8 * count} bytes, "
+                             f"found {len(payload) - offset}")
+        try:
+            arrays[name] = np.frombuffer(payload, "<f8", count, offset).reshape(shape)
+        except ValueError as exc:  # a dimension numpy cannot index
+            raise ValueError(f"{path}: array {name!r} of shape {shape}: {exc}") from None
+        offset += 8 * count
+    if offset != len(payload):
+        raise ValueError(f"{path}: {len(payload) - offset} bytes beyond the declared arrays")
+    return header, arrays
+
+
+def save_params(params: Params, path: str, config: Optional[NetworkConfig] = None) -> None:
+    save_container(path, CHECKPOINT_FORMAT, params,
+                   config_hash=config_hash(config) if config is not None else None)
 
 
 def load_params(path: str, config: Optional[NetworkConfig] = None) -> Params:
     """Read a :func:`save_params` checkpoint; ``ValueError`` names the path on any defect."""
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode())
-        except ValueError:  # binary garbage or a broken header line
-            header = None
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a parameter checkpoint")
-        if config is not None and header.get("config_hash") not in (None, config_hash(config)):
-            raise ValueError(f"{path}: checkpoint was written for a different configuration")
-        params: Params = {}
-        for name, shape in header["params"]:
-            size = 8 * int(np.prod(shape))
-            data = fh.read(size)
-            if len(data) != size:
-                raise ValueError(
-                    f"{path}: truncated checkpoint: parameter {name!r} needs {size} bytes, "
-                    f"found {len(data)}"
-                )
-            params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError(f"{path}: checkpoint has bytes beyond its declared parameters")
+    header, params = load_container(path, CHECKPOINT_FORMAT)
+    if config is not None and header.get("config_hash") not in (None, config_hash(config)):
+        raise ValueError(f"{path}: checkpoint was written for a different configuration")
     return params

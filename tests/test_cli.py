@@ -324,7 +324,7 @@ class TestExitCodes:
 
     def test_empty_analysis(self, config_path, tmp_path):
         """Hand-written summaries with no anticipating predictions anywhere."""
-        from anticipation.inference import PredictiveSummary, save_summary_npz
+        from anticipation.inference import PredictiveSummary, save_summary
 
         out = str(tmp_path / "run")
         run_chain(config_path, out, commands=("simulate",))
@@ -347,8 +347,7 @@ class TestExitCodes:
                 class_epistemic_per_class=np.zeros((n, 2, 3)),
                 class_aleatoric_per_class=np.zeros((n, 2, 3)),
             )
-            save_summary_npz(summary, os.path.join(out, "summaries",
-                                                   f"summary_{seq_id}_h3.npz"))
+            save_summary(summary, os.path.join(out, "summaries", f"summary_{seq_id}_h3.bin"))
         assert cli.main(["analyze", "--config", config_path, "--out", out]) == 5
 
     def test_programmatic_run_wrapper(self, config_path, tmp_path):
@@ -390,10 +389,10 @@ def copy_run(predicted_run, tmp_path):
 class TestDamagedRunDirectory:
     """Damaged or mismatched artifacts exit 3 and name the file, never a traceback."""
 
-    def test_summaries_are_npz_listed_in_manifest(self, predicted_run):
+    def test_summaries_are_bin_listed_in_manifest(self, predicted_run):
         _, out = predicted_run
         files = sorted(os.listdir(os.path.join(out, "summaries")))
-        assert files and all(f.endswith(".npz") for f in files)
+        assert files and all(f.endswith(".bin") for f in files)
         run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
         assert run["command"] == "predict"
         for name in files:
@@ -412,17 +411,17 @@ class TestDamagedRunDirectory:
             assert path in capsys.readouterr().err
 
     def test_summary_of_wrong_length(self, predicted_run, tmp_path, capsys):
-        from anticipation.inference import load_summary_npz, save_summary_npz
+        from anticipation.inference import load_summary, save_summary
 
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
-        summary = load_summary_npz(path)
+        summary = load_summary(path)
         n = summary.n_frames
         for name in ("reg_mean", "reg_epistemic_var", "class_mean", "class_epistemic_var",
                      "class_aleatoric_var", "class_epistemic_per_class",
                      "class_aleatoric_per_class"):
             setattr(summary, name, getattr(summary, name)[: n - 7])
-        save_summary_npz(summary, path)
+        save_summary(summary, path)
         for command in ("evaluate", "analyze"):
             capsys.readouterr()
             assert cli.main([command, "--config", config_path, "--out", out]) == 3
@@ -431,7 +430,7 @@ class TestDamagedRunDirectory:
 
     def test_summary_of_other_sample_count_recomputed_with_overwrite(self, predicted_run,
                                                                       tmp_path):
-        from anticipation.inference import load_summary_npz
+        from anticipation.inference import load_summary
 
         config_path, out = copy_run(predicted_run, tmp_path)
         assert cli.main(["evaluate", "--config", config_path, "--out", out,
@@ -441,7 +440,7 @@ class TestDamagedRunDirectory:
         files = sorted(os.listdir(os.path.join(out, "summaries")))
         for name in files:
             rel = os.path.join("summaries", name)
-            assert load_summary_npz(os.path.join(out, rel)).samples == 7
+            assert load_summary(os.path.join(out, rel)).samples == 7
             assert run["artifacts"][rel] == checksum(os.path.join(out, rel))
 
     def test_summary_of_other_sample_count_refused(self, predicted_run, tmp_path, capsys):
@@ -463,6 +462,74 @@ class TestDamagedRunDirectory:
         assert cli.main(["predict", "--config", config_path, "--out", out, "--overwrite"]) == 3
         err = capsys.readouterr().err
         assert path in err and "truncated" in err
+
+    def test_truncation_sweep(self, predicted_run, tmp_path, capsys):
+        """Every proper prefix of a summary is an input error naming the file."""
+        from anticipation.inference import SUMMARY_ARRAYS, load_summary, save_summary
+
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
+        data = open(path, "rb").read()
+        # At the CLI: cuts in the header, at its end and around each array boundary.
+        head = data.index(b"\n") + 1
+        summary = load_summary(path)
+        ends = head + np.cumsum([getattr(summary, name).nbytes for name in SUMMARY_ARRAYS])
+        assert ends[-1] == len(data)
+        cuts = sorted({0, 1, head // 2, head - 1, head, head + 1, len(data) - 1}
+                      | {int(end) + d for end in ends[:-1] for d in (-1, 0, 1)})
+        for cut in cuts:
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            capsys.readouterr()
+            assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 3, cut
+            assert path in capsys.readouterr().err
+        # Every prefix of a small summary, through the loader the CLI uses.
+        for name in SUMMARY_ARRAYS:
+            setattr(summary, name, getattr(summary, name)[:2])
+        save_summary(summary, path)
+        data = open(path, "rb").read()
+        seq = cli.load_dataset(os.path.join(out, "dataset"), "test")[0]
+        for cut in range(len(data)):
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            with pytest.raises(cli.InputError) as info:
+                cli._load_summary(path, seq, 3.0)
+            assert path in str(info.value), cut
+
+    def test_old_npz_summaries_are_recomputed(self, predicted_run, tmp_path):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        summary_dir = os.path.join(out, "summaries")
+        before = {name: checksum(os.path.join(summary_dir, name)) for name in os.listdir(summary_dir)}
+        for name in before:
+            os.rename(os.path.join(summary_dir, name), os.path.join(summary_dir, name[:-4] + ".npz"))
+        assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 0
+        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        for name, digest in before.items():
+            assert checksum(os.path.join(summary_dir, name)) == digest
+            assert run["artifacts"][os.path.join("summaries", name)] == digest
+
+    @pytest.mark.parametrize("artifact", ["checkpoint", "summary"])
+    @pytest.mark.parametrize("damage", ["params deleted", "shape 'xx'"])
+    def test_damaged_container_header(self, predicted_run, tmp_path, capsys, artifact, damage):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        if artifact == "checkpoint":
+            path = os.path.join(out, "checkpoints", "model_h3.bin")
+            command = ["predict", "--overwrite"]
+        else:
+            path = os.path.join(out, "summaries",
+                                sorted(os.listdir(os.path.join(out, "summaries")))[0])
+            command = ["evaluate"]
+        with open(path, "rb") as fh:
+            header, payload = json.loads(fh.readline()), fh.read()
+        if damage == "params deleted":
+            del header["params"]
+        else:
+            header["params"][0][1] = "xx"
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + payload)
+        assert cli.main([command[0], "--config", config_path, "--out", out, *command[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and path in err
 
     def test_checkpoint_for_other_model_config(self, predicted_run, tmp_path, capsys):
         _, out = copy_run(predicted_run, tmp_path)
@@ -564,7 +631,7 @@ class TestRunLedger:
 
     @staticmethod
     def write_summaries(out, h, anticipating):
-        from anticipation.inference import PredictiveSummary, save_summary_npz
+        from anticipation.inference import PredictiveSummary, save_summary
 
         rng = np.random.default_rng(int(h))
         for seq in cli.load_dataset(os.path.join(out, "dataset"), "test"):
@@ -580,8 +647,8 @@ class TestRunLedger:
                 class_epistemic_per_class=np.zeros((n, 2, 3)),
                 class_aleatoric_per_class=np.zeros((n, 2, 3)),
             )
-            save_summary_npz(summary, os.path.join(out, "summaries",
-                                                   f"summary_{seq.id}_h{h:g}.npz"))
+            save_summary(summary, os.path.join(out, "summaries",
+                                               f"summary_{seq.id}_h{h:g}.bin"))
 
     def test_partial_failure_lists_what_was_written(self, tmp_path, capsys):
         config_path = tmp_path / "c.json"

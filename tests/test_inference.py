@@ -1,7 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import serial_mc_predict
 
 from anticipation import (
@@ -12,7 +16,7 @@ from anticipation import (
     init_params,
     mc_predict,
 )
-from anticipation.inference import load_summary_npz, save_summary_npz
+from anticipation.inference import SUMMARY_ARRAYS, load_summary, save_summary
 from anticipation.network import BLOCK
 
 
@@ -202,14 +206,57 @@ class TestAnticipatingMask:
 
 
 class TestSerialization:
-    def test_npz_round_trip_exact(self, tmp_path):
+    def test_bin_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         s = summary_from(rng.uniform(0, 3, (4, 6, 2)), rng.dirichlet([1, 1, 1], size=(4, 6, 2)))
-        path = str(tmp_path / "summary.npz")
-        save_summary_npz(s, path)
-        again = load_summary_npz(path)
+        path = str(tmp_path / "summary.bin")
+        save_summary(s, path)
+        again = load_summary(path)
         assert again.samples == s.samples and again.horizon == s.horizon
         for attr in ("reg_mean", "reg_epistemic_var", "class_mean",
                      "class_epistemic_var", "class_aleatoric_var",
                      "class_epistemic_per_class", "class_aleatoric_per_class"):
             np.testing.assert_array_equal(getattr(again, attr), getattr(s, attr))
+
+    @settings(deadline=None)
+    @given(
+        arrays=st.fixed_dictionaries({name: hnp.arrays(
+            np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+            elements=st.one_of(st.floats(),
+                               st.sampled_from([-0.0, 5e-324, -2.5e-310, np.inf, -np.inf])),
+        ) for name in SUMMARY_ARRAYS}),
+        samples=st.integers(1, 2 ** 53),
+        horizon=st.floats(allow_nan=False),
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, arrays, samples, horizon):
+        path = str(tmp_path_factory.mktemp("summary") / "summary.bin")
+        save_summary(PredictiveSummary(samples=samples, horizon=horizon, **arrays), path)
+        again = load_summary(path)
+        assert again.samples == samples
+        assert np.float64(again.horizon).tobytes() == np.float64(horizon).tobytes()
+        for name, value in arrays.items():
+            assert getattr(again, name).shape == value.shape
+            assert getattr(again, name).tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        lambda h: h.pop("samples"),
+        lambda h: h.pop("horizon"),
+        lambda h: h.update(samples="3"),
+        lambda h: h.update(samples=0),
+        lambda h: h.update(samples=True),
+        lambda h: h.update(horizon="3.0"),
+        lambda h: h["params"][0].__setitem__(1, "xx"),
+        lambda h: h["params"][0].__setitem__(0, "reg_samples"),
+        lambda h: h.update(format="anticipation-params-v1"),
+    ])
+    def test_damaged_header_is_a_value_error_naming_the_path(self, tmp_path, damage):
+        path = str(tmp_path / "summary.bin")
+        save_summary(two_sample_summary(), path)
+        with open(path, "rb") as fh:
+            header, payload = json.loads(fh.readline()), fh.read()
+        damage(header)
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError) as info:
+            load_summary(path)
+        assert str(info.value).startswith(path)

@@ -1,7 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from anticipation import (
@@ -19,7 +23,9 @@ from anticipation import (
 from anticipation.errors import NumericError
 from anticipation.network import (
     BLOCK,
+    CHECKPOINT_FORMAT,
     Adam,
+    load_container,
     loss_and_gradients,
     n_params,
     sigmoid,
@@ -534,6 +540,13 @@ class TestLockstep:
         assert steps == []
 
 
+# Any float64, with the values a text format would lose made likely.
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-310, np.inf, -np.inf])),
+)
+
+
 class TestCheckpoints:
     def test_exact_round_trip(self, tmp_path):
         config = tiny_config(phase_classes=3)
@@ -544,6 +557,55 @@ class TestCheckpoints:
         assert list(again) == list(params)
         for k in params:
             np.testing.assert_array_equal(again[k], params[k])
+
+    @settings(deadline=None)
+    @given(params=st.dictionaries(st.text(max_size=6), FLOAT_ARRAYS, max_size=4))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, params):
+        path = str(tmp_path_factory.mktemp("ckpt") / "model.bin")
+        save_params(params, path)
+        again = load_params(path)
+        assert list(again) == list(params)
+        for name, value in params.items():
+            assert again[name].shape == value.shape
+            assert again[name].tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda h: h.pop("params"), "header lacks params"),
+        (lambda h: h.pop("dtype"), "header lacks dtype"),
+        (lambda h: h.update(dtype=">f8"), "malformed header"),
+        (lambda h: h.update(params={"enc0_W": [2, 3]}), "malformed header"),
+        (lambda h: h["params"][0].__setitem__(1, "xx"), "malformed header"),
+        (lambda h: h["params"][0].__setitem__(1, [2, -3]), "malformed header"),
+        (lambda h: h["params"][0].__setitem__(1, [2.0, 3]), "malformed header"),
+        (lambda h: h["params"][0].__setitem__(1, [True, 3]), "malformed header"),
+        (lambda h: h["params"][0].__setitem__(0, 7), "malformed header"),
+        (lambda h: h["params"][0].append([1]), "malformed header"),
+        (lambda h: h["params"].append(list(h["params"][0])), "malformed header"),
+        (lambda h: h["params"][0].__setitem__(1, [10 ** 30]), "truncated"),
+        (lambda h: h["params"].insert(0, ["empty", [0, 2 ** 70]]), "'empty'"),
+        (lambda h: h["params"][-1].__setitem__(1, [0]), "bytes beyond"),
+        (lambda h: h.update(format="anticipation-summary-v1"), "not an anticipation-params-v1"),
+    ])
+    def test_damaged_header_is_a_value_error_naming_the_path(self, tmp_path, damage, message):
+        config = tiny_config()
+        path = str(tmp_path / "model.bin")
+        save_params(init_params(config, seed=0), path, config)
+        with open(path, "rb") as fh:
+            header, payload = json.loads(fh.readline()), fh.read()
+        damage(header)
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=message) as info:
+            load_params(path, config)
+        assert str(info.value).startswith(path)
+
+    def test_unparsable_header_is_a_value_error(self, tmp_path):
+        path = str(tmp_path / "model.bin")
+        for head in (b"\xff\xfe\n", b"[" * 100_000 + b"\n", b"[]\n", b""):
+            with open(path, "wb") as fh:
+                fh.write(head)
+            with pytest.raises(ValueError, match="not an anticipation-params-v1 file"):
+                load_container(path, CHECKPOINT_FORMAT)
 
     def test_config_hash_mismatch_rejected(self, tmp_path):
         config = tiny_config()
