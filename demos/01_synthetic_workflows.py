@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Generate synthetic procedures and round-trip them through annotation files.
+"""Generate synthetic procedures and round-trip them through annotation and feature files.
 
 A procedure is a few hundred frames (1 fps) of per-instrument presence
 flags, a phase index, and observable feature vectors.  Instrument 0 acts
@@ -58,10 +58,12 @@ with tempfile.TemporaryDirectory() as tmp:
     assert np.array_equal(again.phase, seq.phase)
     print(f"round trip through {os.path.basename(path)}: presence and phase identical")
 
-    feat_path = os.path.join(tmp, "proc.features.bin")
-    ant.save_features(seq.features, feat_path, format="binary")
+    feat_path = os.path.join(tmp, "proc.features.csv")
+    ant.save_features(seq.features, feat_path)
     restored = ant.attach_features(again, feat_path)
-    print(f"features reattached from binary file: shape {restored.features.shape}")
+    assert np.array_equal(restored.features, seq.features)
+    print(f"features reattached from {os.path.basename(feat_path)}: "
+          f"shape {restored.features.shape}, identical")
 
 # Features decode the scene: correlate each frame with the signatures.
 inst_sig, phase_sig = config.signature_matrices()

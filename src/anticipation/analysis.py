@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .inference import anticipating_mask
-from .labels import ANTICIPATING
+from .labels import ANTICIPATING, PRESENT
 
 
 def lower_median(values: np.ndarray) -> float:
@@ -231,36 +231,38 @@ class TriggerResult:
     hidden: TriggerCondition
 
 
+def _seen_within(track: np.ndarray, memory_frames: int) -> np.ndarray:
+    """True where ``track`` was true in this frame or one of the ``memory_frames`` before."""
+    seen = track.copy()
+    for shift in range(1, min(memory_frames, track.size - 1) + 1):
+        seen[shift:] |= track[:-shift]
+    return seen
+
+
 def trigger_conditional_uncertainty(
     summaries,
     targets,
     target: int,
     trigger: int,
-    trigger_presence=None,
     memory_frames: int = 0,
 ) -> TriggerResult:
     """Uncertainty of anticipating predictions for ``target`` split by
     whether ``trigger`` is currently visible.
 
-    ``trigger_presence`` defaults to the trigger instrument's own presence
-    column in the pooled targets' sequences and must otherwise be given as
-    one boolean track per sequence.  ``memory_frames`` widens the visible
-    condition to "seen within the last m frames".
+    The trigger is visible in the frames ``targets`` label it ``PRESENT``,
+    i.e. where it is annotated present.  ``memory_frames`` widens the
+    visible condition to "seen within the last m frames" of the same
+    sequence; the window never reaches across sequences.
     """
     if target == trigger:
         raise ValueError("target and trigger must be different instruments")
     pool = _pool(summaries, targets)
-    if trigger_presence is None:
-        raise ValueError("trigger_presence track(s) required")
-    tracks = [np.asarray(p, dtype=bool) for p in _as_list(trigger_presence)]
-    visible = np.concatenate(tracks)
-    if visible.shape[0] != pool["remaining"].shape[0]:
-        raise ValueError("trigger presence length does not match pooled frames")
-    if memory_frames > 0:
-        widened = visible.copy()
-        for shift in range(1, memory_frames + 1):
-            widened[shift:] |= visible[:-shift]
-        visible = widened
+    k = pool["remaining"].shape[1]
+    for name, index in (("target", target), ("trigger", trigger)):
+        if not 0 <= index < k:
+            raise ValueError(f"{name} {index} out of range for {k} instruments")
+    visible = np.concatenate([_seen_within(t.classes[:, trigger] == PRESENT, memory_frames)
+                              for t in _as_list(targets)])
 
     conditions = []
     for cond_visible in (True, False):

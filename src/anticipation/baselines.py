@@ -81,22 +81,15 @@ def _fit_length(track: np.ndarray, out_len: int, horizon: float) -> np.ndarray:
     return np.concatenate([track, np.full(out_len - track.shape[0], horizon)])
 
 
-def predict_baseline(model: BaselineModel, duration: Optional[int] = None) -> np.ndarray:
+def predict_baseline(model: BaselineModel, duration: int) -> np.ndarray:
     """Per-frame, per-instrument predictions in ``[0, horizon]`` minutes.
 
     ``duration`` is the frame count of the evaluated video.  Oracle mode
-    requires it and expands the estimated timeline to it; mean mode expands
-    to the stored mean duration and truncates or pads (with the horizon) to
-    ``duration`` when given.
+    expands the estimated timeline to it; mean mode expands to the stored
+    mean duration and truncates or pads (with the horizon) to ``duration``.
     """
-    if model.mode == "oracle":
-        if duration is None:
-            raise ValueError("oracle mode requires the true video duration")
-        expand_len = int(duration)
-        out_len = int(duration)
-    else:
-        expand_len = model.mean_duration
-        out_len = int(duration) if duration is not None else model.mean_duration
+    out_len = int(duration)
+    expand_len = out_len if model.mode == "oracle" else model.mean_duration
     bin_presence = model.bin_presence()
     out = np.empty((out_len, model.n_instruments))
     for j in range(model.n_instruments):

@@ -21,6 +21,12 @@ their checksums, and an ``error`` field holding the message.  Only
 ``baseline`` writes ``baselines/baseline_*.json``; ``evaluate`` fits the
 histogram baselines in memory.
 
+A dataset split holds ``<id>.csv`` annotations and, for the network,
+``<id>.features.csv`` per-frame features.  Every command reads the
+annotations; only the commands that run the network read feature files:
+``train`` those of the train split, and ``predict``, ``evaluate`` and
+``analyze`` those of the test sequences whose summaries they compute.
+
 Checkpoints (``checkpoints/model_h<h>.bin``) and MC summaries
 (``summaries/summary_<id>_h<h>.bin``) share one binary container: a JSON
 header line, then raw little-endian float64 arrays.  ``predict`` writes the
@@ -322,21 +328,35 @@ class _Run:
 
 
 def load_dataset(data_dir: str, split: str, fps: float = 1.0) -> list[workflow.ProcedureSequence]:
+    """The annotations of one split, without features: see :func:`_with_features`."""
     split_dir = os.path.join(data_dir, split)
     if not os.path.isdir(split_dir):
         raise InputError(f"dataset split directory not found: {split_dir}")
-    sequences = []
-    for path in sorted(glob.glob(os.path.join(split_dir, "*.csv"))):
-        if path.endswith(".features.csv"):
-            continue
-        seq = workflow.load_annotations(path, format="generic_csv", fps=fps)
-        feature_path = path[:-4] + ".features.csv"
-        if os.path.exists(feature_path):
-            seq = workflow.attach_features(seq, feature_path)
-        sequences.append(seq)
+    sequences = [workflow.load_annotations(path, format="generic_csv", fps=fps)
+                 for path in sorted(glob.glob(os.path.join(split_dir, "*.csv")))
+                 if not path.endswith(".features.csv")]
     if not sequences:
         raise InputError(f"no sequences found in {split_dir}")
     return sequences
+
+
+def _with_features(seq: workflow.ProcedureSequence, run: _Run, split: str,
+                   width: Optional[int] = None, source: str = "") -> workflow.ProcedureSequence:
+    """``seq`` with features, its feature file read unless they are attached already.
+
+    An InputError names a feature file that is missing or, given ``width``,
+    has another number of columns than ``source``.
+    """
+    path = os.path.join(run.data_dir, split, f"{seq.id}.features.csv")
+    if seq.features is None:
+        try:
+            seq = workflow.attach_features(seq, path)
+        except FileNotFoundError:
+            raise InputError(f"feature file not found: {path} "
+                             "(the model needs one per sequence)") from None
+    if width is not None and seq.feature_dim != width:
+        raise InputError(f"{path}: {seq.feature_dim} feature columns, expected {width} ({source})")
+    return seq
 
 
 def _summary_seed(seed: int, horizon: float, index: int) -> int:
@@ -364,14 +384,6 @@ def _instrument_subset(config: dict, names: tuple[str, ...]) -> list[int]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _features(seq: workflow.ProcedureSequence, run: _Run, split: str) -> np.ndarray:
-    """Features of ``seq``, or an InputError naming its missing feature file."""
-    if seq.features is None:
-        path = os.path.join(run.data_dir, split, f"{seq.id}.features.csv")
-        raise InputError(f"feature file not found: {path} (the model needs one per sequence)")
-    return seq.features
-
-
 def cmd_simulate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     sim = sim_config_from_dict(config["sim"])
     n_train, n_test = config["split"]["n_train"], config["split"]["n_test"]
@@ -380,7 +392,7 @@ def cmd_simulate(config: dict, run: _Run, args: argparse.Namespace) -> None:
         base = os.path.join("dataset", "train" if i < n_train else "test", seq.id)
         csv_path, features_path = run.claim(base + ".csv", base + ".features.csv")
         workflow.save_annotations(seq, csv_path)
-        workflow.save_features(seq.features, features_path, format="csv")
+        workflow.save_features(seq.features, features_path)
 
 
 def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
@@ -411,14 +423,15 @@ def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
 def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
     train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
     classes = config["model"]["phase_classes"]
-    for seq in train_seqs:
-        _features(seq, run, "train")
+    for i, seq in enumerate(train_seqs):
+        seq = train_seqs[i] = _with_features(seq, run, "train", train_seqs[0].feature_dim,
+                                             "as in the first train file")
         if classes and (seq.phase is None or int(seq.phase.max()) >= classes):
             found = ("its annotations have no phase column" if seq.phase is None
                      else f"it has phase index {int(seq.phase.max())}")
             raise ConfigError(f"model.phase_classes: a head of {classes} class(es) does not fit "
                               f"sequence {seq.id!r}: {found}")
-    dims = train_seqs[0].features.shape[1], train_seqs[0].n_instruments
+    dims = train_seqs[0].feature_dim, train_seqs[0].n_instruments
     net_configs = [network_config(config, *dims, h) for h in config["horizons"]]
     outputs = [run.claim(os.path.join("checkpoints", f"model_h{h:g}.bin"),
                          os.path.join("reports", f"train_log_h{h:g}.csv"))
@@ -460,7 +473,12 @@ def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float) -> infer
 
 def _summaries_for_split(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequence],
                          h: float, reuse: bool = True) -> list[inference.PredictiveSummary]:
-    """MC summaries for every test sequence (reusing files when present)."""
+    """MC summaries for every test sequence (reusing files when present).
+
+    Only a summary that is computed reads the feature file of its sequence.
+    The sequence with its features replaces the one in ``test_seqs``, so a
+    later horizon does not read the file again.
+    """
     params = net_config = None
     samples = config["eval"]["samples"]
     summaries = []
@@ -477,19 +495,21 @@ def _summaries_for_split(config: dict, run: _Run, test_seqs: list[workflow.Proce
                     f"summary {path}: drawn with {summary.samples} MC samples, eval.samples is "
                     f"{samples} (use --overwrite to recompute it)"
                 )
-        features = _features(seq, run, "test")
+        width = None if net_config is None else net_config.input_dim
+        seq = test_seqs[idx] = _with_features(seq, run, "test", width,
+                                              "the checkpoint's input_dim")
         if params is None:
             ckpt_path = os.path.join(run.dir, "checkpoints", f"model_h{h:g}.bin")
             if not os.path.exists(ckpt_path):
                 raise InputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
-            net_config = network_config(config, features.shape[1], seq.n_instruments, h)
+            net_config = network_config(config, seq.feature_dim, seq.n_instruments, h)
             try:
                 params = network.load_params(ckpt_path, net_config)
             except ValueError as exc:
                 raise InputError(str(exc)) from None
         run.claim(rel_path)
         summary = inference.mc_predict(
-            params, net_config, features,
+            params, net_config, seq.features,
             samples=samples,
             seed=_summary_seed(config["seed"], h, idx),
         )
@@ -568,11 +588,9 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
             for key in ("trigger", "target"):
                 if not 0 <= trigger_cfg[key] < k:
                     raise ConfigError(f"analysis.trigger.{key} out of range for {k} instruments")
-            tracks = [s.presence[:, trigger_cfg["trigger"]] for s in test_seqs]
             trigger_result = analysis.trigger_conditional_uncertainty(
                 summaries, targets,
                 target=trigger_cfg["target"], trigger=trigger_cfg["trigger"],
-                trigger_presence=tracks,
                 memory_frames=config["analysis"]["memory_frames"],
             )
             trig_path, = run.claim(os.path.join("reports", f"analysis_trigger_h{h:g}.csv"))

@@ -46,7 +46,7 @@ class PredictiveSummary:
 
     Class variances come in a class-averaged form (the headline uncertainty
     numbers) and a per-class form kept for analyses that look at a single
-    class.  ``reg_samples``/``class_samples`` are retained when requested.
+    class.
     """
 
     samples: int
@@ -58,8 +58,6 @@ class PredictiveSummary:
     class_aleatoric_var: np.ndarray      # (n, K), averaged over classes
     class_epistemic_per_class: np.ndarray  # (n, K, 3)
     class_aleatoric_per_class: np.ndarray  # (n, K, 3)
-    reg_samples: Optional[np.ndarray] = None    # (T, n, K)
-    class_samples: Optional[np.ndarray] = None  # (T, n, K, 3)
 
     @property
     def n_frames(self) -> int:
@@ -74,7 +72,6 @@ def aggregate_samples(
     reg_samples: np.ndarray,
     class_samples: np.ndarray,
     horizon: float,
-    keep_samples: bool = False,
 ) -> PredictiveSummary:
     """Reduce raw MC samples to a :class:`PredictiveSummary`.
 
@@ -97,8 +94,6 @@ def aggregate_samples(
         class_aleatoric_var=alea_pc.mean(axis=2),
         class_epistemic_per_class=epi_pc,
         class_aleatoric_per_class=alea_pc,
-        reg_samples=reg_samples if keep_samples else None,
-        class_samples=class_samples if keep_samples else None,
     )
 
 
@@ -108,7 +103,6 @@ def mc_predict(
     features: np.ndarray,
     samples: int = 10,
     seed: int = 0,
-    keep_samples: bool = False,
 ) -> PredictiveSummary:
     """Draw ``samples`` mask sets, run them as the rows of one forward pass, aggregate.
 
@@ -122,7 +116,7 @@ def mc_predict(
     outputs, _ = forward(params, masks, features, config)
     reg = np.clip(outputs.regression, 0.0, config.horizon)
     cls = softmax(outputs.class_logits)
-    return aggregate_samples(reg, cls, config.horizon, keep_samples=keep_samples)
+    return aggregate_samples(reg, cls, config.horizon)
 
 
 def anticipating_mask(

@@ -779,14 +779,20 @@ def load_container(path: str, tag: str, required: tuple[str, ...] = ()) -> tuple
     return header, arrays
 
 
-def save_params(params: Params, path: str, config: Optional[NetworkConfig] = None) -> None:
-    save_container(path, CHECKPOINT_FORMAT, params,
-                   config_hash=config_hash(config) if config is not None else None)
+def save_params(params: Params, path: str, config: NetworkConfig) -> None:
+    """Write a checkpoint of ``params`` stamped with the hash of ``config``."""
+    save_container(path, CHECKPOINT_FORMAT, params, config_hash=config_hash(config))
 
 
-def load_params(path: str, config: Optional[NetworkConfig] = None) -> Params:
-    """Read a :func:`save_params` checkpoint; ``ValueError`` names the path on any defect."""
+def load_params(path: str, config: NetworkConfig) -> Params:
+    """Read a :func:`save_params` checkpoint written for ``config``.
+
+    ``ValueError`` names the path on any defect, including a config hash
+    that is missing or belongs to another configuration.
+    """
     header, params = load_container(path, CHECKPOINT_FORMAT)
-    if config is not None and header.get("config_hash") not in (None, config_hash(config)):
-        raise ValueError(f"{path}: checkpoint was written for a different configuration")
+    found, expected = header.get("config_hash"), config_hash(config)
+    if found != expected:
+        raise ValueError(f"{path}: checkpoint was written for a different configuration "
+                         f"(config hash {found!r}, expected {expected!r})")
     return params

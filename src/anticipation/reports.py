@@ -265,8 +265,8 @@ def plot_filter_curves(curves: Sequence[FilterCurve], path: str,
     fig.write(path)
 
 
-def plot_trigger_box(result: TriggerResult, path: str, quantity: str = "cls_aleatoric") -> None:
-    """Box plot of ``quantity`` with the trigger visible and not visible.
+def plot_trigger_box(result: TriggerResult, path: str) -> None:
+    """Box plot of the class aleatoric variance with the trigger visible and not visible.
 
     Boxes span the quartiles around the median; whiskers reach the most
     extreme values within 1.5 IQR, and values beyond them are drawn as
@@ -274,14 +274,14 @@ def plot_trigger_box(result: TriggerResult, path: str, quantity: str = "cls_alea
     """
     groups = []
     for condition in (result.visible, result.hidden):
-        values = np.asarray(getattr(condition, quantity), dtype=np.float64)
+        values = np.asarray(condition.cls_aleatoric, dtype=np.float64)
         groups.append(values[np.isfinite(values)])
     ylim, yticks = _axis(np.concatenate(groups))
     xticks = [(1.0, f"trigger visible (n={groups[0].size})"),
               (2.0, f"not visible (n={groups[1].size})")]
     fig = _Figure((0.5, 2.5), ylim, xticks, yticks,
                   f"trigger instrument {result.trigger}, target {result.target}",
-                  quantity.replace("_", " "))
+                  "cls aleatoric")
     for pos, values in zip((1.0, 2.0), groups):
         if not values.size:
             fig.text(fig.x(pos), (_TOP + _BOTTOM) / 2, "no data", anchor="middle")

@@ -9,6 +9,10 @@ instrument usage segments inside phases, fires trigger rules (instrument A
 makes instrument B appear after a delay), and emits decodable features.
 All randomness is derived from ``(config, seed)``, so generation is
 reproducible byte for byte.
+
+On disk a procedure is an annotation CSV plus, for the predictor, one
+feature CSV of one row per frame (:func:`save_features`); features are
+attached to loaded annotations with :func:`attach_features`.
 """
 
 from __future__ import annotations
@@ -434,61 +438,32 @@ def save_annotations(seq: ProcedureSequence, path: str) -> None:
 # Feature files
 # ---------------------------------------------------------------------------
 
-def save_features(features: np.ndarray, path: str, format: str = "csv") -> None:
-    """Write per-frame features as CSV or raw little-endian float32 rows.
-
-    The binary format stores a one-line sidecar header ``F=<dim> n=<frames>``
-    at ``path + '.hdr'``.
-    """
+def save_features(features: np.ndarray, path: str) -> None:
+    """Write per-frame features as CSV, one row per frame, exact to the bit."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a (n, F) array")
-    if format == "csv":
-        np.savetxt(path, features, delimiter=",", fmt="%.17g")
-    elif format == "binary":
-        features.astype("<f4").tofile(path)
-        with open(path + ".hdr", "w", encoding="utf-8") as fh:
-            fh.write(f"F={features.shape[1]} n={features.shape[0]}\n")
-    else:
-        raise ValueError(f"unknown feature format {format!r}")
+    np.savetxt(path, features, delimiter=",", fmt="%.17g")
 
 
 def load_features(path: str) -> np.ndarray:
-    """Read a feature file written by :func:`save_features` (either format)."""
-    if os.path.exists(path + ".hdr"):
-        with open(path + ".hdr", "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-        try:
-            fields = dict(part.split("=") for part in header.split())
-            dim, n = int(fields["F"]), int(fields["n"])
-        except (ValueError, KeyError):
-            raise AnnotationParseError(f"{path}.hdr: malformed sidecar header {header!r}") from None
-        raw = np.fromfile(path, dtype="<f4")
-        if raw.size != dim * n:
-            raise AnnotationParseError(
-                f"{path}: expected {dim * n} float32 values per sidecar header, found {raw.size}"
-            )
-        return raw.reshape(n, dim).astype(np.float64)
+    """Read a feature CSV written by :func:`save_features` as an (n, F) array."""
     try:
         return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise AnnotationParseError(f"{path}: malformed feature CSV: {exc}") from None
 
 
-def attach_features(seq: ProcedureSequence, source, seed: int = 0) -> ProcedureSequence:
-    """Return a copy of ``seq`` with features from a file or a :class:`SimConfig`.
+def attach_features(seq: ProcedureSequence, path: str) -> ProcedureSequence:
+    """Return a copy of ``seq`` with the features of the CSV file at ``path``.
 
-    A path source is loaded with :func:`load_features`; a :class:`SimConfig`
-    source emits synthetic features from the sequence's own presence and
-    phase tracks.  Presence and phase are never modified.
+    The file must hold one row per frame of ``seq``; any other row count is
+    an :class:`AnnotationParseError` naming the file.  Presence and phase
+    are never modified.
     """
-    if isinstance(source, SimConfig):
-        rng = np.random.default_rng(seed)
-        feats = emit_features(seq.presence, seq.phase, source, rng)
-    else:
-        feats = load_features(os.fspath(source))
+    feats = load_features(path)
     if feats.shape[0] != seq.n_frames:
-        raise ValueError(
-            f"feature rows ({feats.shape[0]}) do not match sequence length ({seq.n_frames})"
+        raise AnnotationParseError(
+            f"{path}: feature rows ({feats.shape[0]}) do not match sequence length ({seq.n_frames})"
         )
     return replace(seq, features=feats)

@@ -224,7 +224,7 @@ def test_criterion_03_mc_algebra():
     t, n, k = 9, 14, 3
     reg_s = rng.uniform(0, 3, size=(t, n, k))
     cls_s = rng.dirichlet([2, 1, 1], size=(t, n, k))
-    s4 = aggregate_samples(reg_s, cls_s, horizon=3.0, keep_samples=True)
+    s4 = aggregate_samples(reg_s, cls_s, horizon=3.0)
     worst = 0.0
     mean2 = np.zeros((n, k))
     var2 = np.zeros((n, k))
@@ -232,14 +232,14 @@ def test_criterion_03_mc_algebra():
     epi2 = np.zeros((n, k))
     alea2 = np.zeros((n, k))
     for a in range(t):  # plain accumulation, no numpy reductions
-        mean2 += s4.reg_samples[a]
-        p2 += s4.class_samples[a]
+        mean2 += reg_s[a]
+        p2 += cls_s[a]
     mean2 /= t
     p2 /= t
     for a in range(t):
-        var2 += (s4.reg_samples[a] - mean2) ** 2
-        epi2 += ((s4.class_samples[a] - p2) ** 2).sum(axis=2) / 3.0
-        alea2 += (s4.class_samples[a] * (1 - s4.class_samples[a])).sum(axis=2) / 3.0
+        var2 += (reg_s[a] - mean2) ** 2
+        epi2 += ((cls_s[a] - p2) ** 2).sum(axis=2) / 3.0
+        alea2 += (cls_s[a] * (1 - cls_s[a])).sum(axis=2) / 3.0
     var2 /= t
     epi2 /= t
     alea2 /= t
@@ -361,10 +361,7 @@ def test_criterion_07_end_to_end_anticipation(deterministic_trigger_run):
 def test_criterion_08_trigger_uncertainty(uncertain_trigger_run):
     """Anticipating-prediction uncertainty for B drops while A is visible."""
     run = uncertain_trigger_run
-    tracks = [s.presence[:, 0] for s in run["test"]]
-    trig = trigger_conditional_uncertainty(
-        run["summaries"], run["targets"], target=1, trigger=0, trigger_presence=tracks
-    )
+    trig = trigger_conditional_uncertainty(run["summaries"], run["targets"], target=1, trigger=0)
     ok = (trig.visible.median_cls_aleatoric < trig.hidden.median_cls_aleatoric
           and trig.visible.median_cls_epistemic < trig.hidden.median_cls_epistemic
           and trig.visible.cls_count > 0 and trig.hidden.cls_count > 0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -50,6 +52,26 @@ def make_targets(remaining, classes=None, horizon=3.0):
     else:
         classes = np.asarray(classes, dtype=np.int8).reshape(-1, 1)
     return AnticipationTargets(horizon=horizon, fps=1.0, remaining=remaining, classes=classes)
+
+
+def with_trigger(summary, targets, visible):
+    """Append instrument 1, a trigger annotated present exactly where ``visible``.
+
+    Its predictions repeat those of instrument 0; only its targets matter.
+    """
+    visible = np.asarray(visible, dtype=bool)
+    summary = dataclasses.replace(summary, **{
+        f.name: np.concatenate([getattr(summary, f.name)] * 2, axis=1)
+        for f in dataclasses.fields(summary) if f.name not in ("samples", "horizon")
+    })
+    targets = dataclasses.replace(
+        targets,
+        remaining=np.column_stack([targets.remaining[:, 0],
+                                   np.where(visible, 0.0, targets.horizon)]),
+        classes=np.column_stack([targets.classes[:, 0],
+                                 np.where(visible, PRESENT, BACKGROUND)]).astype(np.int8),
+    )
+    return summary, targets
 
 
 class TestLowerMedian:
@@ -176,11 +198,8 @@ class TestTrigger:
         s = make_summary([1.0] * 4, class_mean=cls, cls_alea=[0.1, 0.1, 0.4, 0.6],
                          cls_epi=[0.1, 0.1, 0.4, 0.6], reg_var=[0.1, 0.1, 0.4, 0.6])
         t = make_targets([1.0] * 4, classes=[ANTICIPATING] * 4)
-        trigger_track = np.array([True, True, False, False])
-        # Two instruments are required; stack the same single-instrument data
-        res = trigger_conditional_uncertainty(
-            s, t, target=0, trigger=1, trigger_presence=trigger_track
-        )
+        s, t = with_trigger(s, t, [True, True, False, False])
+        res = trigger_conditional_uncertainty(s, t, target=0, trigger=1)
         assert res.visible.cls_count == 2 and res.hidden.cls_count == 2
         assert res.visible.median_cls_aleatoric == pytest.approx(0.1)
         # lower-median convention: {0.4, 0.6} -> 0.4
@@ -191,9 +210,8 @@ class TestTrigger:
         cls = np.tile([0.8, 0.1, 0.1], (3, 1, 1))
         s = make_summary([1.0] * 3, class_mean=cls)
         t = make_targets([1.0] * 3, classes=[ANTICIPATING] * 3)
-        res = trigger_conditional_uncertainty(
-            s, t, target=0, trigger=1, trigger_presence=np.zeros(3, dtype=bool)
-        )
+        s, t = with_trigger(s, t, np.zeros(3, dtype=bool))
+        res = trigger_conditional_uncertainty(s, t, target=0, trigger=1)
         assert res.visible.cls_count == 0
         assert np.isnan(res.visible.median_cls_aleatoric)
         assert res.hidden.cls_count == 3
@@ -202,18 +220,32 @@ class TestTrigger:
         cls = np.tile([0.8, 0.1, 0.1], (4, 1, 1))
         s = make_summary([1.0] * 4, class_mean=cls)
         t = make_targets([1.0] * 4, classes=[ANTICIPATING] * 4)
-        track = np.array([True, False, False, False])
-        strict = trigger_conditional_uncertainty(s, t, 0, 1, track)
-        widened = trigger_conditional_uncertainty(s, t, 0, 1, track, memory_frames=2)
+        s, t = with_trigger(s, t, [True, False, False, False])
+        strict = trigger_conditional_uncertainty(s, t, 0, 1)
+        widened = trigger_conditional_uncertainty(s, t, 0, 1, memory_frames=2)
         assert strict.visible.cls_count == 1
         assert widened.visible.cls_count == 3
 
+    def test_memory_window_stays_inside_its_sequence(self):
+        """Seen in the last frame of one sequence is not seen in the next one."""
+        first = with_trigger(make_summary([1.0] * 3), make_targets([1.0] * 3),
+                             [False, False, True])
+        second = with_trigger(make_summary([1.0] * 3), make_targets([1.0] * 3),
+                              [False, False, False])
+        res = trigger_conditional_uncertainty([first[0], second[0]], [first[1], second[1]],
+                                              target=0, trigger=1, memory_frames=1)
+        assert res.visible.cls_count == 1 and res.hidden.cls_count == 5
+
     def test_rejects_same_instrument(self):
-        s = make_summary([1.0])
-        t = make_targets([1.0])
-        with pytest.raises(ValueError):
-            trigger_conditional_uncertainty(s, t, target=0, trigger=0,
-                                            trigger_presence=np.array([True]))
+        s, t = with_trigger(make_summary([1.0]), make_targets([1.0]), [True])
+        with pytest.raises(ValueError, match="different instruments"):
+            trigger_conditional_uncertainty(s, t, target=0, trigger=0)
+
+    @pytest.mark.parametrize("trigger", [1, -1])
+    def test_rejects_trigger_outside_the_pooled_instruments(self, trigger):
+        s, t = make_summary([1.0] * 3), make_targets([1.0] * 3)
+        with pytest.raises(ValueError, match="out of range for 1 instruments"):
+            trigger_conditional_uncertainty(s, t, target=0, trigger=trigger)
 
 
 class TestPooling:

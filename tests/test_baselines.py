@@ -82,11 +82,6 @@ class TestPredict:
         np.testing.assert_allclose(pred[360:540], (np.arange(540, 360, -1) - 360) / 60.0)
         assert (pred[:360] == 3.0).all()
 
-    def test_oracle_requires_duration(self):
-        model = fit_baseline([seq_from(np.zeros((50, 1)))], horizon=3.0, bins=10, mode="oracle")
-        with pytest.raises(ValueError, match="duration"):
-            predict_baseline(model)
-
     def test_mean_mode_pads_surplus_with_horizon(self):
         presence = np.zeros((100, 1), dtype=bool)
         presence[50:60] = True

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import anticipation
-from anticipation import NetworkConfig, cli, labels, workflow
+from anticipation import NetworkConfig, cli, labels, network, workflow
 
 
 def tiny_config(**overrides):
@@ -597,6 +597,76 @@ class TestDamagedRunDirectory:
         assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"input error: feature file not found: {path}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, split, seq_id", [
+        ("train", "train", "proc_0001"),
+        ("predict", "test", "proc_0004"),
+        ("evaluate", "test", "proc_0004"),
+        ("analyze", "test", "proc_0004"),
+    ])
+    @pytest.mark.parametrize("damage", ["one row short", "one column narrower"])
+    def test_malformed_feature_file_names_it(self, predicted_run, tmp_path, capsys,
+                                             command, split, seq_id, damage):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "summaries"))
+        path = os.path.join(out, "dataset", split, f"{seq_id}.features.csv")
+        feats = workflow.load_features(path)
+        n = len(feats)
+        if damage == "one row short":
+            workflow.save_features(feats[:-1], path)
+            message = f"{path}: feature rows ({n - 1}) do not match sequence length ({n})"
+        else:
+            workflow.save_features(feats[:, :-1], path)
+            source = ("as in the first train file" if split == "train"
+                      else "the checkpoint's input_dim")
+            message = f"{path}: 3 feature columns, expected 4 ({source})"
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["baseline", "predict"])
+    def test_stray_feature_sidecar_is_ignored(self, predicted_run, tmp_path, command):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        with open(os.path.join(out, "dataset", "test", "proc_0003.features.csv.hdr"), "w") as fh:
+            fh.write("F=3 n=99\n")
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 0
+
+    def test_only_network_commands_read_feature_files(self, tmp_path, monkeypatch):
+        """Feature files are read where the network runs, each once per command."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config(horizons=[2.0, 3.0])))
+        out = str(tmp_path / "run")
+        run_chain(str(config_path), out, commands=("simulate",))
+        read = []
+        attach = cli.workflow.attach_features
+
+        def counting_attach(seq, path):
+            read.append(os.path.relpath(path, os.path.join(out, "dataset")))
+            return attach(seq, path)
+
+        monkeypatch.setattr(cli.workflow, "attach_features", counting_attach)
+        split_files = {split: [os.path.join(split, f"proc_{i:04d}.features.csv") for i in ids]
+                       for split, ids in (("train", (0, 1, 2)), ("test", (3, 4)))}
+        expected = {"baseline": [], "train": split_files["train"], "predict": split_files["test"],
+                    "evaluate": [], "analyze": []}
+        for command, files in expected.items():
+            read.clear()
+            run_chain(str(config_path), out, commands=(command,))
+            assert read == files, command
+
+    def test_checkpoint_without_config_hash(self, predicted_run, tmp_path, capsys):
+        """A checkpoint of another model size, stamped with no config hash."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        ckpt = os.path.join(out, "checkpoints", "model_h3.bin")
+        other = NetworkConfig(input_dim=4, instruments=2, horizon=3.0, hidden=5, encoder=(8,))
+        network.save_container(ckpt, network.CHECKPOINT_FORMAT,
+                               network.init_params(other, seed=0), config_hash=None)
+        assert cli.main(["predict", "--config", config_path, "--out", out, "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {ckpt}: checkpoint was written for a different "
+                              "configuration (config hash None")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("phase_classes, strip_phase_column, found", [

@@ -20,12 +20,11 @@ from anticipation.inference import SUMMARY_ARRAYS, load_summary, save_summary
 from anticipation.network import BLOCK
 
 
-def summary_from(reg_samples, class_samples, horizon=3.0, keep=True):
+def summary_from(reg_samples, class_samples, horizon=3.0):
     return aggregate_samples(
         np.asarray(reg_samples, dtype=float),
         np.asarray(class_samples, dtype=float),
         horizon,
-        keep_samples=keep,
     )
 
 

@@ -28,6 +28,7 @@ from anticipation.network import (
     load_container,
     loss_and_gradients,
     n_params,
+    save_container,
     sigmoid,
     smooth_l1,
 )
@@ -561,9 +562,10 @@ class TestCheckpoints:
     @settings(deadline=None)
     @given(params=st.dictionaries(st.text(max_size=6), FLOAT_ARRAYS, max_size=4))
     def test_round_trip_is_bit_exact(self, tmp_path_factory, params):
+        config = tiny_config()
         path = str(tmp_path_factory.mktemp("ckpt") / "model.bin")
-        save_params(params, path)
-        again = load_params(path)
+        save_params(params, path, config)
+        again = load_params(path, config)
         assert list(again) == list(params)
         for name, value in params.items():
             assert again[name].shape == value.shape
@@ -606,6 +608,16 @@ class TestCheckpoints:
                 fh.write(head)
             with pytest.raises(ValueError, match="not an anticipation-params-v1 file"):
                 load_container(path, CHECKPOINT_FORMAT)
+
+    @pytest.mark.parametrize("stamp", [None, "missing"])
+    def test_checkpoint_without_config_hash_rejected(self, tmp_path, stamp):
+        config = tiny_config()
+        path = str(tmp_path / "model.bin")
+        save_container(path, CHECKPOINT_FORMAT, init_params(config, seed=0),
+                       **({} if stamp == "missing" else {"config_hash": stamp}))
+        with pytest.raises(ValueError, match="different configuration") as info:
+            load_params(path, config)
+        assert str(info.value).startswith(path)
 
     def test_config_hash_mismatch_rejected(self, tmp_path):
         config = tiny_config()

@@ -16,7 +16,7 @@ from anticipation import (
     save_features,
 )
 from anticipation.errors import AnnotationParseError
-from anticipation.workflow import instrument_onsets
+from anticipation.workflow import emit_features, instrument_onsets
 
 from oracles import nearest_signature_decode
 
@@ -132,24 +132,29 @@ class TestFeatures:
         recovered = (decoded == seq.presence).mean()
         assert recovered >= 0.9
 
-    def test_feature_file_round_trip_csv_and_binary(self, tmp_path):
+    def test_feature_file_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(40, 6))
         csv_path = str(tmp_path / "f.csv")
-        save_features(feats, csv_path, format="csv")
+        save_features(feats, csv_path)
         np.testing.assert_array_equal(load_features(csv_path), feats)
-        bin_path = str(tmp_path / "f.bin")
-        save_features(feats, bin_path, format="binary")
-        np.testing.assert_allclose(load_features(bin_path), feats, atol=1e-6)
 
-    def test_binary_sidecar_mismatch(self, tmp_path):
-        feats = np.zeros((10, 3))
-        path = str(tmp_path / "f.bin")
-        save_features(feats, path, format="binary")
+    def test_stray_sidecar_is_ignored(self, tmp_path):
+        """A ``.hdr`` file beside a feature CSV is not a second format."""
+        feats = np.arange(12.0).reshape(4, 3)
+        path = str(tmp_path / "f.features.csv")
+        save_features(feats, path)
         with open(path + ".hdr", "w") as fh:
             fh.write("F=3 n=99\n")
-        with pytest.raises(AnnotationParseError, match="float32"):
+        np.testing.assert_array_equal(load_features(path), feats)
+
+    def test_malformed_feature_csv_names_the_file(self, tmp_path):
+        path = str(tmp_path / "f.features.csv")
+        with open(path, "w") as fh:
+            fh.write("0.5,1.5\n0.5,oops\n")
+        with pytest.raises(AnnotationParseError, match="malformed feature CSV") as info:
             load_features(path)
+        assert str(info.value).startswith(path)
 
     def test_attach_from_file_and_length_mismatch(self, tmp_path):
         seq = generate_dataset(basic_config(), 1, seed=0)[0]
@@ -160,15 +165,17 @@ class TestFeatures:
         np.testing.assert_array_equal(out.presence, seq.presence)
 
         save_features(np.ones((seq.n_frames - 1, 8)), path)
-        with pytest.raises(ValueError, match="do not match sequence length"):
+        with pytest.raises(AnnotationParseError) as info:
             attach_features(seq, path)
+        assert str(info.value) == (f"{path}: feature rows ({seq.n_frames - 1}) "
+                                   f"do not match sequence length ({seq.n_frames})")
 
-    def test_attach_from_sim_config_emission(self):
+    def test_emission_from_presence_and_phase(self):
+        """At zero noise, emitting from a sequence's own tracks reproduces its features."""
         seq = generate_dataset(basic_config(), 1, seed=3)[0]
-        bare = ProcedureSequence(id=seq.id, presence=seq.presence, fps=seq.fps, phase=seq.phase)
-        out = attach_features(bare, basic_config(), seed=1)
-        assert out.feature_dim == 4  # K + P
-        np.testing.assert_array_equal(out.presence, seq.presence)
+        feats = emit_features(seq.presence, seq.phase, basic_config(), np.random.default_rng(1))
+        assert feats.shape == (seq.n_frames, 4)  # K + P
+        np.testing.assert_array_equal(feats, seq.features)
 
 
 class TestIngestion:
