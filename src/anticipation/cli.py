@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import glob
 import hashlib
 import json
@@ -101,10 +102,16 @@ def _at_least(low: int):
     return Annotated[int, f"an integer >= {low}", lambda v: v >= low]
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """Field types of a dataclass or TypedDict, its string annotations evaluated once."""
+    return typing.get_type_hints(cls)
+
+
 # Types of the keys whose literal default does not give them, or whose values
 # have a range; every other key has the type of its default value (a list:
 # that of its first item).
-_NETWORK_TYPES = typing.get_type_hints(network.NetworkConfig)
+_NETWORK_TYPES = _hints(network.NetworkConfig)
 _TYPES = {
     # Artifact names tag a horizon as f"{h:g}", so no two horizons may share a tag.
     "horizons": Annotated[
@@ -178,7 +185,7 @@ def _check(value, hint, key: str) -> None:
         for i, item in enumerate(value):
             _check(item, args[0], f"{key}[{i}]")
     elif isinstance(value, dict):
-        fields = hint if isinstance(hint, dict) else typing.get_type_hints(hint)
+        fields = hint if isinstance(hint, dict) else _hints(hint)
         unknown = set(value) - set(fields).difference(_ARRAY_FIELDS)
         if unknown:
             where = key or "top level"
@@ -214,7 +221,7 @@ def _build(hint, value):
     if typing.get_origin(hint) is tuple:
         return tuple(_build(typing.get_args(hint)[0], v) for v in value)
     if dataclasses.is_dataclass(hint):
-        types = typing.get_type_hints(hint)
+        types = _hints(hint)
         return hint(**{k: _build(types[k], v) for k, v in value.items()})
     return value
 
@@ -475,9 +482,10 @@ def _summaries_for_split(config: dict, run: _Run, test_seqs: list[workflow.Proce
                          h: float, reuse: bool = True) -> list[inference.PredictiveSummary]:
     """MC summaries for every test sequence (reusing files when present).
 
-    Only a summary that is computed reads the feature file of its sequence.
-    The sequence with its features replaces the one in ``test_seqs``, so a
-    later horizon does not read the file again.
+    Only a summary that is computed reads the feature file of its sequence,
+    after the checkpoint header, whose first weight matrix gives the input
+    width every such file must have.  The sequence with its features replaces the
+    one in ``test_seqs``, so a later horizon does not read the file again.
     """
     params = net_config = None
     samples = config["eval"]["samples"]
@@ -495,14 +503,18 @@ def _summaries_for_split(config: dict, run: _Run, test_seqs: list[workflow.Proce
                     f"summary {path}: drawn with {summary.samples} MC samples, eval.samples is "
                     f"{samples} (use --overwrite to recompute it)"
                 )
-        width = None if net_config is None else net_config.input_dim
-        seq = test_seqs[idx] = _with_features(seq, run, "test", width,
-                                              "the checkpoint's input_dim")
-        if params is None:
+        if net_config is None:
             ckpt_path = os.path.join(run.dir, "checkpoints", f"model_h{h:g}.bin")
             if not os.path.exists(ckpt_path):
                 raise InputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
-            net_config = network_config(config, seq.feature_dim, seq.n_instruments, h)
+            try:
+                width = network.checkpoint_input_dim(ckpt_path)
+            except ValueError as exc:
+                raise InputError(str(exc)) from None
+            net_config = network_config(config, width, seq.n_instruments, h)
+        seq = test_seqs[idx] = _with_features(seq, run, "test", net_config.input_dim,
+                                              "the checkpoint's input_dim")
+        if params is None:  # loaded after the features, which keeps the peak RSS down
             try:
                 params = network.load_params(ckpt_path, net_config)
             except ValueError as exc:

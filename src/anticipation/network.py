@@ -737,6 +737,26 @@ def _is_entry(entry) -> bool:
             and all(type(d) is int and d >= 0 for d in entry[1]))
 
 
+def _read_header(fh, path: str, tag: str, required: tuple[str, ...]) -> dict:
+    """The checked header line of the container file open as ``fh``."""
+    try:
+        header = json.loads(fh.readline().decode())
+    except (ValueError, RecursionError):  # binary garbage or a broken header line
+        header = None
+    if not isinstance(header, dict) or header.get("format") != tag:
+        raise ValueError(f"{path}: not an {tag} file")
+    missing = [key for key in ("dtype", "params", *required) if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+    entries = header["params"]
+    if header["dtype"] != "<f8" or not isinstance(entries, list) \
+            or not all(_is_entry(e) for e in entries) \
+            or len({name for name, _ in entries}) != len(entries):
+        raise ValueError(f"{path}: malformed header: expected dtype '<f8' and a list of "
+                         "distinct [name, [non-negative ints]] arrays")
+    return header
+
+
 def load_container(path: str, tag: str, required: tuple[str, ...] = ()) -> tuple[dict, Params]:
     """Read a :func:`save_container` file of format ``tag``: its header and its arrays.
 
@@ -746,22 +766,9 @@ def load_container(path: str, tag: str, required: tuple[str, ...] = ()) -> tuple
     arrays are writable views of one buffer read in a single call.
     """
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode())
-        except (ValueError, RecursionError):  # binary garbage or a broken header line
-            header = None
-        if not isinstance(header, dict) or header.get("format") != tag:
-            raise ValueError(f"{path}: not an {tag} file")
-        missing = [key for key in ("dtype", "params", *required) if key not in header]
-        if missing:
-            raise ValueError(f"{path}: header lacks {', '.join(missing)}")
-        entries = header["params"]
-        if header["dtype"] != "<f8" or not isinstance(entries, list) \
-                or not all(_is_entry(e) for e in entries) \
-                or len({name for name, _ in entries}) != len(entries):
-            raise ValueError(f"{path}: malformed header: expected dtype '<f8' and a list of "
-                             "distinct [name, [non-negative ints]] arrays")
+        header = _read_header(fh, path, tag, required)
         payload = bytearray(fh.read())
+    entries = header["params"]
     arrays: Params = {}
     offset = 0
     for name, shape in entries:
@@ -782,6 +789,20 @@ def load_container(path: str, tag: str, required: tuple[str, ...] = ()) -> tuple
 def save_params(params: Params, path: str, config: NetworkConfig) -> None:
     """Write a checkpoint of ``params`` stamped with the hash of ``config``."""
     save_container(path, CHECKPOINT_FORMAT, params, config_hash=config_hash(config))
+
+
+def checkpoint_input_dim(path: str) -> int:
+    """Input width of a :func:`save_params` checkpoint, read from its header alone.
+
+    It is the row count of the first weight array (``enc0_W``, or
+    ``lstm_Wx`` without an encoder); ``ValueError`` names the path if that
+    is not a matrix with at least one row.
+    """
+    with open(path, "rb") as fh:
+        entries = _read_header(fh, path, CHECKPOINT_FORMAT, ())["params"]
+    if not entries or len(entries[0][1]) != 2 or entries[0][1][0] < 1:
+        raise ValueError(f"{path}: checkpoint has no input weight matrix")
+    return entries[0][1][0]
 
 
 def load_params(path: str, config: NetworkConfig) -> Params:

@@ -12,12 +12,14 @@ reproducible byte for byte.
 
 On disk a procedure is an annotation CSV plus, for the predictor, one
 feature CSV of one row per frame (:func:`save_features`); features are
-attached to loaded annotations with :func:`attach_features`.
+attached to loaded annotations with :func:`attach_features`.  The writers
+format a chunk of rows per ``%`` operation, and :func:`load_annotations`
+splits a file into cells once and checks them column by column.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -332,24 +334,26 @@ def instrument_onsets(track: np.ndarray) -> np.ndarray:
 
 ANNOTATION_FORMATS = ("cholec80_tool_tsv", "generic_csv")
 
-
-def _parse_binary(value: str, line_no: int, path: str) -> bool:
-    if value == "0":
-        return False
-    if value == "1":
-        return True
-    raise AnnotationParseError(
-        f"{path}: line {line_no}: presence value {value!r} is not 0 or 1"
-    )
+# Rows formatted by one ``%`` operation of the writers: enough to cover a
+# typical file in one or two calls, small enough that a long file is never
+# held in memory whole.
+_CHUNK_ROWS = 1024
 
 
-def _parse_int(value: str, line_no: int, path: str, what: str) -> int:
+def _first(mask: np.ndarray) -> int:
+    """Position of the first true entry of ``mask``, or its length if none is."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
+
+
+def _integers(cells: np.ndarray) -> tuple[np.ndarray, int]:
+    """``int`` of each cell up to the first one it rejects, and how many it took."""
+    values: list[int] = []
     try:
-        return int(value)
+        values.extend(map(int, cells))
     except ValueError:
-        raise AnnotationParseError(
-            f"{path}: line {line_no}: {what} {value!r} is not an integer"
-        ) from None
+        pass  # extend keeps the integers parsed before the rejected cell
+    return np.array(values, dtype=object), len(values)
 
 
 def load_annotations(path: str, format: str = "generic_csv", fps: float = 1.0) -> ProcedureSequence:
@@ -357,9 +361,18 @@ def load_annotations(path: str, format: str = "generic_csv", fps: float = 1.0) -
 
     ``cholec80_tool_tsv`` is tab-separated with header ``Frame`` followed by
     one column per tool and rows at source-fps intervals; ``generic_csv`` is
-    comma-separated with header ``frame,<inst_1>,...,<inst_K>[,phase]``.  Row
-    indices must be strictly increasing; rows are renumbered to consecutive
-    frames 0..n-1 at the declared ``fps``.
+    comma-separated with header ``frame,<inst_1>,...,<inst_K>[,phase]``.
+    Blank lines are skipped and every cell is read without its surrounding
+    whitespace.  Presence cells are ``0`` or ``1``; frame and phase indices
+    are integers as Python's ``int`` reads them (``+3``, ``007``), phases
+    non-negative.  Frame indices must be strictly increasing and may have
+    gaps; rows are renumbered to consecutive frames 0..n-1 at the declared
+    ``fps``.
+
+    The body is split into cells once and checked column by column; an
+    :class:`AnnotationParseError` names the first line that breaks a rule,
+    and within that line the first rule in the order above (field count,
+    frame index, frame order, presence, phase).
     """
     if format not in ANNOTATION_FORMATS:
         raise ValueError(f"unknown annotation format {format!r}, expected one of {ANNOTATION_FORMATS}")
@@ -381,57 +394,74 @@ def load_annotations(path: str, format: str = "generic_csv", fps: float = 1.0) -
         if not names:
             raise AnnotationParseError(f"{path}: line 1: no instrument columns before 'phase'")
     k = len(names)
+    expected = 1 + k + (1 if has_phase else 0)
 
-    presence_rows: list[list[bool]] = []
-    phase_rows: list[int] = []
-    last_index: Optional[int] = None
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(sep)
-        expected = 1 + k + (1 if has_phase else 0)
-        if len(cells) != expected:
-            raise AnnotationParseError(
-                f"{path}: line {line_no}: expected {expected} fields, got {len(cells)}"
-            )
-        index = _parse_int(cells[0].strip(), line_no, path, "frame index")
-        if last_index is not None and index <= last_index:
-            raise AnnotationParseError(
-                f"{path}: line {line_no}: frame index {index} not greater than previous {last_index}"
-            )
-        last_index = index
-        presence_rows.append([_parse_binary(c.strip(), line_no, path) for c in cells[1:1 + k]])
-        if has_phase:
-            phase = _parse_int(cells[1 + k].strip(), line_no, path, "phase index")
-            if phase < 0:
-                raise AnnotationParseError(f"{path}: line {line_no}: phase index {phase} is negative")
-            phase_rows.append(phase)
-    if not presence_rows:
+    rows = list(filter(str.strip, lines[1:]))  # the non-blank lines
+    if not rows:
         raise AnnotationParseError(f"{path}: no data rows")
+    counts = np.fromiter(map(str.count, rows, itertools.repeat(sep)), np.int64, len(rows)) + 1
+    n = _first(counts != expected)  # rows[:n] split into `expected` cells each
+    cells = np.array(list(map(str.strip, sep.join(rows[:n]).split(sep))) if n else [],
+                     dtype=object).reshape(n, expected)
+    index, n_index = _integers(cells[:, 0])
+    presence = cells[:, 1:1 + k] == "1"
+    bad_presence = ~presence & (cells[:, 1:1 + k] != "0")
+    phase, n_phase = _integers(cells[:, -1]) if has_phase else (np.zeros(n, dtype=object), n)
+    # (first failing row, reason) per check, in the order a line is checked.
+    # Each check covers the rows before the first failure of an earlier one,
+    # so the earliest row, and the earliest check failing on it, are where a
+    # line-by-line scan stops.
+    r, reason = min((
+        (n, lambda i: f"expected {expected} fields, got {counts[i]}"),
+        (n_index, lambda i: f"frame index {cells[i, 0]!r} is not an integer"),
+        (_first(np.concatenate(([False], index[1:] <= index[:-1]))),
+         lambda i: f"frame index {index[i]} not greater than previous {index[i - 1]}"),
+        (_first(bad_presence.any(axis=1)),
+         lambda i: f"presence value {cells[i, 1 + _first(bad_presence[i])]!r} is not 0 or 1"),
+        (n_phase, lambda i: f"phase index {cells[i, -1]!r} is not an integer"),
+        (_first(phase < 0), lambda i: f"phase index {phase[i]} is negative"),
+    ), key=lambda failure: failure[0])
+    if r < len(rows):
+        line_no = [no for no, line in enumerate(lines[1:], start=2) if line.strip()][r]
+        raise AnnotationParseError(f"{path}: line {line_no}: {reason(r)}")
 
     seq_id = os.path.splitext(os.path.basename(path))[0]
     return ProcedureSequence(
         id=seq_id,
-        presence=np.array(presence_rows, dtype=bool),
+        presence=presence,
         fps=fps,
-        phase=np.array(phase_rows, dtype=np.int64) if has_phase else None,
+        phase=np.array(phase.tolist(), dtype=np.int64) if has_phase else None,
         names=tuple(names),
     )
 
 
-def save_annotations(seq: ProcedureSequence, path: str) -> None:
-    """Write a sequence in ``generic_csv`` form (phase column if present)."""
-    names = seq.names or tuple(f"inst_{k}" for k in range(seq.n_instruments))
-    buf = io.StringIO()
-    header = ["frame"] + list(names) + (["phase"] if seq.phase is not None else [])
-    buf.write(",".join(header) + "\n")
-    for i in range(seq.n_frames):
-        row = [str(i)] + [str(int(v)) for v in seq.presence[i]]
-        if seq.phase is not None:
-            row.append(str(int(seq.phase[i])))
-        buf.write(",".join(row) + "\n")
+def _write_rows(path: str, head: str, row_format: str, rows: np.ndarray) -> None:
+    """Write ``head``, then ``row_format`` filled with each row of ``rows``.
+
+    One ``%`` operation formats a chunk of :data:`_CHUNK_ROWS` rows, so
+    memory stays bounded by the chunk, not the file.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(head)
+        for start in range(0, rows.shape[0], _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            fh.write((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
+def save_annotations(seq: ProcedureSequence, path: str) -> None:
+    """Write a sequence in ``generic_csv`` form (phase column if present).
+
+    The header is ``frame,<names>[,phase]`` (names ``inst_<k>`` when the
+    sequence has none), then one ``<frame>,<0|1>,...[,<phase>]`` line per
+    frame numbered from 0, every line ending in ``\\n``.
+    """
+    header = ["frame", *(seq.names or (f"inst_{k}" for k in range(seq.n_instruments)))]
+    columns = [np.arange(seq.n_frames), seq.presence]
+    if seq.phase is not None:
+        header.append("phase")
+        columns.append(seq.phase)
+    rows = np.column_stack(columns).astype(np.int64)
+    _write_rows(path, ",".join(header) + "\n", ",".join(["%d"] * len(header)) + "\n", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +469,17 @@ def save_annotations(seq: ProcedureSequence, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def save_features(features: np.ndarray, path: str) -> None:
-    """Write per-frame features as CSV, one row per frame, exact to the bit."""
+    """Write per-frame features as CSV, one row per frame, exact to the bit.
+
+    Each value is written as ``%.17g`` (``nan``, ``inf``, ``-inf`` and
+    ``-0`` included), separated by commas, every line ending in ``\\n``;
+    the bytes are those of ``np.savetxt(path, features, delimiter=",",
+    fmt="%.17g")``.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a (n, F) array")
-    np.savetxt(path, features, delimiter=",", fmt="%.17g")
+    _write_rows(path, "", ",".join(["%.17g"] * features.shape[1]) + "\n", features)
 
 
 def load_features(path: str) -> np.ndarray:

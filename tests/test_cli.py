@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import typing
 from xml.etree import ElementTree
 
 import numpy as np
@@ -601,8 +602,12 @@ class TestDamagedRunDirectory:
 
     @pytest.mark.parametrize("command, split, seq_id", [
         ("train", "train", "proc_0001"),
+        # The first test file is read before any other, the second after one.
+        ("predict", "test", "proc_0003"),
         ("predict", "test", "proc_0004"),
+        ("evaluate", "test", "proc_0003"),
         ("evaluate", "test", "proc_0004"),
+        ("analyze", "test", "proc_0003"),
         ("analyze", "test", "proc_0004"),
     ])
     @pytest.mark.parametrize("damage", ["one row short", "one column narrower"])
@@ -787,6 +792,23 @@ class TestRunLedger:
 
 
 class TestConfigHandling:
+    def test_type_hints_are_evaluated_once_per_class(self, tmp_path, monkeypatch):
+        """Walking and building the config reuse each record type's field types."""
+        config = tiny_config()
+        config["sim"]["trigger_rules"] = [{"trigger": 0, "target": 1, "delay_mean": 5}]
+        config["analysis"] = {"trigger": {"trigger": 0, "target": 1}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        evaluated = []
+        get_type_hints = typing.get_type_hints
+        monkeypatch.setattr(typing, "get_type_hints",
+                            lambda cls: evaluated.append(cls) or get_type_hints(cls))
+        cli._hints.cache_clear()
+        for _ in range(2):
+            cli._dataset_fps(cli.load_config(str(path)))
+        assert workflow.SimConfig in evaluated and workflow.TriggerRule in evaluated
+        assert len(evaluated) == len(set(evaluated))
+
     def test_defaults_fill_missing_sections(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"sim": tiny_config()["sim"]}))

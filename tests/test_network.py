@@ -25,6 +25,7 @@ from anticipation.network import (
     BLOCK,
     CHECKPOINT_FORMAT,
     Adam,
+    checkpoint_input_dim,
     load_container,
     loss_and_gradients,
     n_params,
@@ -599,6 +600,21 @@ class TestCheckpoints:
             fh.write(json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match=message) as info:
             load_params(path, config)
+        assert str(info.value).startswith(path)
+
+    @pytest.mark.parametrize("encoder", [(4,), ()])
+    def test_input_dim_from_the_header(self, tmp_path, encoder):
+        config = tiny_config(input_dim=7, encoder=encoder)
+        path = str(tmp_path / "model.bin")
+        save_params(init_params(config, seed=0), path, config)
+        assert checkpoint_input_dim(path) == 7
+
+    @pytest.mark.parametrize("arrays", [{}, {"enc0_W": np.zeros(3)}, {"enc0_W": np.zeros((0, 3))}])
+    def test_input_dim_needs_a_weight_matrix(self, tmp_path, arrays):
+        path = str(tmp_path / "model.bin")
+        save_container(path, CHECKPOINT_FORMAT, arrays, config_hash="x")
+        with pytest.raises(ValueError, match="has no input weight matrix") as info:
+            checkpoint_input_dim(path)
         assert str(info.value).startswith(path)
 
     def test_unparsable_header_is_a_value_error(self, tmp_path):

@@ -1,5 +1,10 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anticipation import (
     FeatureSpec,
@@ -16,9 +21,14 @@ from anticipation import (
     save_features,
 )
 from anticipation.errors import AnnotationParseError
-from anticipation.workflow import emit_features, instrument_onsets
+from anticipation.workflow import _CHUNK_ROWS, emit_features, instrument_onsets
 
-from oracles import nearest_signature_decode
+from oracles import (
+    nearest_signature_decode,
+    savetxt_features,
+    scan_annotations,
+    write_annotation_rows,
+)
 
 
 def basic_config(**overrides):
@@ -228,6 +238,123 @@ class TestIngestion:
         np.testing.assert_array_equal(again.presence, seq.presence)
         np.testing.assert_array_equal(again.phase, seq.phase)
         assert again.n_frames == seq.n_frames
+
+
+SPECIAL_FLOATS = (-0.0, np.nan, np.inf, -np.inf, 5e-324, -1.5e-310, 2.2250738585072009e-308,
+                  1.7976931348623157e308, 0.1)
+
+
+def random_sequence(n: int, k: int, seed: int, with_phase: bool, with_names: bool):
+    """A sequence of n frames and k instruments whose features hold every special float."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-320, 300, size=(n, k))
+    spots = rng.integers(0, n * k, size=2 * len(SPECIAL_FLOATS))
+    feats.flat[spots] = np.resize(SPECIAL_FLOATS, spots.size)
+    return ProcedureSequence(
+        id="s", presence=rng.random((n, k)) < 0.3, features=feats,
+        phase=np.sort(rng.integers(0, 12, size=n)) if with_phase else None,
+        names=tuple(f"tool {j}" for j in range(k)) if with_names else None,
+    )
+
+
+def assert_writers_match_oracles(seq, tmp_path):
+    files = {name: str(tmp_path / name) for name in ("a", "a_ref", "f", "f_ref")}
+    save_annotations(seq, files["a"])
+    write_annotation_rows(seq, files["a_ref"])
+    save_features(seq.features, files["f"])
+    savetxt_features(seq.features, files["f_ref"])
+    with open(files["a"], "rb") as got, open(files["a_ref"], "rb") as ref:
+        assert got.read() == ref.read()
+    with open(files["f"], "rb") as got, open(files["f_ref"], "rb") as ref:
+        assert got.read() == ref.read()
+
+
+class TestDatasetFiles:
+    """The array writers and the one-parse reader against the row-by-row oracles."""
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 2 * _CHUNK_ROWS + 3), k=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), with_phase=st.booleans(), with_names=st.booleans())
+    def test_writers_give_the_oracle_bytes(self, tmp_path, n, k, seed, with_phase, with_names):
+        assert_writers_match_oracles(random_sequence(n, k, seed, with_phase, with_names), tmp_path)
+
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_writers_at_the_chunk_edges(self, tmp_path, n, with_phase):
+        assert_writers_match_oracles(random_sequence(n, 3, n, with_phase, True), tmp_path)
+
+    def test_save_features_memory_is_bounded_by_the_chunk(self, tmp_path):
+        """The writer formats one chunk at a time, never the whole file."""
+        feats = np.random.default_rng(0).normal(size=(50_000, 8))
+        path = str(tmp_path / "f.csv")
+        tracemalloc.start()
+        try:
+            save_features(feats, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 25 bytes of text plus a 24-byte float object per value, with room.
+        bound = _CHUNK_ROWS * feats.shape[1] * 200
+        assert peak < bound < os.path.getsize(path) / 4
+
+    VALID = [
+        ("canonical with phase", "generic_csv", "frame,a,b,phase\n0,1,0,0\n1,0,1,2\n2,0,0,2\n"),
+        ("no phase, no final newline", "generic_csv", "frame,tool one\n0,1\n1,0"),
+        ("blank lines", "generic_csv", "frame,a,b\n\n0,1,0\n   \n\t\n1,0,1\n\n\n"),
+        ("padded cells", "generic_csv", "frame , a ,phase\n 0 , 1 , 3\n1,\t0\t,\u00a04\u00a0\n"),
+        ("CRLF line ends", "generic_csv", "frame,a,phase\r\n0,1,0\r\n1,0,2\r\n"),
+        ("signs and zero padding", "generic_csv", "frame,a,phase\n+3,1,+0\n007,0,01\n"),
+        ("form feed splits lines", "generic_csv", "frame,a\n0,1\x0c1,0\n"),
+        ("huge frame indices", "generic_csv", "frame,a\n0,1\n99999999999999999999999,0\n"),
+        ("tsv with gaps", "cholec80_tool_tsv", "Frame\tGrasper\tHook\n0\t1\t0\n25\t0\t1\n100\t1\t1\n"),
+        ("tsv blank lines", "cholec80_tool_tsv", "Frame\tA\n\t\t\n0\t1\n \n7\t 0 \n"),
+    ]
+    INVALID = [
+        ("wrong field count", "generic_csv", "frame,a,b\n0,1,0\n1,1\n"),
+        ("too many fields first", "generic_csv", "frame,a\n0,1,1\n1,x\n"),
+        ("presence x", "generic_csv", "frame,a,b\n0,1,0\n1,1,x\n"),
+        ("presence 2", "cholec80_tool_tsv", "Frame\tTool\n0\t0\n25\t2\n"),
+        ("presence 01", "generic_csv", "frame,a\n0,01\n"),
+        ("presence empty", "generic_csv", "frame,a,b\n0,1,\n"),
+        ("presence with NUL", "generic_csv", "frame,a\n0,1\x00\n"),
+        ("presence before a bad count", "generic_csv", "frame,a\n0,x\n1\n"),
+        ("repeated frame index", "generic_csv", "frame,a\n0,0\n5,1\n5,0\n"),
+        ("decreasing after blank lines", "generic_csv", "frame,a\n3,1\n\n\n2,0\n"),
+        ("non-integer frame index", "generic_csv", "frame,a\n0,1\n1.5,0\n"),
+        ("tsv non-integer frame index", "cholec80_tool_tsv", "Frame\tA\nx\t1\n1\t1\t1\n"),
+        ("frame index before presence and phase", "generic_csv", "frame,a,phase\nx,2,-1\n"),
+        ("presence before phase", "generic_csv", "frame,a,phase\n0,2,-1\n"),
+        ("negative phase", "generic_csv", "frame,a,phase\n0,1,0\n1,1,-1\n"),
+        ("non-integer phase", "generic_csv", "frame,a,phase\n0,1,1.0\n1,2,0\n"),
+        ("tsv phase is an instrument", "cholec80_tool_tsv", "Frame\tA\tphase\n0\t1\t3\n"),
+        ("header only", "generic_csv", "frame,a\n"),
+        ("header and blank lines", "cholec80_tool_tsv", "Frame\tA\n\n \n"),
+        ("empty file", "generic_csv", ""),
+        ("bad header", "generic_csv", "time,a\n0,1\n"),
+        ("no instrument", "generic_csv", "frame\n0\n"),
+        ("only a phase column", "generic_csv", "frame,phase\n0,1\n"),
+    ]
+
+    @staticmethod
+    def outcome(read, path, format):
+        try:
+            seq = read(path, format=format, fps=2.0)
+        except AnnotationParseError as exc:
+            return "error", str(exc)
+        phase = None if seq.phase is None else (seq.phase.dtype.str, seq.phase.tolist())
+        return ("sequence", seq.id, seq.fps, seq.names, seq.presence.dtype.str,
+                seq.presence.tolist(), phase)
+
+    @pytest.mark.parametrize("name, format, text", VALID + INVALID,
+                             ids=[case[0] for case in VALID + INVALID])
+    def test_reader_matches_the_line_scanner(self, tmp_path, name, format, text):
+        path = str(tmp_path / "video01.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got = self.outcome(load_annotations, path, format)
+        assert got == self.outcome(scan_annotations, path, format)
+        assert got[0] == ("sequence" if (name, format, text) in self.VALID else "error")
 
 
 class TestSequenceInvariants:
