@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import anticipation as ant
 from anticipation.analysis import trigger_conditional_uncertainty
@@ -84,8 +85,8 @@ with tempfile.TemporaryDirectory() as tmp:
                         "--config", config_path, "--out", out], check=True)
     print("\nmetrics table written by the CLI (a miniature run that exercises the "
           "plumbing, not model quality):")
-    print(open(os.path.join(out, "reports", "metrics_h3.csv")).read().strip())
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    print(Path(out, "reports", "metrics_h3.csv").read_text().strip())
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     total = sum(len(r["artifacts"]) for r in manifest["runs"])
     print(f"\nmanifest records {total} artifact checksums across "
           f"{len(manifest['runs'])} commands")

@@ -335,7 +335,10 @@ class _Run:
 
 
 def load_dataset(data_dir: str, split: str, fps: float = 1.0) -> list[workflow.ProcedureSequence]:
-    """The annotations of one split, without features: see :func:`_with_features`."""
+    """The annotations of one split, without features: see :func:`_with_features`.
+
+    Every file must name the instruments of the split's first file.
+    """
     split_dir = os.path.join(data_dir, split)
     if not os.path.isdir(split_dir):
         raise InputError(f"dataset split directory not found: {split_dir}")
@@ -344,7 +347,19 @@ def load_dataset(data_dir: str, split: str, fps: float = 1.0) -> list[workflow.P
                  if not path.endswith(".features.csv")]
     if not sequences:
         raise InputError(f"no sequences found in {split_dir}")
+    for seq in sequences[1:]:
+        _same_instruments(data_dir, split, seq, split, sequences[0])
     return sequences
+
+
+def _same_instruments(data_dir: str, split: str, seq: workflow.ProcedureSequence,
+                      first_split: str, first: workflow.ProcedureSequence) -> None:
+    """An InputError unless ``seq`` names the instruments of ``first``, naming both files."""
+    if seq.names != first.names:
+        path, first_path = (os.path.join(data_dir, s, f"{q.id}.csv")
+                            for s, q in ((split, seq), (first_split, first)))
+        raise InputError(f"{path}: instruments {list(seq.names)} differ from "
+                         f"{list(first.names)} of {first_path}")
 
 
 def _with_features(seq: workflow.ProcedureSequence, run: _Run, split: str,
@@ -412,6 +427,8 @@ def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
             "oracle mode requires per-video durations of an evaluation split; "
             f"no test split found under {run.data_dir}"
         )
+    if has_test:
+        _same_instruments(run.data_dir, "test", test_seqs[0], "train", train_seqs[0])
     for h in config["horizons"]:
         model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=mode)
         path, = run.claim(os.path.join("baselines", f"baseline_{mode}_h{h:g}.json"))
@@ -539,6 +556,7 @@ def cmd_predict(config: dict, run: _Run, args: argparse.Namespace) -> None:
 def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
     test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
+    _same_instruments(run.data_dir, "test", test_seqs[0], "train", train_seqs[0])
     methods = [m.lower() for m in config["eval"]["methods"]]
     unknown = set(methods) - {"meanhist", "oraclehist", "model"}
     if unknown:

@@ -12,6 +12,10 @@ and run as T rows of one network scan, which gives the same samples as T
 separate passes.  Sample t's masks come from seed ``seed ^ t``; this XOR
 derivation lets the seeds of different calls collide (ROADMAP defect b).
 
+Memory stays near that of the T samples of the head outputs: the scan works
+in blocks of ``network.BLOCK`` row-frames whatever T is, the softmax runs in
+place on the logits, and both per-class variance terms share one buffer.
+
 A summary is stored in the binary container of the checkpoints
 (``network.save_container``) under its own format tag: a JSON header line
 holding ``samples`` and ``horizon``, then the aggregate arrays as raw
@@ -82,8 +86,10 @@ def aggregate_samples(
     reg_mean = reg_samples.mean(axis=0)
     reg_var = np.square(reg_samples - reg_mean).mean(axis=0)
     class_mean = class_samples.mean(axis=0)
-    epi_pc = np.square(class_samples - class_mean).mean(axis=0)
-    alea_pc = (class_samples * (1.0 - class_samples)).mean(axis=0)
+    work = np.subtract(class_samples, class_mean)
+    epi_pc = np.square(work, out=work).mean(axis=0)
+    np.subtract(1.0, class_samples, out=work)
+    alea_pc = np.multiply(class_samples, work, out=work).mean(axis=0)
     return PredictiveSummary(
         samples=t,
         horizon=horizon,
@@ -114,8 +120,8 @@ def mc_predict(
         raise ValueError(f"samples must be >= 1, got {samples}")
     masks = stack_masks([sample_masks(config, seed ^ t) for t in range(samples)])
     outputs, _ = forward(params, masks, features, config)
-    reg = np.clip(outputs.regression, 0.0, config.horizon)
-    cls = softmax(outputs.class_logits)
+    reg = np.clip(outputs.regression, 0.0, config.horizon, out=outputs.regression)
+    cls = softmax(outputs.class_logits, out=outputs.class_logits)
     return aggregate_samples(reg, cls, config.horizon)
 
 

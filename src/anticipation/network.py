@@ -18,8 +18,9 @@ model axis: training runs the K models of K horizons on one row, in
 lockstep, since they share their initial weights, video order and masks and
 differ only in their targets (and, under ``scaled_sigmoid``, the output
 scale).  BPTT and Adam carry the same model axis.  Time runs in blocks of
-``BLOCK`` frames, so the memory a scan needs does not grow with the
-sequence length beyond its outputs.
+at most ``BLOCK`` row-frames, about ``BLOCK`` x 4H gate values per model
+whatever the row count, so the memory a scan needs grows with neither the
+sequence length nor the number of rows beyond its outputs.
 
 Everything runs on float64 numpy.  Gradients are computed by hand with
 backpropagation through time, truncated at window boundaries during
@@ -46,10 +47,10 @@ from .workflow import ProcedureSequence
 
 OUTPUT_MODES = ("linear_clamped", "scaled_sigmoid")
 
-# Frames per block of the scan.  The encoder and the LSTM input projection
-# are computed one block at a time, so a scan over R mask sets holds about
-# R x BLOCK x 4H gate values however long the sequence is.
-BLOCK = 64
+# Row-frames per block of the scan: a scan over R mask sets computes the
+# encoder and the LSTM input projection ``block_frames(R)`` frames at a time,
+# at most BLOCK x 4H gate values per model however long or wide it is.
+BLOCK = 256
 
 Params = dict  # name -> np.ndarray, insertion-ordered
 
@@ -233,22 +234,31 @@ def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[0], *x.shape[1:-1], w.shape[-1])
 
 
+def block_frames(rows: int) -> int:
+    """Frames per scan block of ``rows`` rows: the largest power of two <= BLOCK // rows.
+
+    Other lengths can move outputs in the last bit on some BLAS builds, whose
+    narrow head matrix products round partial kernel tiles differently."""
+    return 1 << (max(BLOCK // rows, 1).bit_length() - 1)
+
+
 def _scan(params, masks, features, config, state, keep=False, horizons=None):
     """The network over ``features`` for every model and every row of a stacked mask set.
 
     A model is one parameter set (``params`` arrays are (K, ...)), a row is
     one mask set (``masks`` arrays are (R, dim)); every model runs every row
-    and all read the same frames.  Per block of ``BLOCK`` frames the encoder
-    and the input projection ``x @ W_x + b`` are computed at once, the
-    recurrence steps through the block writing the gate values in place over
-    that projection, and the heads read the block's hidden states.  The
-    recurrent state is unit-major, (K, H, R) and (K, 4H, R), so that each
-    gate is one slice.  ``horizons`` (K,) scales the ``scaled_sigmoid``
-    output of each model (default ``config.horizon``).  Returns the outputs
-    with leading (K, R) axes, the final ``(h, c)`` as (K, R, H) arrays, and
-    with ``keep`` (one row only) the per-frame arrays BPTT reads: the
-    encoder activations and ``xi`` model-major, (K or 1, n, width), and the
-    gates, cells and hidden states step-major, (n, K, 1, width).
+    and all read the same frames.  Per block of ``block_frames(R)`` frames
+    (at most ``BLOCK`` row-frames) the encoder and the input projection
+    ``x @ W_x + b`` are computed at once, the recurrence steps through the
+    block writing the gate values in place over that projection, and the
+    heads read the block's hidden states.  The recurrent state is
+    unit-major, (K, H, R) and (K, 4H, R), so that each gate is one slice.
+    ``horizons`` (K,) scales the ``scaled_sigmoid`` output of each model
+    (default ``config.horizon``).  Returns the outputs with leading (K, R)
+    axes, the final ``(h, c)`` as (K, R, H) arrays, and with ``keep`` (one
+    row only) the per-frame arrays BPTT reads: the encoder activations and
+    ``xi`` model-major, (K or 1, n, width), and the gates, cells and hidden
+    states step-major, (n, K, 1, width).
     """
     models, rows = params["lstm_b"].shape[0], masks.recurrent_hidden.shape[0]
     n, h_dim, k = features.shape[0], config.hidden, config.instruments
@@ -269,9 +279,9 @@ def _scan(params, masks, features, config, state, keep=False, horizons=None):
     m_h = np.broadcast_to(masks.recurrent_hidden.T, (models, h_dim, rows)).copy()
     hm, ig = np.empty((models, h_dim, rows)), np.empty((models, h_dim, rows))
     hw = np.empty((models, 4 * h_dim, rows))
-    blocks = []
-    for start in range(0, n, BLOCK):
-        frames = features[start:start + BLOCK]
+    blocks, step = [], block_frames(rows)
+    for start in range(0, n, step):
+        frames = features[start:start + step]
         acts = [(frames[:, None, :] * masks.encoder_input)[None]]
         for l in range(len(config.encoder)):
             z = _dense(acts[-1], params[f"enc{l}_W"], params[f"enc{l}_b"])
@@ -370,10 +380,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax over the last axis; ``out`` may be ``logits`` itself for an in-place update."""
+    out = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def compute_loss(

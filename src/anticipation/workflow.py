@@ -197,8 +197,12 @@ class SimConfig:
             raise ValueError("features.noise_std must be >= 0")
         if self.features.dim is not None and self.features.dim < 1:
             raise ValueError("features.dim must be >= 1")
-        if self.instrument_names is not None and len(self.instrument_names) != self.instruments:
-            raise ValueError("instrument_names length must equal instruments")
+        if self.instrument_names is not None:
+            if len(self.instrument_names) != self.instruments:
+                raise ValueError("instrument_names length must equal instruments")
+            defect = _names_defect(self.instrument_names)
+            if defect:
+                raise ValueError(f"instrument_names: {defect}")
 
     @property
     def feature_dim(self) -> int:
@@ -448,14 +452,36 @@ def _write_rows(path: str, head: str, row_format: str, rows: np.ndarray) -> None
             fh.write((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
+def _names_defect(names) -> Optional[str]:
+    """Why a ``generic_csv`` header would not read back as ``names``, or None if it would."""
+    for name in names:
+        problem = ("is empty" if not name
+                   else "holds a comma" if "," in name
+                   else "holds a line break" if name.splitlines() != [name]
+                   else "has surrounding whitespace" if name != name.strip()
+                   else "is not UTF-8 text" if any("\ud800" <= c <= "\udfff" for c in name)
+                   else "is the name of another column" if name in ("frame", "phase")
+                   else None)
+        if problem:
+            return f"name {name!r} {problem}"
+    if len(set(names)) != len(names):
+        return "a name occurs twice"
+    return None
+
+
 def save_annotations(seq: ProcedureSequence, path: str) -> None:
     """Write a sequence in ``generic_csv`` form (phase column if present).
 
     The header is ``frame,<names>[,phase]`` (names ``inst_<k>`` when the
     sequence has none), then one ``<frame>,<0|1>,...[,<phase>]`` line per
-    frame numbered from 0, every line ending in ``\\n``.
+    frame numbered from 0, every line ending in ``\\n``.  Names that would
+    not read back as themselves raise ``ValueError`` before anything is written.
     """
-    header = ["frame", *(seq.names or (f"inst_{k}" for k in range(seq.n_instruments)))]
+    names = seq.names or tuple(f"inst_{k}" for k in range(seq.n_instruments))
+    defect = _names_defect(names)
+    if defect:
+        raise ValueError(f"{path}: instrument names {list(names)}: {defect}")
+    header = ["frame", *names]
     columns = [np.arange(seq.n_frames), seq.presence]
     if seq.phase is not None:
         header.append("phase")

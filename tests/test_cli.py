@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import typing
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -62,8 +63,12 @@ def run_chain(config_path, out_dir, commands=("simulate", "train", "evaluate", "
         assert code == 0, f"{command} failed"
 
 
+def read_manifest(out):
+    return json.loads(Path(out, "manifest.json").read_text())
+
+
 def checksum(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestPipeline:
@@ -75,7 +80,7 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "reports", "metrics_h3.csv"))
         assert os.path.exists(os.path.join(out, "reports", "analysis_pcc_h3.csv"))
         assert os.path.exists(os.path.join(out, "reports", "analysis_trigger_h3.csv"))
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_manifest(out)
         assert [r["command"] for r in manifest["runs"]] == [
             "simulate", "train", "evaluate", "analyze"
         ]
@@ -134,7 +139,7 @@ class TestPipeline:
         out = str(tmp_path / "run")
         code = cli.main(["simulate", "--config", config_path, "--out", out, "--seed", "99"])
         assert code == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_manifest(out)
         assert manifest["runs"][0]["resolved_config"]["seed"] == 99
 
     def test_baseline_command(self, config_path, tmp_path):
@@ -161,7 +166,7 @@ class TestPipeline:
 
         monkeypatch.setattr(cli.labels, "compute_targets", recording)
         assert cli.main(["baseline", "--config", str(path), "--out", out]) == 0
-        text = open(os.path.join(out, "baselines", "baseline_mean_h3.json")).read()
+        text = Path(out, "baselines", "baseline_mean_h3.json").read_text()
         assert '"fps": 5.0' in text
         generated = workflow.generate_dataset(cli.sim_config_from_dict(config["sim"]), 5, seed=5)
         for seq in generated[3:]:  # the test split
@@ -184,7 +189,7 @@ class TestPipeline:
             for element in root.iter():
                 for value in element.attrib.values():
                     assert "nan" not in value.lower() and "inf" not in value.lower(), (name, value)
-        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        run = read_manifest(out)["runs"][-1]
         assert run["command"] == "analyze"
         digests = {}
         for name in plots:
@@ -202,7 +207,7 @@ class TestPipeline:
         path.write_text(json.dumps(config))
         out = str(tmp_path / "run")
         run_chain(str(path), out)
-        header = open(os.path.join(out, "reports", "metrics_h3.csv")).readline()
+        header = Path(out, "reports", "metrics_h3.csv").read_text().splitlines()[0]
         assert "wmae_lifter" in header and "wmae_probe" not in header
 
 
@@ -293,6 +298,21 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("names", [["a,b", "c"], [" a", "c"], ["a", "c\n"], ["", "c"],
+                                       ["a", "a"], ["frame", "c"], ["a", "phase"],
+                                       ["a", "\ud800"]])
+    def test_instrument_names_that_cannot_round_trip(self, tmp_path, capsys, names):
+        """Names a CSV header cannot carry are a config error, before any file is written."""
+        config = tiny_config()
+        config["sim"]["instrument_names"] = names
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "instrument_names" in err and "Traceback" not in err
+        assert not (out / "dataset").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 3
@@ -337,7 +357,7 @@ class TestExitCodes:
         for name in test_files:
             seq_csv = os.path.join(out, "dataset", "test", name)
             seq_id = name[:-4]
-            n = sum(1 for _ in open(seq_csv)) - 1
+            n = len(Path(seq_csv).read_text().splitlines()) - 1
             background = np.tile([0.0, 0.0, 1.0], (n, 2, 1))
             zeros = np.zeros((n, 2))
             summary = PredictiveSummary(
@@ -394,7 +414,7 @@ class TestDamagedRunDirectory:
         _, out = predicted_run
         files = sorted(os.listdir(os.path.join(out, "summaries")))
         assert files and all(f.endswith(".bin") for f in files)
-        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        run = read_manifest(out)["runs"][-1]
         assert run["command"] == "predict"
         for name in files:
             rel = os.path.join("summaries", name)
@@ -403,7 +423,7 @@ class TestDamagedRunDirectory:
     def test_truncated_summary(self, predicted_run, tmp_path, capsys):
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(data[: len(data) // 2])
         for command in ("evaluate", "analyze"):
@@ -436,7 +456,7 @@ class TestDamagedRunDirectory:
         config_path, out = copy_run(predicted_run, tmp_path)
         assert cli.main(["evaluate", "--config", config_path, "--out", out,
                          "--samples", "7", "--overwrite"]) == 0
-        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        run = read_manifest(out)["runs"][-1]
         assert run["resolved_config"]["eval"]["samples"] == 7
         files = sorted(os.listdir(os.path.join(out, "summaries")))
         for name in files:
@@ -457,7 +477,7 @@ class TestDamagedRunDirectory:
     def test_truncated_checkpoint(self, predicted_run, tmp_path, capsys):
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "checkpoints", "model_h3.bin")
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(data[:-100])
         assert cli.main(["predict", "--config", config_path, "--out", out, "--overwrite"]) == 3
@@ -470,7 +490,7 @@ class TestDamagedRunDirectory:
 
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         # At the CLI: cuts in the header, at its end and around each array boundary.
         head = data.index(b"\n") + 1
         summary = load_summary(path)
@@ -488,7 +508,7 @@ class TestDamagedRunDirectory:
         for name in SUMMARY_ARRAYS:
             setattr(summary, name, getattr(summary, name)[:2])
         save_summary(summary, path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         seq = cli.load_dataset(os.path.join(out, "dataset"), "test")[0]
         for cut in range(len(data)):
             with open(path, "wb") as fh:
@@ -504,7 +524,7 @@ class TestDamagedRunDirectory:
         for name in before:
             os.rename(os.path.join(summary_dir, name), os.path.join(summary_dir, name[:-4] + ".npz"))
         assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 0
-        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        run = read_manifest(out)["runs"][-1]
         for name, digest in before.items():
             assert checksum(os.path.join(summary_dir, name)) == digest
             assert run["artifacts"][os.path.join("summaries", name)] == digest
@@ -549,7 +569,7 @@ class TestDamagedRunDirectory:
         out = str(tmp_path / "run")
         run_chain(config_path, out, commands=("simulate",))
         manifest_path = os.path.join(out, "manifest.json")
-        before = open(manifest_path, "rb").read()
+        before = Path(manifest_path).read_bytes()
 
         def failing_dump(obj, fh, **kwargs):
             fh.write('{"runs": [')
@@ -558,7 +578,7 @@ class TestDamagedRunDirectory:
         monkeypatch.setattr(cli.json, "dump", failing_dump)
         assert cli.main(["simulate", "--config", config_path, "--out", out, "--overwrite"]) == 3
         monkeypatch.undo()
-        assert open(manifest_path, "rb").read() == before
+        assert Path(manifest_path).read_bytes() == before
         assert [r["command"] for r in json.loads(before)["runs"]] == ["simulate"]
         assert sorted(os.listdir(out)) == ["dataset", "manifest.json"]
 
@@ -631,6 +651,46 @@ class TestDamagedRunDirectory:
         assert err.startswith(f"input error: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, split, seq_id", [
+        ("baseline", "train", "proc_0002"),
+        ("train", "train", "proc_0002"),
+        ("evaluate", "train", "proc_0002"),
+        ("baseline", "test", "proc_0004"),
+        ("predict", "test", "proc_0004"),
+        ("evaluate", "test", "proc_0004"),
+        ("analyze", "test", "proc_0004"),
+    ])
+    def test_file_with_other_instruments_names_it(self, predicted_run, tmp_path, capsys,
+                                                  command, split, seq_id):
+        """A file lacking a column of its split's first file exits 3 naming both files."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "summaries"))
+        path = Path(out, "dataset", split, f"{seq_id}.csv")
+        first = Path(out, "dataset", split, {"train": "proc_0000", "test": "proc_0003"}[split])
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(row[:2] + row[3:]) + "\n" for row in rows))
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: instruments ['probe'] differ from "
+                              f"['probe', 'lifter'] of {first}.csv")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["baseline", "evaluate"])
+    def test_splits_with_other_instruments_are_refused(self, predicted_run, tmp_path, capsys,
+                                                       command):
+        """Each split consistent, but the test split names another instrument."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        dataset = Path(out, "dataset")
+        for path in (dataset / "test").glob("proc_????.csv"):
+            path.write_text(path.read_text().replace("lifter", "hook", 1))
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"input error: {dataset / 'test' / 'proc_0003.csv'}: instruments "
+            f"['probe', 'hook'] differ from ['probe', 'lifter'] of "
+            f"{dataset / 'train' / 'proc_0000.csv'}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["baseline", "predict"])
     def test_stray_feature_sidecar_is_ignored(self, predicted_run, tmp_path, command):
         config_path, out = copy_run(predicted_run, tmp_path)
@@ -690,7 +750,7 @@ class TestDamagedRunDirectory:
             for name in os.listdir(os.path.join(out, "dataset", "train")):
                 if not name.endswith(".features.csv"):
                     csv = os.path.join(out, "dataset", "train", name)
-                    lines = open(csv).read().splitlines()
+                    lines = Path(csv).read_text().splitlines()
                     assert lines[0].endswith(",phase")
                     with open(csv, "w") as fh:
                         fh.write("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
@@ -737,7 +797,7 @@ class TestRunLedger:
         assert cli.main(["analyze", "--config", str(config_path), "--out", out]) == 5
         captured = capsys.readouterr()
         assert "wrote" not in captured.out
-        runs = json.load(open(os.path.join(out, "manifest.json")))["runs"]
+        runs = read_manifest(out)["runs"]
         assert [r["command"] for r in runs] == ["simulate", "analyze"]
         written = {os.path.join("reports", f"analysis_{name}_h3.csv")
                    for name in ("pcc", "filtering", "tpfp", "trigger")}
@@ -755,9 +815,9 @@ class TestRunLedger:
     def test_failure_before_writing_adds_no_entry(self, config_path, tmp_path):
         out = str(tmp_path / "run")
         run_chain(config_path, out, commands=("simulate",))
-        before = open(os.path.join(out, "manifest.json"), "rb").read()
+        before = Path(os.path.join(out, "manifest.json")).read_bytes()
         assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 3  # no checkpoint
-        assert open(os.path.join(out, "manifest.json"), "rb").read() == before
+        assert Path(os.path.join(out, "manifest.json")).read_bytes() == before
         assert sorted(os.listdir(out)) == ["dataset", "manifest.json"]
 
     @pytest.mark.parametrize("damage", [b"garbage", b"[]", b'{"runs": 5}', b"\xff\xfe"])
@@ -779,12 +839,12 @@ class TestRunLedger:
         assert err.startswith(f"input error: damaged run manifest {manifest}")
         assert "Traceback" not in err
         assert files() == before
-        assert open(manifest, "rb").read() == damage
+        assert Path(manifest).read_bytes() == damage
 
     def test_evaluate_writes_no_baseline_files(self, predicted_run, tmp_path):
         config_path, out = copy_run(predicted_run, tmp_path)
         assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 0
-        run = json.load(open(os.path.join(out, "manifest.json")))["runs"][-1]
+        run = read_manifest(out)["runs"][-1]
         assert run["command"] == "evaluate"
         assert sorted(run["artifacts"]) == [os.path.join("reports", "metrics_h3.csv"),
                                             os.path.join("reports", "metrics_h3.json")]

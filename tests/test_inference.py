@@ -17,7 +17,7 @@ from anticipation import (
     mc_predict,
 )
 from anticipation.inference import SUMMARY_ARRAYS, load_summary, save_summary
-from anticipation.network import BLOCK
+from anticipation.network import block_frames
 
 
 def summary_from(reg_samples, class_samples, horizon=3.0):
@@ -132,9 +132,11 @@ class TestMcPredict:
             mc_predict(params, config, np.zeros((3, 4)), samples=0, seed=0)
 
     @pytest.mark.parametrize("samples", [1, 3, 16])
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
-    def test_matches_serial_passes(self, samples, n):
-        """All T mask sets in one scan equal T separate single-set passes."""
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_matches_serial_passes(self, samples, blocks, extra):
+        """All T mask sets in one scan equal T separate single-set passes, for
+        sequences of 1, s - 1, s, s + 1 and 3s + 5 frames, s the block length of T rows."""
+        n = blocks * block_frames(samples) + extra
         config = NetworkConfig(input_dim=4, instruments=2, hidden=6, encoder=(5, 4),
                                dropout=0.3, horizon=3.0, phase_classes=3)
         params = init_params(config, seed=n)
@@ -147,19 +149,34 @@ class TestMcPredict:
                      "class_aleatoric_per_class"):
             np.testing.assert_allclose(getattr(s, name), getattr(ref, name), rtol=0, atol=1e-12)
 
-    def test_memory_stays_blocked(self):
-        """Peak allocation stays under a quarter of one unblocked (n, T, 4H) gate array."""
-        config = NetworkConfig(input_dim=8, instruments=3, hidden=64, encoder=(64, 64))
+    # n = 3000 frames at the default model size (H = 64), three instruments.
+    MEMORY_CONFIG = NetworkConfig(input_dim=8, instruments=3, hidden=64, encoder=(64, 64))
+    MEMORY_FRAMES = 3000
+
+    def traced_peak(self, samples):
+        """tracemalloc's peak over one ``mc_predict`` call on MEMORY_FRAMES frames."""
+        config = self.MEMORY_CONFIG
         params = init_params(config, seed=0)
-        n, samples = 3000, 16
-        feats = np.random.default_rng(0).normal(size=(n, 8))
+        feats = np.random.default_rng(0).normal(size=(self.MEMORY_FRAMES, config.input_dim))
         tracemalloc.start()
         try:
             mc_predict(params, config, feats, samples=samples, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * samples * 4 * config.hidden * 8 / 4
+
+    @pytest.mark.parametrize("samples", [16, 64])
+    def test_memory_is_bounded_by_the_outputs(self, samples):
+        """Peak allocation stays within 2.5x the (T, n) head outputs: the scan's
+        blocks and the aggregation add little beyond them, at any sample count."""
+        head_outputs = samples * self.MEMORY_FRAMES * 4 * self.MEMORY_CONFIG.instruments * 8
+        assert self.traced_peak(samples) < 2.5 * head_outputs
+
+    def test_memory_stays_blocked(self):
+        """Peak allocation stays under a quarter of one unblocked (n, T, 4H) gate array."""
+        samples = 16
+        gates = self.MEMORY_FRAMES * samples * 4 * self.MEMORY_CONFIG.hidden * 8
+        assert self.traced_peak(samples) < gates / 4
 
     def test_std_shrinks_with_sample_count(self):
         """Repeated runs: spread of reg_mean follows roughly 1/sqrt(T)."""

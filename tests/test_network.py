@@ -25,6 +25,7 @@ from anticipation.network import (
     BLOCK,
     CHECKPOINT_FORMAT,
     Adam,
+    block_frames,
     checkpoint_input_dim,
     load_container,
     loss_and_gradients,
@@ -447,8 +448,8 @@ class TestLockstep:
     @staticmethod
     def videos():
         config = SimConfig(
-            instruments=2, phases=2, duration_mean=300.0, duration_std=30.0,
-            phase_plan=(PhaseSpec(150.0, 20.0), PhaseSpec(150.0, 20.0)),
+            instruments=2, phases=2, duration_mean=700.0, duration_std=30.0,
+            phase_plan=(PhaseSpec(350.0, 20.0), PhaseSpec(350.0, 20.0)),
             usage_rules=(UsageRule(0, 0, 1.0, length_mean=20.0),
                          UsageRule(0, 1, 1.0, length_mean=20.0)),
             trigger_rules=(TriggerRule(0, 1, delay_mean=45.0, length_mean=12.0),),
@@ -464,9 +465,9 @@ class TestLockstep:
         config = NetworkConfig(
             input_dim=videos[0].feature_dim, instruments=2, hidden=6, encoder=(5,),
             phase_classes=2, output_mode=output_mode, horizon=9.0, learning_rate=3e-3,
-            window=110, accum_steps=2, epochs=2, seed=4,
+            window=270, accum_steps=2, epochs=2, seed=4,
         )
-        assert config.window > BLOCK
+        assert config.window > block_frames(1)
         windows = [-(-v.n_frames // config.window) for v in videos]
         assert any(w % config.accum_steps for w in windows)  # a leftover group
         horizons = (1.0, 2.0, 3.0)

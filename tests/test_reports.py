@@ -1,3 +1,4 @@
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_plot_is_deterministic_svg(case, tmp_path):
     paths = [str(tmp_path / f"{i}.svg") for i in range(2)]
     for path in paths:
         write(path)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
     root = parse_svg(paths[0])
     for (tag, cls), count in expected.items():
         assert len(tagged(root, tag, cls)) == count, (tag, cls)

@@ -239,6 +239,36 @@ class TestIngestion:
         np.testing.assert_array_equal(again.phase, seq.phase)
         assert again.n_frames == seq.n_frames
 
+    @pytest.mark.parametrize("names", [
+        ("a,b", "c"), (" a", "b"), ("a", "b\t"), ("a\nb", "c"), ("a", "b\r"), ("", "c"),
+        ("a", "a"), ("frame", "b"), ("a", "phase"), ("a", "\ud800"),
+    ])
+    def test_names_that_cannot_round_trip_are_refused(self, tmp_path, names):
+        seq = ProcedureSequence(id="s", presence=np.zeros((3, 2), dtype=bool), names=names)
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="instrument names"):
+            save_annotations(seq, str(path))
+        assert not path.exists()
+        with pytest.raises(ValueError, match="instrument_names"):
+            basic_config(instrument_names=names).validate()
+
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(names=st.lists(st.text(max_size=4), min_size=1, max_size=3))
+    def test_names_round_trip_or_are_refused(self, tmp_path, names):
+        """Every name list save_annotations accepts reads back as itself; it
+        refuses any other before writing."""
+        seq = ProcedureSequence(id="s", presence=np.zeros((2, len(names)), dtype=bool),
+                                names=tuple(names))
+        path = tmp_path / "s.csv"
+        path.unlink(missing_ok=True)
+        try:
+            save_annotations(seq, str(path))
+        except ValueError as exc:
+            assert "instrument names" in str(exc) and not path.exists()
+            return
+        assert load_annotations(str(path)).names == tuple(names)
+
 
 SPECIAL_FLOATS = (-0.0, np.nan, np.inf, -np.inf, 5e-324, -1.5e-310, 2.2250738585072009e-308,
                   1.7976931348623157e308, 0.1)
