@@ -104,7 +104,8 @@ def _candidate_thresholds(counts: np.ndarray) -> np.ndarray:
     wMAE as a function of the threshold only changes at these values, so an
     exhaustive scan over them is an exact search.
     """
-    distinct = np.unique(counts)
+    ordered = np.sort(counts, axis=None)  # np.unique without its first-call numpy.ma import
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     return np.concatenate([distinct, [distinct[-1] + 1]]).astype(np.float64)
 
 

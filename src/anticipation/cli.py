@@ -31,7 +31,9 @@ Checkpoints (``checkpoints/model_h<h>.bin``) and MC summaries
 (``summaries/summary_<id>_h<h>.bin``) share one binary container: a JSON
 header line, then raw little-endian float64 arrays.  ``predict`` writes the
 summaries; ``evaluate`` and ``analyze`` reuse them, and compute (and write)
-any that are missing from the checkpoint.
+any that are missing from the checkpoint, on one process per available core
+(``workers`` in the manifest) if this process is single-threaded: pin the BLAS
+threads (``OPENBLAS_NUM_THREADS=1`` ...) for that.  Either way is bit-identical.
 
 Exit codes: 0 ok, 2 config error, 3 input error, 4 numeric failure,
 5 empty result.
@@ -48,6 +50,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 import typing
 from typing import Annotated, Optional, Union
@@ -276,6 +279,7 @@ class _Run:
         self.data_dir = getattr(args, "data", None) or os.path.join(self.dir, "dataset")
         self.overwrite = args.overwrite
         self.claimed: list[str] = []
+        self.workers: Optional[int] = None  # processes that drew MC summaries, if any did
         # Read before the command runs, so a damaged manifest stops it before it
         # writes anything that the manifest could then not list.
         self.manifest_path = os.path.join(self.dir, "manifest.json")
@@ -318,6 +322,8 @@ class _Run:
         entry = {"command": command, "seed": config["seed"],
                  "config_hash": resolved_config_hash(config), "resolved_config": config,
                  "artifacts": artifacts}
+        if self.workers is not None:
+            entry["workers"] = self.workers
         if error is not None:
             entry["error"] = error
         # Write beside the old manifest and swap it in, so a failed write never
@@ -495,62 +501,128 @@ def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float) -> infer
     return summary
 
 
-def _summaries_for_split(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequence],
-                         h: float, reuse: bool = True) -> list[inference.PredictiveSummary]:
-    """MC summaries for every test sequence (reusing files when present).
+def _fork_map(fn, items: list) -> tuple[list, int]:
+    """``[fn(item) for item in items]`` on one process per available core, and their number.
 
-    Only a summary that is computed reads the feature file of its sequence,
-    after the checkpoint header, whose first weight matrix gives the input
-    width every such file must have.  The sequence with its features replaces the
-    one in ``test_seqs``, so a later horizon does not read the file again.
+    Items are dealt round-robin; this process computes share 0, and forked
+    children pickle their outcomes into pipes.  The lowest-index item's error
+    is raised, as in a serial loop.  Only a single-threaded process forks: a
+    child could block on a lock held by a thread it has no copy of (as in an
+    unpinned BLAS pool), and Python 3.12 warns about such forks.
     """
-    params = net_config = None
+    alone = False
+    with contextlib.suppress(OSError):  # no /proc: the thread count is unknown
+        alone = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+    n = min(len(os.sched_getaffinity(0)), len(items)) if alone else 1
+    if n < 2:
+        return [fn(item) for item in items], 1
+
+    def share(w: int) -> list:  # (ok, result or error) per item, up to the first error
+        done = []
+        for item in items[w::n]:
+            try:
+                done.append((True, fn(item)))
+            except Exception as exc:
+                return done + [(False, exc)]
+        return done
+
+    children, shares = [], {}
+    try:
+        for w in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: send its share's outcomes, then exit
+                try:
+                    with os.fdopen(write_fd, "wb") as fh:
+                        pickle.dump(share(w), fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children.append((w, pid, read_fd))
+        shares[0] = share(0)
+    finally:  # read and reap every child, also when this process failed
+        for i, (w, pid, read_fd) in enumerate(children):
+            with os.fdopen(read_fd, "rb") as fh:
+                children[i] = w, fh.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for w, data, code in children:
+        shares[w] = pickle.loads(data) if code == 0 else [(False, OSError(
+            f"worker process exited with code {code} before returning its results for "
+            + ", ".join(map(str, items[w::n]))))]
+    outcomes = [None] * len(items)
+    for w, done in shares.items():
+        outcomes[w:w + n * len(done):n] = done
+    for ok, value in outcomes:  # an item without an outcome follows an error in its share
+        if not ok:
+            raise value
+    return [value for _, value in outcomes], n
+
+
+def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequence],
+               horizons: list[float], reuse: bool = True) -> dict[float, list]:
+    """MC summaries of every test sequence at every horizon, reusing files when present.
+
+    This process decides reuse, reads the checkpoints and claims the outputs;
+    :func:`_fork_map` splits the sequences that miss summaries.  Each reads
+    its feature file once (checked against the checkpoint's input width) and
+    draws its missing horizons with its own seeds, so the split changes none.
+    ``predict`` (``reuse=False``) keeps none in memory and gets an empty dict.
+    """
     samples = config["eval"]["samples"]
-    summaries = []
-    for idx, seq in enumerate(test_seqs):
-        rel_path = os.path.join("summaries", f"summary_{seq.id}_h{h:g}.bin")
-        path = os.path.join(run.dir, rel_path)
-        if reuse and os.path.exists(path):
-            summary = _load_summary(path, seq, h)
-            if summary.samples == samples:
-                summaries.append(summary)
-                continue
-            if not run.overwrite:
-                raise InputError(
-                    f"summary {path}: drawn with {summary.samples} MC samples, eval.samples is "
-                    f"{samples} (use --overwrite to recompute it)"
-                )
-        if net_config is None:
-            ckpt_path = os.path.join(run.dir, "checkpoints", f"model_h{h:g}.bin")
-            if not os.path.exists(ckpt_path):
-                raise InputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
-            try:
-                width = network.checkpoint_input_dim(ckpt_path)
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
-            net_config = network_config(config, width, seq.n_instruments, h)
-        seq = test_seqs[idx] = _with_features(seq, run, "test", net_config.input_dim,
-                                              "the checkpoint's input_dim")
-        if params is None:  # loaded after the features, which keeps the peak RSS down
-            try:
-                params = network.load_params(ckpt_path, net_config)
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
-        run.claim(rel_path)
-        summary = inference.mc_predict(
-            params, net_config, seq.features,
-            samples=samples,
-            seed=_summary_seed(config["seed"], h, idx),
-        )
-        inference.save_summary(summary, path)
-        summaries.append(summary)
-    return summaries
+    paths = {(seq.id, h): os.path.join("summaries", f"summary_{seq.id}_h{h:g}.bin")
+             for seq in test_seqs for h in horizons}
+    found, missing = {}, {}  # (id, h) -> summary; id -> horizons to draw
+    for seq in test_seqs:
+        for h in horizons:
+            path = os.path.join(run.dir, paths[seq.id, h])
+            if reuse and os.path.exists(path):
+                summary = _load_summary(path, seq, h)
+                if summary.samples == samples:
+                    found[seq.id, h] = summary
+                    continue
+                if not run.overwrite:
+                    raise InputError(f"summary {path}: drawn with {summary.samples} MC samples, "
+                                     f"eval.samples is {samples} (use --overwrite to recompute it)")
+            missing.setdefault(seq.id, []).append(h)
+    models = {}
+    for h in (h for h in horizons if any(h in hs for hs in missing.values())):
+        ckpt_path = os.path.join(run.dir, "checkpoints", f"model_h{h:g}.bin")
+        if not os.path.exists(ckpt_path):
+            raise InputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
+        try:
+            width = network.checkpoint_input_dim(ckpt_path)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+        net_config = network_config(config, width, test_seqs[0].n_instruments, h)
+        try:
+            models[h] = network.load_params(ckpt_path, net_config), net_config
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+    run.claim(*(paths[seq_id, h] for seq_id, hs in missing.items() for h in hs))
+    position = {seq.id: idx for idx, seq in enumerate(test_seqs)}
+
+    def draw(seq_id: str) -> list:
+        seq, drawn = test_seqs[position[seq_id]], []
+        for h in missing[seq_id]:
+            params, net_config = models[h]
+            seq = _with_features(seq, run, "test", net_config.input_dim,
+                                 "the checkpoint's input_dim")
+            summary = inference.mc_predict(params, net_config, seq.features, samples=samples,
+                                           seed=_summary_seed(config["seed"], h, position[seq_id]))
+            inference.save_summary(summary, os.path.join(run.dir, paths[seq_id, h]))
+            drawn += [summary] if reuse else []
+        return drawn
+
+    if missing:
+        drawn, run.workers = _fork_map(draw, list(missing))
+        found.update(((seq_id, h), s) for seq_id, summaries in zip(missing, drawn)
+                     for h, s in zip(missing[seq_id], summaries))
+    return {h: [found[seq.id, h] for seq in test_seqs] for h in horizons} if reuse else {}
 
 
 def cmd_predict(config: dict, run: _Run, args: argparse.Namespace) -> None:
     test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
-    for h in config["horizons"]:
-        _summaries_for_split(config, run, test_seqs, h, reuse=False)
+    _summaries(config, run, test_seqs, config["horizons"], reuse=False)
 
 
 def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
@@ -564,6 +636,7 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     names = test_seqs[0].names or tuple(f"inst_{j}" for j in range(test_seqs[0].n_instruments))
     subset = _instrument_subset(config, names)
     sub_names = tuple(names[j] for j in subset)
+    summaries = _summaries(config, run, test_seqs, config["horizons"]) if "model" in methods else {}
     for h in config["horizons"]:
         targets = [labels.compute_targets(s, h) for s in test_seqs]
         remaining = [t.remaining[:, subset] for t in targets]
@@ -578,8 +651,7 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
                      for s in test_seqs]
             table[method] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
         if "model" in methods:
-            summaries = _summaries_for_split(config, run, test_seqs, h)
-            preds = [np.clip(s.reg_mean[:, subset], 0.0, h) for s in summaries]
+            preds = [np.clip(s.reg_mean[:, subset], 0.0, h) for s in summaries.pop(h)]
             table["model"] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
         csv_path, json_path = run.claim(os.path.join("reports", f"metrics_h{h:g}.csv"),
                                         os.path.join("reports", f"metrics_h{h:g}.json"))
@@ -591,8 +663,9 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
     use_std = config["analysis"]["use_std"]
     trigger_cfg = config["analysis"]["trigger"]
     test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
+    by_horizon = _summaries(config, run, test_seqs, config["horizons"])
     for h in config["horizons"]:
-        summaries = _summaries_for_split(config, run, test_seqs, h)
+        summaries = by_horizon.pop(h)  # popped, so freed before the next horizon's arrays
         targets = [labels.compute_targets(s, h) for s in test_seqs]
         names = test_seqs[0].names
 

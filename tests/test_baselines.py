@@ -1,5 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import anticipation
 
 from anticipation import (
     PhaseSpec,
@@ -68,6 +77,33 @@ class TestHistogram:
         np.testing.assert_array_equal(
             _candidate_thresholds(np.array([0, 3, 3, 7])), [0.0, 3.0, 7.0, 8.0]
         )
+
+    @given(hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 6)))
+    def test_candidates_match_np_unique(self, counts):
+        distinct = np.unique(counts)
+        expected = np.concatenate([distinct, [distinct[-1] + 1]]).astype(np.float64)
+        found = _candidate_thresholds(counts)
+        assert found.dtype == expected.dtype
+        np.testing.assert_array_equal(found, expected)
+
+    def test_fit_does_not_import_numpy_ma(self):
+        """``np.unique`` imports ``numpy.ma`` on its first call; the fit avoids it.
+
+        numpy 1.x imports ``numpy.ma`` with numpy itself, so there the test is skipped.
+        """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(anticipation.__file__)))
+        code = ("import sys, numpy as np; print('numpy.ma' in sys.modules); "
+                "from anticipation import ProcedureSequence, fit_baseline; "
+                "rng = np.random.default_rng(0); "
+                "fit_baseline([ProcedureSequence(id=str(i), presence=rng.random((90, 2)) < 0.2) "
+                "for i in range(3)], 3.0, bins=12); "
+                "print('numpy.ma' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        with_numpy, after_fit = result.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this numpy imports numpy.ma together with numpy")
+        assert after_fit == "False"
 
 
 class TestPredict:
