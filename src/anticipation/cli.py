@@ -44,11 +44,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import glob
 import hashlib
 import json
-import math
 import os
 import pickle
 import sys
@@ -64,6 +62,8 @@ from .errors import (
     EmptyResultError,
     InputError,
     NumericError,
+    _at_least,
+    _hints,
 )
 
 EXIT_OK = 0
@@ -86,6 +86,7 @@ _DATA_FIELDS = ("input_dim", "instruments", "horizon", "seed")
 _ARRAY_FIELDS = ("instrument_signatures", "phase_signatures")
 _NETWORK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(network.NetworkConfig)
                      if f.name not in _DATA_FIELDS}
+_METHODS = ("meanhist", "oraclehist", "model")
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -95,30 +96,21 @@ DEFAULT_CONFIG = {
     "model": {k: v for k, v in _NETWORK_DEFAULTS.items() if k not in _TRAIN_FIELDS},
     "train": {k: v for k, v in _NETWORK_DEFAULTS.items() if k in _TRAIN_FIELDS},
     "eval": {"samples": 10, "bins": 1000, "instruments": None,
-             "methods": ["meanhist", "oraclehist", "model"]},
+             "methods": list(_METHODS)},
     "analysis": {"percentiles": list(analysis.DEFAULT_PERCENTILES), "trigger": None,
                  "use_std": False, "memory_frames": 0},
 }
 
 
-def _at_least(low: int):
-    return Annotated[int, f"an integer >= {low}", lambda v: v >= low]
-
-
-@functools.cache
-def _hints(cls) -> dict:
-    """Field types of a dataclass or TypedDict, its string annotations evaluated once."""
-    return typing.get_type_hints(cls)
-
-
 # Types of the keys whose literal default does not give them, or whose values
-# have a range; every other key has the type of its default value (a list:
-# that of its first item).
+# have a range; every other key has the type of its default value.  The
+# dataclasses declare the ranges of their fields.
 _NETWORK_TYPES = _hints(network.NetworkConfig)
 _TYPES = {
+    "seed": _NETWORK_TYPES["seed"],
     # Artifact names tag a horizon as f"{h:g}", so no two horizons may share a tag.
     "horizons": Annotated[
-        tuple[Annotated[float, "a finite number > 0", lambda v: 0 < v < math.inf], ...],
+        tuple[_NETWORK_TYPES["horizon"], ...],
         "one or more horizons with distinct file tags (6 significant digits)",
         lambda v: 0 < len({f"{h:g}" for h in v}) == len(v),
     ],
@@ -130,8 +122,14 @@ _TYPES = {
     "eval.samples": _at_least(1),
     "eval.bins": _at_least(1),
     "eval.instruments": Optional[tuple[Union[str, int], ...]],
+    "eval.methods": tuple[Annotated[str, f"one of {', '.join(_METHODS)} (in any case)",
+                                    lambda v: v.lower() in _METHODS], ...],
     "analysis.percentiles": tuple[Annotated[float, "a number in (0, 100]", lambda v: 0 < v <= 100], ...],
-    "analysis.trigger": Optional[typing.TypedDict("TriggerPair", {"trigger": int, "target": int})],
+    # That both instruments exist is checked against the data, by 'analyze'.
+    "analysis.trigger": Optional[Annotated[
+        typing.TypedDict("TriggerPair", {"trigger": _at_least(0), "target": _at_least(0)}),
+        "a trigger and a target that differ", lambda v: v["trigger"] != v["target"],
+    ]],
     "analysis.memory_frames": _at_least(0),
 }
 _JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
@@ -143,7 +141,7 @@ def _types(default, key: str = ""):
         return _TYPES[key]
     if isinstance(default, dict):
         return {k: _types(v, f"{key}.{k}" if key else k) for k, v in default.items()}
-    return tuple[type(default[0]), ...] if isinstance(default, list) else type(default)
+    return type(default)
 
 
 _CONFIG_TYPES = _types(DEFAULT_CONFIG)
@@ -160,8 +158,9 @@ def _check(value, hint, key: str) -> None:
     """Raise a ConfigError naming ``key`` unless ``value`` is JSON of type ``hint``.
 
     A record type (a dict of key types, a dataclass or a TypedDict) is a JSON
-    object without unknown keys; ``tuple[X, ...]`` is a JSON list; a value
-    of type ``Annotated[X, text, test]`` is an X that passes ``test``.
+    object without unknown keys (and, for a TypedDict, with its required
+    ones); ``tuple[X, ...]`` is a JSON list; a value of type
+    ``Annotated[X, text, test]`` is an X that passes ``test``.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
@@ -193,6 +192,9 @@ def _check(value, hint, key: str) -> None:
         if unknown:
             where = key or "top level"
             raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
+        missing = getattr(hint, "__required_keys__", set()) - set(value)
+        if missing:
+            raise ConfigError(f"{key}: missing key(s): {', '.join(sorted(missing))}")
         for k, item in value.items():
             _check(item, fields[k], f"{key}.{k}" if key else k)
 
@@ -219,10 +221,11 @@ def load_config(path: str) -> dict:
 
 def _build(hint, value):
     """``value`` as type ``hint``: dataclasses built from their fields, lists as tuples."""
-    if typing.get_origin(hint) is Union and value is not None:  # Optional[X]
-        hint = typing.get_args(hint)[0]
-    if typing.get_origin(hint) is tuple:
-        return tuple(_build(typing.get_args(hint)[0], v) for v in value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated or (origin is Union and value is not None):  # or Optional[X]
+        return _build(args[0], value)
+    if origin is tuple:
+        return tuple(_build(args[0], v) for v in value)
     if dataclasses.is_dataclass(hint):
         types = _hints(hint)
         return hint(**{k: _build(types[k], v) for k, v in value.items()})
@@ -241,13 +244,10 @@ def sim_config_from_dict(payload: dict) -> workflow.SimConfig:
 
 
 def network_config(config: dict, input_dim: int, instruments: int, horizon: float) -> network.NetworkConfig:
-    try:
-        return network.NetworkConfig(
-            input_dim=input_dim, instruments=instruments, horizon=horizon, seed=config["seed"],
-            **{**config["model"], **config["train"], "encoder": tuple(config["model"]["encoder"])},
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid model/train section: {exc}") from None
+    return network.NetworkConfig(
+        input_dim=input_dim, instruments=instruments, horizon=horizon, seed=config["seed"],
+        **{**config["model"], **config["train"], "encoder": tuple(config["model"]["encoder"])},
+    )
 
 
 def _dataset_fps(config: dict) -> float:
@@ -468,7 +468,7 @@ def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
                for h in config["horizons"]]
     trained = network.train(train_seqs, net_configs[0], horizons=config["horizons"])
     for (params, log), net_config, (ckpt_path, log_path) in zip(trained, net_configs, outputs):
-        network.save_params(params, ckpt_path, net_config)
+        network.save_params(params, ckpt_path, net_config, names=train_seqs[0].names)
         with open(log_path, "w", encoding="utf-8", newline="") as fh:
             keys = list(log[0].keys()) if log else ["epoch"]
             fh.write(",".join(keys) + "\n")
@@ -590,9 +590,13 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
         if not os.path.exists(ckpt_path):
             raise InputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
         try:
-            width = network.checkpoint_input_dim(ckpt_path)
+            width, names = network.checkpoint_inputs(ckpt_path)
         except ValueError as exc:
             raise InputError(str(exc)) from None
+        if names is not None and names != list(test_seqs[0].names):
+            test_path = os.path.join(run.data_dir, "test", f"{test_seqs[0].id}.csv")
+            raise InputError(f"{ckpt_path}: trained on instruments {names}, but "
+                             f"{test_path} names {list(test_seqs[0].names)}")
         net_config = network_config(config, width, test_seqs[0].n_instruments, h)
         try:
             models[h] = network.load_params(ckpt_path, net_config), net_config
@@ -630,9 +634,6 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
     _same_instruments(run.data_dir, "test", test_seqs[0], "train", train_seqs[0])
     methods = [m.lower() for m in config["eval"]["methods"]]
-    unknown = set(methods) - {"meanhist", "oraclehist", "model"}
-    if unknown:
-        raise ConfigError(f"unknown eval.methods: {', '.join(sorted(unknown))}")
     names = test_seqs[0].names or tuple(f"inst_{j}" for j in range(test_seqs[0].n_instruments))
     subset = _instrument_subset(config, names)
     sub_names = tuple(names[j] for j in subset)
@@ -663,6 +664,11 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
     use_std = config["analysis"]["use_std"]
     trigger_cfg = config["analysis"]["trigger"]
     test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
+    k = test_seqs[0].n_instruments
+    for key, j in (trigger_cfg or {}).items():
+        if j >= k:
+            raise ConfigError(f"analysis.trigger.{key}: instrument {j} out of range "
+                              f"for {k} instruments")
     by_horizon = _summaries(config, run, test_seqs, config["horizons"])
     for h in config["horizons"]:
         summaries = by_horizon.pop(h)  # popped, so freed before the next horizon's arrays
@@ -687,10 +693,6 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
 
         trigger_result = None
         if trigger_cfg:
-            k = test_seqs[0].n_instruments
-            for key in ("trigger", "target"):
-                if not 0 <= trigger_cfg[key] < k:
-                    raise ConfigError(f"analysis.trigger.{key} out of range for {k} instruments")
             trigger_result = analysis.trigger_conditional_uncertainty(
                 summaries, targets,
                 target=trigger_cfg["target"], trigger=trigger_cfg["trigger"],

@@ -37,15 +37,16 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Annotated, Optional, Sequence
 
 import numpy as np
 
 from . import labels
-from .errors import NumericError
+from .errors import NonNegative, NumericError, Positive, _at_least, check_ranges
 from .workflow import ProcedureSequence
 
 OUTPUT_MODES = ("linear_clamped", "scaled_sigmoid")
+OutputMode = Annotated[str, f"one of {', '.join(OUTPUT_MODES)}", lambda v: v in OUTPUT_MODES]
 
 # Row-frames per block of the scan: a scan over R mask sets computes the
 # encoder and the LSTM input projection ``block_frames(R)`` frames at a time,
@@ -57,40 +58,25 @@ Params = dict  # name -> np.ndarray, insertion-ordered
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    input_dim: int
-    instruments: int
-    hidden: int = 64
-    encoder: tuple[int, ...] = (64, 64)
-    phase_classes: int = 0
-    dropout: float = 0.2
-    output_mode: str = "linear_clamped"
-    horizon: float = 3.0
-    lambda_cls: float = 1e-2
-    lambda_phase: Optional[float] = None
-    weight_decay: float = 1e-5
-    learning_rate: float = 1e-4
-    window: int = 128
-    accum_steps: int = 3
-    epochs: int = 100
-    seed: int = 0
+    input_dim: _at_least(1)
+    instruments: _at_least(1)
+    hidden: _at_least(1) = 64
+    encoder: tuple[_at_least(1), ...] = (64, 64)
+    phase_classes: _at_least(0) = 0
+    dropout: Annotated[float, "a number in [0, 1)", lambda v: 0 <= v < 1] = 0.2
+    output_mode: OutputMode = "linear_clamped"
+    horizon: Positive = 3.0
+    lambda_cls: NonNegative = 1e-2
+    lambda_phase: Optional[NonNegative] = None
+    weight_decay: NonNegative = 1e-5
+    learning_rate: Positive = 1e-4
+    window: _at_least(1) = 128
+    accum_steps: _at_least(1) = 3
+    epochs: _at_least(0) = 100
+    seed: _at_least(0) = 0  # numpy seeds no generator from a negative number
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden < 1 or self.instruments < 1:
-            raise ValueError("input_dim, hidden and instruments must be >= 1")
-        if any(w < 1 for w in self.encoder):
-            raise ValueError("encoder widths must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.output_mode not in OUTPUT_MODES:
-            raise ValueError(f"output_mode must be one of {OUTPUT_MODES}")
-        if self.lambda_cls < 0 or self.weight_decay < 0:
-            raise ValueError("lambda_cls and weight_decay must be >= 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.window < 1 or self.accum_steps < 1 or self.epochs < 0:
-            raise ValueError("window, accum_steps must be >= 1 and epochs >= 0")
-        if self.phase_classes < 0:
-            raise ValueError("phase_classes must be >= 0")
+        check_ranges(self)
 
     @property
     def encoder_out(self) -> int:
@@ -798,23 +784,27 @@ def load_container(path: str, tag: str, required: tuple[str, ...] = ()) -> tuple
     return header, arrays
 
 
-def save_params(params: Params, path: str, config: NetworkConfig) -> None:
-    """Write a checkpoint of ``params`` stamped with the hash of ``config``."""
-    save_container(path, CHECKPOINT_FORMAT, params, config_hash=config_hash(config))
+def save_params(params: Params, path: str, config: NetworkConfig,
+                names: Optional[Sequence[str]] = None) -> None:
+    """Write a checkpoint of ``params`` stamped with the hash of ``config`` and ``names``,
+    the instruments of the data it was trained on."""
+    save_container(path, CHECKPOINT_FORMAT, params, config_hash=config_hash(config), names=names)
 
 
-def checkpoint_input_dim(path: str) -> int:
-    """Input width of a :func:`save_params` checkpoint, read from its header alone.
+def checkpoint_inputs(path: str) -> tuple[int, Optional[list]]:
+    """Input width and instrument names (or None) of a :func:`save_params` checkpoint,
+    read from its header alone.
 
-    It is the row count of the first weight array (``enc0_W``, or
+    The width is the row count of the first weight array (``enc0_W``, or
     ``lstm_Wx`` without an encoder); ``ValueError`` names the path if that
     is not a matrix with at least one row.
     """
     with open(path, "rb") as fh:
-        entries = _read_header(fh, path, CHECKPOINT_FORMAT, ())["params"]
+        header = _read_header(fh, path, CHECKPOINT_FORMAT, ())
+    entries = header["params"]
     if not entries or len(entries[0][1]) != 2 or entries[0][1][0] < 1:
         raise ValueError(f"{path}: checkpoint has no input weight matrix")
-    return entries[0][1][0]
+    return entries[0][1][0], header.get("names")
 
 
 def load_params(path: str, config: NetworkConfig) -> Params:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AnnotationParseError
+from .errors import AnnotationParseError, NonNegative, Positive, Probability, _at_least, check_ranges
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class ProcedureSequence:
 class PhaseSpec:
     """Relative length distribution of one phase (frames before rescaling)."""
 
-    length_mean: float
-    length_std: float = 0.0
+    length_mean: Positive
+    length_std: NonNegative = 0.0
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,12 @@ class UsageRule:
     uniformly random onsets within the phase.
     """
 
-    instrument: int
-    phase: int
-    probability: float
-    length_mean: float = 10.0
-    length_std: float = 0.0
-    segments: int = 1
+    instrument: _at_least(0)
+    phase: _at_least(0)
+    probability: Probability
+    length_mean: Positive = 10.0
+    length_std: NonNegative = 0.0
+    segments: _at_least(1) = 1
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,13 @@ class TriggerRule:
     beyond the end of the sequence are dropped.
     """
 
-    trigger: int
-    target: int
-    delay_mean: float
-    delay_jitter: float = 0.0
-    probability: float = 1.0
-    length_mean: float = 10.0
-    length_std: float = 0.0
+    trigger: _at_least(0)
+    target: _at_least(0)
+    delay_mean: NonNegative
+    delay_jitter: NonNegative = 0.0
+    probability: Probability = 1.0
+    length_mean: Positive = 10.0
+    length_std: NonNegative = 0.0
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ class FeatureSpec:
     makes presence and phase exactly decodable at zero noise.
     """
 
-    dim: Optional[int] = None       # default K + P
-    noise_std: float = 0.0
+    dim: Optional[_at_least(1)] = None  # default K + P
+    noise_std: NonNegative = 0.0
     instrument_gain: float = 1.0
     phase_gain: float = 1.0
     instrument_signatures: Optional[np.ndarray] = None  # (K, F)
@@ -144,59 +144,34 @@ class FeatureSpec:
 class SimConfig:
     """Full description of a synthetic procedure population."""
 
-    instruments: int
-    phases: int
-    duration_mean: float
-    duration_std: float = 0.0
+    instruments: _at_least(1)
+    phases: _at_least(1)
+    duration_mean: Positive
+    duration_std: NonNegative = 0.0
     phase_plan: tuple[PhaseSpec, ...] = ()
     usage_rules: tuple[UsageRule, ...] = ()
     trigger_rules: tuple[TriggerRule, ...] = ()
     features: FeatureSpec = field(default_factory=FeatureSpec)
-    fps: float = 1.0
+    fps: Positive = 1.0
     instrument_names: Optional[tuple[str, ...]] = None
 
     def validate(self) -> None:
-        if self.instruments < 1:
-            raise ValueError(f"instruments must be >= 1, got {self.instruments}")
-        if self.phases < 1:
-            raise ValueError(f"phases must be >= 1, got {self.phases}")
-        if self.duration_mean <= 0:
-            raise ValueError(f"duration_mean must be positive, got {self.duration_mean}")
-        if self.duration_std < 0:
-            raise ValueError(f"duration_std must be >= 0, got {self.duration_std}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        """Check the declared ranges of every field, then the fields against each other."""
+        check_ranges(self)
         if len(self.phase_plan) != self.phases:
             raise ValueError(
                 f"phase_plan has {len(self.phase_plan)} entries for {self.phases} phases"
             )
-        for i, spec in enumerate(self.phase_plan):
-            if spec.length_mean <= 0:
-                raise ValueError(f"phase_plan[{i}].length_mean must be positive")
         for i, rule in enumerate(self.usage_rules):
-            if not 0 <= rule.instrument < self.instruments:
+            if rule.instrument >= self.instruments:
                 raise ValueError(f"usage_rules[{i}].instrument out of range")
-            if not 0 <= rule.phase < self.phases:
+            if rule.phase >= self.phases:
                 raise ValueError(f"usage_rules[{i}].phase out of range")
-            if not 0.0 <= rule.probability <= 1.0:
-                raise ValueError(f"usage_rules[{i}].probability not in [0, 1]")
-            if rule.length_mean <= 0 or rule.segments < 1:
-                raise ValueError(f"usage_rules[{i}] has non-positive length or segments")
         for i, rule in enumerate(self.trigger_rules):
-            if not 0 <= rule.trigger < self.instruments:
+            if rule.trigger >= self.instruments:
                 raise ValueError(f"trigger_rules[{i}].trigger out of range")
-            if not 0 <= rule.target < self.instruments:
+            if rule.target >= self.instruments:
                 raise ValueError(f"trigger_rules[{i}].target out of range")
-            if rule.delay_mean < 0 or rule.delay_jitter < 0:
-                raise ValueError(f"trigger_rules[{i}] delay must be >= 0")
-            if not 0.0 <= rule.probability <= 1.0:
-                raise ValueError(f"trigger_rules[{i}].probability not in [0, 1]")
-            if rule.length_mean <= 0:
-                raise ValueError(f"trigger_rules[{i}].length_mean must be positive")
-        if self.features.noise_std < 0:
-            raise ValueError("features.noise_std must be >= 0")
-        if self.features.dim is not None and self.features.dim < 1:
-            raise ValueError("features.dim must be >= 1")
         if self.instrument_names is not None:
             if len(self.instrument_names) != self.instruments:
                 raise ValueError("instrument_names length must equal instruments")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -691,6 +692,24 @@ class TestDamagedRunDirectory:
             f"{dataset / 'train' / 'proc_0000.csv'}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["predict", "analyze"])
+    def test_checkpoint_of_other_instruments_is_refused(self, predicted_run, tmp_path, capsys,
+                                                        command):
+        """The test split names other instruments than the checkpoint was trained on."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "summaries"))
+        dataset = Path(out, "dataset")
+        for path in (dataset / "test").glob("proc_????.csv"):
+            path.write_text(path.read_text().replace("lifter", "hook", 1))
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"input error: {os.path.join(out, 'checkpoints', 'model_h3.bin')}: trained on "
+            f"instruments ['probe', 'lifter'], but {dataset / 'test' / 'proc_0003.csv'} names "
+            "['probe', 'hook']")
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "summaries"))
+
     @pytest.mark.parametrize("command", ["baseline", "predict"])
     def test_stray_feature_sidecar_is_ignored(self, predicted_run, tmp_path, command):
         config_path, out = copy_run(predicted_run, tmp_path)
@@ -1034,7 +1053,7 @@ class TestConfigHandling:
         evaluated = []
         get_type_hints = typing.get_type_hints
         monkeypatch.setattr(typing, "get_type_hints",
-                            lambda cls: evaluated.append(cls) or get_type_hints(cls))
+                            lambda cls, **kw: evaluated.append(cls) or get_type_hints(cls, **kw))
         cli._hints.cache_clear()
         for _ in range(2):
             cli._dataset_fps(cli.load_config(str(path)))
@@ -1105,6 +1124,29 @@ class TestConfigHandling:
         assert getattr(NetworkConfig(input_dim=4, instruments=2), field) != expected
         assert (net.input_dim, net.instruments, net.horizon, net.seed) == (4, 2, 2.5, 11)
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_trigger_pair_needs_both_keys(self, tmp_path, capsys, command):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(analysis={"trigger": {"trigger": 0}})))
+        out = tmp_path / "run"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: analysis.trigger: missing key(s): target\n"
+        assert not out.exists()
+
+    def test_trigger_pair_beyond_the_instruments_writes_nothing(self, predicted_run, tmp_path,
+                                                                 capsys):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        runs = read_manifest(out)["runs"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(analysis={"trigger": {"trigger": 0, "target": 2}})))
+        assert cli.main(["analyze", "--config", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: analysis.trigger.target: instrument 2 out of range "
+                       "for 2 instruments\n")
+        assert not list(Path(out, "reports").glob("analysis_*"))
+        assert read_manifest(out)["runs"] == runs
+
     def test_rule_level_unknown_keys_rejected(self, tmp_path):
         config = tiny_config()
         config["sim"]["usage_rules"][0]["speed"] = 3
@@ -1112,3 +1154,87 @@ class TestConfigHandling:
         path.write_text(json.dumps(config))
         with pytest.raises(cli.ConfigError, match="speed"):
             cli.load_config(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Declared ranges: one case per range, generated from the field types
+# ---------------------------------------------------------------------------
+
+# Values tried against each declared range, by the type it narrows; those the
+# range refuses make the case.  A tuple or record range gets its own candidate.
+CANDIDATES = {int: [-1, 0], float: [-1.0, 0.0, 1.0, 150.0, math.inf, math.nan], str: ["bogus"],
+              tuple: [[]]}
+
+
+def range_cases(hint, key=""):
+    """``(dotted key, out-of-range values)`` of every range declared in type ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        yield from range_cases(args[0], key)
+        base = typing.get_origin(args[0]) or args[0]
+        candidates = CANDIDATES.get(base) or [dict.fromkeys(base.__required_keys__, 0)]
+        yield key, [v for v in candidates if not args[2](v)]
+    elif origin is typing.Union:  # Optional[X], or a choice of scalars
+        yield from range_cases(args[0], key)
+    elif origin is tuple:
+        yield from range_cases(args[0], f"{key}[0]")
+    elif isinstance(hint, dict) or dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
+        fields = hint if isinstance(hint, dict) else typing.get_type_hints(hint, include_extras=True)
+        for name, field_hint in fields.items():
+            yield from range_cases(field_hint, f"{key}.{name}" if key else name)
+
+
+def set_key(config: dict, key: str, value) -> None:
+    """Set the value at a dotted key such as ``sim.usage_rules[0].probability``."""
+    *parents, last = [int(p) if p.isdigit() else p for p in re.findall(r"[^.\[\]]+", key)]
+    for part in parents:
+        config = config[part]
+    config[last] = value
+
+
+def full_config():
+    """``tiny_config`` with a value at every key that has a declared range."""
+    config = tiny_config()
+    config["sim"]["trigger_rules"] = [{"trigger": 0, "target": 1, "delay_mean": 5}]
+    return config
+
+
+CONSTRUCTED = {  # dataclass -> valid fields as JSON: how a Python caller could build it
+    NetworkConfig: {"input_dim": 4, "instruments": 2, "encoder": [8]},
+    workflow.SimConfig: full_config()["sim"],  # its nested specs are checked by validate()
+}
+
+
+@pytest.mark.parametrize("key, values", [pytest.param(key, values, id=key)
+                                         for key, values in range_cases(cli._CONFIG_TYPES)])
+def test_out_of_range_config_value_exits_2_at_load(tmp_path, capsys, key, values):
+    """Each range declared on a dataclass field or in ``cli._TYPES`` is checked at
+    load: no command gets to write anything."""
+    assert values, f"no candidate value is out of the range of {key}"
+    for value in values:
+        config = full_config()
+        set_key(config, key, value)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        for command in ("simulate", "train"):
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {key}: expected "), (value, err)
+            assert "Traceback" not in err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("cls, key, values", [
+    pytest.param(cls, key, values, id=f"{cls.__name__}-{key}")
+    for cls in CONSTRUCTED for key, values in range_cases(cls)
+])
+def test_out_of_range_field_is_a_value_error_naming_it(cls, key, values):
+    assert values, f"no candidate value is out of the range of {key}"
+    for value in values:
+        fields = json.loads(json.dumps(CONSTRUCTED[cls]))
+        set_key(fields, key, value)
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}: expected "):
+            built = cli._build(cls, fields)
+            if cls is workflow.SimConfig:
+                built.validate()

@@ -26,7 +26,7 @@ from anticipation.network import (
     CHECKPOINT_FORMAT,
     Adam,
     block_frames,
-    checkpoint_input_dim,
+    checkpoint_inputs,
     load_container,
     loss_and_gradients,
     n_params,
@@ -608,14 +608,16 @@ class TestCheckpoints:
         config = tiny_config(input_dim=7, encoder=encoder)
         path = str(tmp_path / "model.bin")
         save_params(init_params(config, seed=0), path, config)
-        assert checkpoint_input_dim(path) == 7
+        assert checkpoint_inputs(path) == (7, None)
+        save_params(init_params(config, seed=0), path, config, names=("probe", "lifter"))
+        assert checkpoint_inputs(path) == (7, ["probe", "lifter"])
 
     @pytest.mark.parametrize("arrays", [{}, {"enc0_W": np.zeros(3)}, {"enc0_W": np.zeros((0, 3))}])
     def test_input_dim_needs_a_weight_matrix(self, tmp_path, arrays):
         path = str(tmp_path / "model.bin")
         save_container(path, CHECKPOINT_FORMAT, arrays, config_hash="x")
         with pytest.raises(ValueError, match="has no input weight matrix") as info:
-            checkpoint_input_dim(path)
+            checkpoint_inputs(path)
         assert str(info.value).startswith(path)
 
     def test_unparsable_header_is_a_value_error(self, tmp_path):
