@@ -41,8 +41,8 @@ def _as_list(x) -> list:
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-def _pool(summaries, targets) -> dict:
-    """Concatenate per-sequence arrays along the frame axis."""
+def pooled(summaries, targets) -> dict:
+    """Per-sequence arrays and anticipating masks, concatenated along the frame axis."""
     summaries = _as_list(summaries)
     targets = _as_list(targets)
     if len(summaries) != len(targets):
@@ -51,18 +51,16 @@ def _pool(summaries, targets) -> dict:
         if s.n_frames != t.remaining.shape[0] or s.n_instruments != t.remaining.shape[1]:
             raise ValueError("summary and targets have mismatched shapes")
     reg_masks, cls_masks = zip(*(anticipating_mask(s) for s in summaries))
+    epi = np.concatenate([s.class_epistemic_per_class for s in summaries])
+    alea = np.concatenate([s.class_aleatoric_per_class for s in summaries])
     return {
         "horizon": summaries[0].horizon,
         "reg_mean": np.concatenate([s.reg_mean for s in summaries]),
         "reg_var": np.concatenate([s.reg_epistemic_var for s in summaries]),
-        "cls_epi": np.concatenate([s.class_epistemic_var for s in summaries]),
-        "cls_alea": np.concatenate([s.class_aleatoric_var for s in summaries]),
-        "cls_epi_ant": np.concatenate(
-            [s.class_epistemic_per_class[:, :, ANTICIPATING] for s in summaries]
-        ),
-        "cls_alea_ant": np.concatenate(
-            [s.class_aleatoric_per_class[:, :, ANTICIPATING] for s in summaries]
-        ),
+        "cls_epi": epi.mean(axis=2),
+        "cls_alea": alea.mean(axis=2),
+        "cls_epi_ant": epi[:, :, ANTICIPATING],
+        "cls_alea_ant": alea[:, :, ANTICIPATING],
         "remaining": np.concatenate([t.remaining for t in targets]),
         "classes": np.concatenate([t.classes for t in targets]),
         "reg_mask": np.concatenate(reg_masks),
@@ -93,7 +91,7 @@ def error_uncertainty_pcc(
     Undefined (absent) when fewer than two points are selected or either
     coordinate is constant.
     """
-    pool = _pool(summaries, targets)
+    pool = pooled(summaries, targets)
     results = []
     for j in range(pool["remaining"].shape[1]):
         sel = pool["reg_mask"][:, j]
@@ -143,7 +141,7 @@ def filter_by_uncertainty(
     At q = 100 the curve reproduces the unfiltered pMAE exactly.  The sort
     is stable, so equal uncertainties keep pooled frame order.
     """
-    pool = _pool(summaries, targets)
+    pool = pooled(summaries, targets)
     grid = np.asarray(sorted(percentiles), dtype=np.float64)
     curves = []
     for j in range(pool["remaining"].shape[1]):
@@ -190,7 +188,7 @@ def tp_fp_uncertainty(summaries, targets) -> list[TpFpResult]:
     otherwise; uncertainties are the per-class values of the anticipating
     class.  Empty groups report NaN medians with count 0.
     """
-    pool = _pool(summaries, targets)
+    pool = pooled(summaries, targets)
     results = []
     for j in range(pool["remaining"].shape[1]):
         sel = pool["cls_mask"][:, j]
@@ -256,7 +254,7 @@ def trigger_conditional_uncertainty(
     """
     if target == trigger:
         raise ValueError("target and trigger must be different instruments")
-    pool = _pool(summaries, targets)
+    pool = pooled(summaries, targets)
     k = pool["remaining"].shape[1]
     for name, index in (("target", target), ("trigger", trigger)):
         if not 0 <= index < k:

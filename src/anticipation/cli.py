@@ -34,6 +34,8 @@ summaries; ``evaluate`` and ``analyze`` reuse them, and compute (and write)
 any that are missing from the checkpoint, on one process per available core
 (``workers`` in the manifest) if this process is single-threaded: pin the BLAS
 threads (``OPENBLAS_NUM_THREADS=1`` ...) for that.  Either way is bit-identical.
+A reused summary drawn for other instruments, of other shapes or in the v1
+format exits 3; ``predict --overwrite`` redraws it.
 
 Exit codes: 0 ok, 2 config error, 3 input error, 4 numeric failure,
 5 empty result.
@@ -456,11 +458,8 @@ def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
     for i, seq in enumerate(train_seqs):
         seq = train_seqs[i] = _with_features(seq, run, "train", train_seqs[0].feature_dim,
                                              "as in the first train file")
-        if classes and (seq.phase is None or int(seq.phase.max()) >= classes):
-            found = ("its annotations have no phase column" if seq.phase is None
-                     else f"it has phase index {int(seq.phase.max())}")
-            raise ConfigError(f"model.phase_classes: a head of {classes} class(es) does not fit "
-                              f"sequence {seq.id!r}: {found}")
+        if defect := network.phase_head_defect(seq, classes):
+            raise ConfigError(f"model.phase_classes: {defect}")
     dims = train_seqs[0].feature_dim, train_seqs[0].n_instruments
     net_configs = [network_config(config, *dims, h) for h in config["horizons"]]
     outputs = [run.claim(os.path.join("checkpoints", f"model_h{h:g}.bin"),
@@ -477,23 +476,21 @@ def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
                 fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
 
 
-def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float) -> inference.PredictiveSummary:
-    """Read a reused summary file and check that it belongs to ``seq`` at horizon ``h``."""
+def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float,
+                  seq_path: str) -> inference.PredictiveSummary:
+    """Read a reused summary file and check that it belongs to ``seq``, read from
+    ``seq_path``, at horizon ``h``: its instruments (if recorded) and array shapes."""
     try:
         summary = inference.load_summary(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"unreadable summary: {exc}") from None
     if summary.horizon != h:
         raise InputError(f"summary {path}: horizon {summary.horizon:g}, expected {h:g}")
-    n, k = seq.n_frames, seq.n_instruments
-    expected = {
-        "reg_mean": (n, k), "reg_epistemic_var": (n, k),
-        "class_epistemic_var": (n, k), "class_aleatoric_var": (n, k),
-        "class_mean": (n, k, 3), "class_epistemic_per_class": (n, k, 3),
-        "class_aleatoric_per_class": (n, k, 3),
-    }
-    for name, shape in expected.items():
-        found = getattr(summary, name).shape
+    if summary.names is not None and summary.names != list(seq.names):
+        raise InputError(f"summary {path}: drawn for instruments {summary.names}, but "
+                         f"{seq_path} names {list(seq.names)}")
+    for name, trailing in inference.SUMMARY_ARRAYS.items():
+        found, shape = getattr(summary, name).shape, (seq.n_frames, seq.n_instruments) + trailing
         if found != shape:
             raise InputError(
                 f"summary {path}: {name} has shape {found}, expected {shape} for sequence {seq.id}"
@@ -576,7 +573,8 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
         for h in horizons:
             path = os.path.join(run.dir, paths[seq.id, h])
             if reuse and os.path.exists(path):
-                summary = _load_summary(path, seq, h)
+                summary = _load_summary(path, seq, h,
+                                        os.path.join(run.data_dir, "test", f"{seq.id}.csv"))
                 if summary.samples == samples:
                     found[seq.id, h] = summary
                     continue
@@ -599,7 +597,7 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
                              f"{test_path} names {list(test_seqs[0].names)}")
         net_config = network_config(config, width, test_seqs[0].n_instruments, h)
         try:
-            models[h] = network.load_params(ckpt_path, net_config), net_config
+            models[h] = network.load_params(ckpt_path, net_config), net_config, names
         except ValueError as exc:
             raise InputError(str(exc)) from None
     run.claim(*(paths[seq_id, h] for seq_id, hs in missing.items() for h in hs))
@@ -608,11 +606,12 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
     def draw(seq_id: str) -> list:
         seq, drawn = test_seqs[position[seq_id]], []
         for h in missing[seq_id]:
-            params, net_config = models[h]
+            params, net_config, names = models[h]
             seq = _with_features(seq, run, "test", net_config.input_dim,
                                  "the checkpoint's input_dim")
             summary = inference.mc_predict(params, net_config, seq.features, samples=samples,
                                            seed=_summary_seed(config["seed"], h, position[seq_id]))
+            summary.names = names
             inference.save_summary(summary, os.path.join(run.dir, paths[seq_id, h]))
             drawn += [summary] if reuse else []
         return drawn
@@ -702,18 +701,14 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
             reports.write_trigger_csv(trigger_result, trig_path, names)
 
         if args.plots:
-            pool_reg = np.concatenate([s.reg_mean for s in summaries])
-            pool_var = np.concatenate([s.reg_epistemic_var for s in summaries])
-            pool_r = np.concatenate([t.remaining for t in targets])
-            reg_mask = np.concatenate([inference.anticipating_mask(s)[0] for s in summaries])
-            for j, name in enumerate(names or [f"inst_{j}" for j in range(pool_r.shape[1])]):
-                sel = reg_mask[:, j]
+            pool = analysis.pooled(summaries, targets)
+            for j, name in enumerate(names):
+                sel = pool["reg_mask"][:, j]
                 if sel.sum() < 2:
                     continue
                 p, = run.claim(os.path.join("plots", f"error_uncertainty_{name}_h{h:g}.svg"))
-                reports.plot_error_uncertainty(
-                    np.abs(pool_reg[sel, j] - pool_r[sel, j]), pool_var[sel, j], p, title=name
-                )
+                errors = np.abs(pool["reg_mean"][sel, j] - pool["remaining"][sel, j])
+                reports.plot_error_uncertainty(errors, pool["reg_var"][sel, j], p, title=name)
             p, = run.claim(os.path.join("plots", f"filtering_h{h:g}.svg"))
             reports.plot_filter_curves(curves, p, names)
             if trigger_result is not None:

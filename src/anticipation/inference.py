@@ -18,9 +18,9 @@ place on the logits, and both per-class variance terms share one buffer.
 
 A summary is stored in the binary container of the checkpoints
 (``network.save_container``) under its own format tag: a JSON header line
-holding ``samples`` and ``horizon``, then the aggregate arrays as raw
-little-endian float64, so a reloaded summary equals the written one bit for
-bit.
+holding ``samples``, ``horizon`` and the instrument ``names``, then the five
+arrays of ``SUMMARY_ARRAYS`` as raw little-endian float64, so a reloaded
+summary equals the written one bit for bit.  Only this module names them.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from .network import (
 class PredictiveSummary:
     """MC aggregates per frame and instrument.
 
-    Class variances come in a class-averaged form (the headline uncertainty
-    numbers) and a per-class form kept for analyses that look at a single
-    class.
+    Class variances are stored per class; their class-averaged form (the
+    headline uncertainty numbers) is derived on access.  ``names`` are the
+    instruments of the checkpoint that drew the summary, if it recorded them.
     """
 
     samples: int
@@ -58,10 +58,17 @@ class PredictiveSummary:
     reg_mean: np.ndarray                 # (n, K) minutes
     reg_epistemic_var: np.ndarray        # (n, K) minutes^2
     class_mean: np.ndarray               # (n, K, 3)
-    class_epistemic_var: np.ndarray      # (n, K), averaged over classes
-    class_aleatoric_var: np.ndarray      # (n, K), averaged over classes
     class_epistemic_per_class: np.ndarray  # (n, K, 3)
     class_aleatoric_per_class: np.ndarray  # (n, K, 3)
+    names: Optional[list[str]] = None
+
+    @property
+    def class_epistemic_var(self) -> np.ndarray:  # (n, K), averaged over classes
+        return self.class_epistemic_per_class.mean(axis=2)
+
+    @property
+    def class_aleatoric_var(self) -> np.ndarray:  # (n, K), averaged over classes
+        return self.class_aleatoric_per_class.mean(axis=2)
 
     @property
     def n_frames(self) -> int:
@@ -96,8 +103,6 @@ def aggregate_samples(
         reg_mean=reg_mean,
         reg_epistemic_var=reg_var,
         class_mean=class_mean,
-        class_epistemic_var=epi_pc.mean(axis=2),
-        class_aleatoric_var=alea_pc.mean(axis=2),
         class_epistemic_per_class=epi_pc,
         class_aleatoric_per_class=alea_pc,
     )
@@ -125,18 +130,14 @@ def mc_predict(
     return aggregate_samples(reg, cls, config.horizon)
 
 
-def anticipating_mask(
-    summary: PredictiveSummary,
-    horizon: Optional[float] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def anticipating_mask(summary: PredictiveSummary) -> tuple[np.ndarray, np.ndarray]:
     """Boolean (n, K) masks of anticipating predictions.
 
     Regression: mean prediction strictly inside (0.1 h, 0.9 h).
     Classification: argmax of the mean class probabilities is the
     anticipating class (ties resolve in class order, anticipating first).
     """
-    h = summary.horizon if horizon is None else horizon
-    reg_mask = anticipating_selection(summary.reg_mean, h)
+    reg_mask = anticipating_selection(summary.reg_mean, summary.horizon)
     cls_mask = summary.class_mean.argmax(axis=2) == ANTICIPATING
     return reg_mask, cls_mask
 
@@ -145,25 +146,28 @@ def anticipating_mask(
 # Serialization: one summary per file, in the checkpoints' binary container
 # ---------------------------------------------------------------------------
 
-SUMMARY_FORMAT = "anticipation-summary-v1"
-SUMMARY_ARRAYS = (
-    "reg_mean", "reg_epistemic_var", "class_mean", "class_epistemic_var",
-    "class_aleatoric_var", "class_epistemic_per_class", "class_aleatoric_per_class",
-)
+SUMMARY_FORMAT = "anticipation-summary-v2"
+# The stored arrays, in file order, each with its shape after the (n, K) axes.
+SUMMARY_ARRAYS = {
+    "reg_mean": (), "reg_epistemic_var": (), "class_mean": (3,),
+    "class_epistemic_per_class": (3,), "class_aleatoric_per_class": (3,),
+}
 
 
 def save_summary(summary: PredictiveSummary, path: str) -> None:
     """Write the aggregates of ``summary`` (not its raw samples), exact to the bit."""
     save_container(path, SUMMARY_FORMAT, {name: getattr(summary, name) for name in SUMMARY_ARRAYS},
-                   samples=int(summary.samples), horizon=float(summary.horizon))
+                   samples=int(summary.samples), horizon=float(summary.horizon), names=summary.names)
 
 
 def load_summary(path: str) -> PredictiveSummary:
     """Read a :func:`save_summary` file; ``ValueError`` names the path on any defect."""
-    header, arrays = load_container(path, SUMMARY_FORMAT, required=("samples", "horizon"))
-    samples, horizon = header["samples"], header["horizon"]
-    if type(samples) is not int or samples < 1 or type(horizon) not in (int, float):
-        raise ValueError(f"{path}: malformed header: samples {samples!r}, horizon {horizon!r}")
+    header, arrays = load_container(path, SUMMARY_FORMAT, required=("samples", "horizon", "names"))
+    samples, horizon, names = header["samples"], header["horizon"], header["names"]
+    names_ok = names is None or isinstance(names, list) and all(type(n) is str for n in names)
+    if type(samples) is not int or samples < 1 or type(horizon) not in (int, float) or not names_ok:
+        raise ValueError(f"{path}: malformed header: samples {samples!r}, horizon {horizon!r}, "
+                         f"names {names!r}")
     if sorted(arrays) != sorted(SUMMARY_ARRAYS):
         raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(SUMMARY_ARRAYS)}")
-    return PredictiveSummary(samples=samples, horizon=float(horizon), **arrays)
+    return PredictiveSummary(samples=samples, horizon=float(horizon), names=names, **arrays)

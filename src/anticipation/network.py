@@ -589,6 +589,15 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
+def phase_head_defect(seq: ProcedureSequence, classes: int) -> Optional[str]:
+    """Why a phase head of ``classes`` classes (0: none) cannot train on ``seq``, or None."""
+    if classes and (seq.phase is None or int(seq.phase.max()) >= classes):
+        found = ("its annotations have no phase column" if seq.phase is None
+                 else f"it has phase index {int(seq.phase.max())}")
+        return f"a head of {classes} class(es) does not fit sequence {seq.id!r}: {found}"
+    return None
+
+
 def train(
     sequences: Sequence[ProcedureSequence],
     config: NetworkConfig,
@@ -623,14 +632,8 @@ def train(
             raise ValueError(
                 f"sequence {seq.id!r} feature dim {seq.features.shape[1]} != {config.input_dim}"
             )
-        if config.phase_classes > 0:
-            if seq.phase is None:
-                raise ValueError(f"phase head configured but sequence {seq.id!r} has no phases")
-            if int(seq.phase.max()) >= config.phase_classes:
-                raise ValueError(
-                    f"sequence {seq.id!r} has phase index {int(seq.phase.max())} but the "
-                    f"head covers {config.phase_classes} classes"
-                )
+        if defect := phase_head_defect(seq, config.phase_classes):
+            raise ValueError(defect)
     horizon_list = [config.horizon] if horizons is None else [float(h) for h in horizons]
     if not horizon_list or not all(h > 0 for h in horizon_list):
         raise ValueError(f"horizons must be a nonempty list of positive numbers, got {horizons}")

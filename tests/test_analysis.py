@@ -19,7 +19,7 @@ from anticipation.labels import ANTICIPATING, BACKGROUND, PRESENT
 def make_summary(reg_mean, reg_var=None, class_mean=None, cls_epi=None, cls_alea=None,
                  horizon=3.0):
     """Hand-built one-instrument summary; per-class arrays broadcast the
-    class-averaged values into the anticipating slot."""
+    class-averaged values into all three class slots."""
     reg_mean = np.asarray(reg_mean, dtype=float).reshape(-1, 1)
     n = reg_mean.shape[0]
     reg_var = (np.zeros((n, 1)) if reg_var is None
@@ -32,14 +32,11 @@ def make_summary(reg_mean, reg_var=None, class_mean=None, cls_epi=None, cls_alea
                else np.asarray(cls_epi, dtype=float).reshape(n, 1))
     cls_alea = (np.zeros((n, 1)) if cls_alea is None
                 else np.asarray(cls_alea, dtype=float).reshape(n, 1))
-    epi_pc = np.zeros((n, 1, 3))
-    epi_pc[:, :, ANTICIPATING] = cls_epi
-    alea_pc = np.zeros((n, 1, 3))
-    alea_pc[:, :, ANTICIPATING] = cls_alea
     return PredictiveSummary(
         samples=2, horizon=horizon, reg_mean=reg_mean, reg_epistemic_var=reg_var,
-        class_mean=class_mean, class_epistemic_var=cls_epi, class_aleatoric_var=cls_alea,
-        class_epistemic_per_class=epi_pc, class_aleatoric_per_class=alea_pc,
+        class_mean=class_mean,
+        class_epistemic_per_class=np.repeat(cls_epi[:, :, None], 3, axis=2),
+        class_aleatoric_per_class=np.repeat(cls_alea[:, :, None], 3, axis=2),
     )
 
 
@@ -62,7 +59,7 @@ def with_trigger(summary, targets, visible):
     visible = np.asarray(visible, dtype=bool)
     summary = dataclasses.replace(summary, **{
         f.name: np.concatenate([getattr(summary, f.name)] * 2, axis=1)
-        for f in dataclasses.fields(summary) if f.name not in ("samples", "horizon")
+        for f in dataclasses.fields(summary) if f.name not in ("samples", "horizon", "names")
     })
     targets = dataclasses.replace(
         targets,

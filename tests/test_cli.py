@@ -364,8 +364,7 @@ class TestExitCodes:
             summary = PredictiveSummary(
                 samples=3, horizon=3.0,
                 reg_mean=np.full((n, 2), 3.0), reg_epistemic_var=zeros,
-                class_mean=background, class_epistemic_var=zeros,
-                class_aleatoric_var=zeros,
+                class_mean=background,
                 class_epistemic_per_class=np.zeros((n, 2, 3)),
                 class_aleatoric_per_class=np.zeros((n, 2, 3)),
             )
@@ -433,15 +432,13 @@ class TestDamagedRunDirectory:
             assert path in capsys.readouterr().err
 
     def test_summary_of_wrong_length(self, predicted_run, tmp_path, capsys):
-        from anticipation.inference import load_summary, save_summary
+        from anticipation.inference import SUMMARY_ARRAYS, load_summary, save_summary
 
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
         summary = load_summary(path)
         n = summary.n_frames
-        for name in ("reg_mean", "reg_epistemic_var", "class_mean", "class_epistemic_var",
-                     "class_aleatoric_var", "class_epistemic_per_class",
-                     "class_aleatoric_per_class"):
+        for name in SUMMARY_ARRAYS:
             setattr(summary, name, getattr(summary, name)[: n - 7])
         save_summary(summary, path)
         for command in ("evaluate", "analyze"):
@@ -511,11 +508,12 @@ class TestDamagedRunDirectory:
         save_summary(summary, path)
         data = Path(path).read_bytes()
         seq = cli.load_dataset(os.path.join(out, "dataset"), "test")[0]
+        seq_path = os.path.join(out, "dataset", "test", f"{seq.id}.csv")
         for cut in range(len(data)):
             with open(path, "wb") as fh:
                 fh.write(data[:cut])
             with pytest.raises(cli.InputError) as info:
-                cli._load_summary(path, seq, 3.0)
+                cli._load_summary(path, seq, 3.0, seq_path)
             assert path in str(info.value), cut
 
     def test_old_npz_summaries_are_recomputed(self, predicted_run, tmp_path):
@@ -529,6 +527,66 @@ class TestDamagedRunDirectory:
         for name, digest in before.items():
             assert checksum(os.path.join(summary_dir, name)) == digest
             assert run["artifacts"][os.path.join("summaries", name)] == digest
+
+    def test_v1_summary_is_refused_until_predict_overwrite(self, predicted_run, tmp_path,
+                                                           capsys):
+        """A summary in the older format, which also stored the class-averaged
+        variances, exits 3 naming it; ``predict --overwrite`` redraws it."""
+        from anticipation.inference import load_summary
+
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
+        before, summary = checksum(path), load_summary(path)
+        arrays = {name: getattr(summary, name) for name in (
+            "reg_mean", "reg_epistemic_var", "class_mean", "class_epistemic_var",
+            "class_aleatoric_var", "class_epistemic_per_class", "class_aleatoric_per_class")}
+        network.save_container(path, "anticipation-summary-v1", arrays,
+                               samples=summary.samples, horizon=summary.horizon)
+        for command in ("evaluate", "analyze"):
+            capsys.readouterr()
+            assert cli.main([command, "--config", config_path, "--out", out]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: unreadable summary: {path}: "
+                                  "not an anticipation-summary-v2 file")
+            assert "Traceback" not in err
+        assert cli.main(["predict", "--config", config_path, "--out", out, "--overwrite"]) == 0
+        assert checksum(path) == before
+        run_chain(config_path, out, commands=("evaluate", "analyze"))
+
+    def test_summaries_record_the_checkpoint_instruments(self, predicted_run):
+        from anticipation.inference import load_summary
+
+        _, out = predicted_run
+        for name in os.listdir(os.path.join(out, "summaries")):
+            assert load_summary(os.path.join(out, "summaries", name)).names == ["probe", "lifter"]
+
+    def test_summary_of_other_instruments_is_refused(self, predicted_run, tmp_path, capsys):
+        """Reused summaries drawn for other instruments than the test files name."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        dataset = Path(out, "dataset")
+        for path in (dataset / "test").glob("proc_????.csv"):
+            path.write_text(path.read_text().replace("lifter", "hook", 1))
+        assert cli.main(["analyze", "--config", config_path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        summary = os.path.join(out, "summaries", "summary_proc_0003_h3.bin")
+        assert err.startswith(
+            f"input error: summary {summary}: drawn for instruments ['probe', 'lifter'], but "
+            f"{dataset / 'test' / 'proc_0003.csv'} names ['probe', 'hook']")
+        assert "Traceback" not in err
+        assert not list(Path(out, "reports").glob("analysis_*"))
+
+    def test_summary_without_names_is_not_compared(self, predicted_run, tmp_path):
+        from anticipation.inference import load_summary, save_summary
+
+        config_path, out = copy_run(predicted_run, tmp_path)
+        for name in os.listdir(os.path.join(out, "summaries")):
+            path = os.path.join(out, "summaries", name)
+            summary = load_summary(path)
+            summary.names = None
+            save_summary(summary, path)
+        for path in Path(out, "dataset", "test").glob("proc_????.csv"):
+            path.write_text(path.read_text().replace("lifter", "hook", 1))
+        run_chain(config_path, out, commands=("analyze",))
 
     @pytest.mark.parametrize("artifact", ["checkpoint", "summary"])
     @pytest.mark.parametrize("damage", ["params deleted", "shape 'xx'"])
@@ -804,8 +862,6 @@ class TestRunLedger:
                 reg_mean=np.full((n, 2), h / 2 if anticipating else h),
                 reg_epistemic_var=rng.uniform(0.1, 1.0, (n, 2)),
                 class_mean=np.tile(probs, (n, 2, 1)),
-                class_epistemic_var=rng.uniform(0.1, 1.0, (n, 2)),
-                class_aleatoric_var=rng.uniform(0.1, 1.0, (n, 2)),
                 class_epistemic_per_class=np.zeros((n, 2, 3)),
                 class_aleatoric_per_class=np.zeros((n, 2, 3)),
             )

@@ -95,6 +95,25 @@ class TestAggregation:
                 assert abs(s.class_aleatoric_var[i, j] - alea.mean()) < 1e-12
 
 
+    @pytest.mark.parametrize("t, n, k", [(1, 1, 1), (3, 7, 2), (16, 150, 3)])
+    def test_derived_class_variances_equal_the_eager_formula(self, t, n, k, tmp_path):
+        """The class-averaged variances, derived from the per-class arrays, are
+        bit for bit the planes summaries used to store, also after a round trip."""
+        rng = np.random.default_rng(n)
+        reg = rng.uniform(0, 3, size=(t, n, k))
+        cls = rng.dirichlet([1, 1, 1], size=(t, n, k))
+        s = summary_from(reg, cls)
+        work = np.subtract(cls, cls.mean(axis=0))
+        epi_pc = np.square(work, out=work).mean(axis=0)
+        np.subtract(1.0, cls, out=work)
+        alea_pc = np.multiply(cls, work, out=work).mean(axis=0)
+        path = str(tmp_path / "summary.bin")
+        save_summary(s, path)
+        for summary in (s, load_summary(path)):
+            assert summary.class_epistemic_var.tobytes() == epi_pc.mean(axis=2).tobytes()
+            assert summary.class_aleatoric_var.tobytes() == alea_pc.mean(axis=2).tobytes()
+
+
 class TestMcPredict:
     def net(self, dropout=0.2):
         config = NetworkConfig(input_dim=4, instruments=2, hidden=6, encoder=(5,),
@@ -201,7 +220,7 @@ class TestAnticipatingMask:
         zeros3 = np.zeros_like(class_mean)
         return PredictiveSummary(
             samples=1, horizon=3.0, reg_mean=reg_mean, reg_epistemic_var=zeros,
-            class_mean=class_mean, class_epistemic_var=zeros, class_aleatoric_var=zeros,
+            class_mean=class_mean,
             class_epistemic_per_class=zeros3, class_aleatoric_per_class=zeros3,
         )
 
@@ -243,12 +262,14 @@ class TestSerialization:
         ) for name in SUMMARY_ARRAYS}),
         samples=st.integers(1, 2 ** 53),
         horizon=st.floats(allow_nan=False),
+        names=st.one_of(st.none(), st.lists(st.text(), max_size=4)),
     )
-    def test_round_trip_is_bit_exact(self, tmp_path_factory, arrays, samples, horizon):
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, arrays, samples, horizon, names):
         path = str(tmp_path_factory.mktemp("summary") / "summary.bin")
-        save_summary(PredictiveSummary(samples=samples, horizon=horizon, **arrays), path)
+        save_summary(PredictiveSummary(samples=samples, horizon=horizon, names=names, **arrays),
+                     path)
         again = load_summary(path)
-        assert again.samples == samples
+        assert again.samples == samples and again.names == names
         assert np.float64(again.horizon).tobytes() == np.float64(horizon).tobytes()
         for name, value in arrays.items():
             assert getattr(again, name).shape == value.shape
@@ -264,6 +285,10 @@ class TestSerialization:
         lambda h: h["params"][0].__setitem__(1, "xx"),
         lambda h: h["params"][0].__setitem__(0, "reg_samples"),
         lambda h: h.update(format="anticipation-params-v1"),
+        lambda h: h.update(format="anticipation-summary-v1"),
+        lambda h: h.pop("names"),
+        lambda h: h.update(names="probe"),
+        lambda h: h.update(names=["probe", 1]),
     ])
     def test_damaged_header_is_a_value_error_naming_the_path(self, tmp_path, damage):
         path = str(tmp_path / "summary.bin")
@@ -276,3 +301,17 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             load_summary(path)
         assert str(info.value).startswith(path)
+
+    def test_written_summary_holds_exactly_the_stored_arrays(self, tmp_path):
+        rng = np.random.default_rng(6)
+        s = summary_from(rng.uniform(0, 3, (4, 5, 2)), rng.dirichlet([1, 1, 1], size=(4, 5, 2)))
+        s.names = ["probe", "lifter"]
+        path = str(tmp_path / "summary.bin")
+        save_summary(s, path)
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+        assert header["format"] == "anticipation-summary-v2"
+        assert header["names"] == ["probe", "lifter"]
+        assert header["params"] == [[name, [5, 2, *trailing]]
+                                    for name, trailing in SUMMARY_ARRAYS.items()]
+        assert len(SUMMARY_ARRAYS) == 5
