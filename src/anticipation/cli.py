@@ -209,6 +209,8 @@ def load_config(path: str) -> dict:
         raise InputError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
@@ -374,8 +376,9 @@ def _with_features(seq: workflow.ProcedureSequence, run: _Run, split: str,
                    width: Optional[int] = None, source: str = "") -> workflow.ProcedureSequence:
     """``seq`` with features, its feature file read unless they are attached already.
 
-    An InputError names a feature file that is missing or, given ``width``,
-    has another number of columns than ``source``.
+    An InputError names a feature file that is missing, holds a cell that is
+    not a finite number (by line and column) or, given ``width``, has another
+    number of columns than ``source``.
     """
     path = os.path.join(run.data_dir, split, f"{seq.id}.features.csv")
     if seq.features is None:
@@ -384,6 +387,16 @@ def _with_features(seq: workflow.ProcedureSequence, run: _Run, split: str,
         except FileNotFoundError:
             raise InputError(f"feature file not found: {path} "
                              "(the model needs one per sequence)") from None
+        bad = np.argwhere(~np.isfinite(seq.features))
+        if len(bad):
+            row, col = bad[0]
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:  # np.loadtxt's rows
+                lines = [(no, line) for no, line in enumerate(fh, start=1)
+                         if line.split("#")[0].strip()]
+            no, line = lines[row]
+            cell = line.split("#")[0].split(",")[col].strip()
+            raise InputError(f"{path}: line {no}, column {col + 1}: feature value {cell!r} "
+                             "is not a finite number")
     if width is not None and seq.feature_dim != width:
         raise InputError(f"{path}: {seq.feature_dim} feature columns, expected {width} ({source})")
     return seq
@@ -562,7 +575,8 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
     This process decides reuse, reads the checkpoints and claims the outputs;
     :func:`_fork_map` splits the sequences that miss summaries.  Each reads
     its feature file once (checked against the checkpoint's input width) and
-    draws its missing horizons with its own seeds, so the split changes none.
+    draws all its missing horizons in one ``mc_predict`` call, each with its
+    own seed, so neither the split nor the grouping changes a summary.
     ``predict`` (``reuse=False``) keeps none in memory and gets an empty dict.
     """
     samples = config["eval"]["samples"]
@@ -603,18 +617,26 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
     run.claim(*(paths[seq_id, h] for seq_id, hs in missing.items() for h in hs))
     position = {seq.id: idx for idx, seq in enumerate(test_seqs)}
 
+    def stack(hs: tuple) -> network.Params:
+        """The models of horizons ``hs`` on one model axis; views of a single one."""
+        if len(hs) == 1:
+            return network._stacked(models[hs[0]][0])
+        return {name: np.stack([models[h][0][name] for h in hs]) for name in models[hs[0]][0]}
+
+    stacks = {hs: stack(hs) for hs in {tuple(hs) for hs in missing.values()}}
+
     def draw(seq_id: str) -> list:
-        seq, drawn = test_seqs[position[seq_id]], []
-        for h in missing[seq_id]:
-            params, net_config, names = models[h]
-            seq = _with_features(seq, run, "test", net_config.input_dim,
-                                 "the checkpoint's input_dim")
-            summary = inference.mc_predict(params, net_config, seq.features, samples=samples,
-                                           seed=_summary_seed(config["seed"], h, position[seq_id]))
-            summary.names = names
+        hs = missing[seq_id]
+        net_config = models[hs[0]][1]
+        seq = _with_features(test_seqs[position[seq_id]], run, "test", net_config.input_dim,
+                             "the checkpoint's input_dim")
+        drawn = inference.mc_predict(
+            stacks[tuple(hs)], net_config, seq.features, samples=samples, horizons=hs,
+            seed=[_summary_seed(config["seed"], h, position[seq_id]) for h in hs])
+        for h, summary in zip(hs, drawn):
+            summary.names = models[h][2]
             inference.save_summary(summary, os.path.join(run.dir, paths[seq_id, h]))
-            drawn += [summary] if reuse else []
-        return drawn
+        return drawn if reuse else []
 
     if missing:
         drawn, run.workers = _fork_map(draw, list(missing))
@@ -633,7 +655,7 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
     _same_instruments(run.data_dir, "test", test_seqs[0], "train", train_seqs[0])
     methods = [m.lower() for m in config["eval"]["methods"]]
-    names = test_seqs[0].names or tuple(f"inst_{j}" for j in range(test_seqs[0].n_instruments))
+    names = test_seqs[0].names
     subset = _instrument_subset(config, names)
     sub_names = tuple(names[j] for j in subset)
     summaries = _summaries(config, run, test_seqs, config["horizons"]) if "model" in methods else {}

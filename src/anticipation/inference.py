@@ -9,12 +9,16 @@ aleatoric class variance.  All variances use the population 1/T form.
 
 The T passes are not run one after another: their mask sets are stacked
 and run as T rows of one network scan, which gives the same samples as T
-separate passes.  Sample t's masks come from seed ``seed ^ t``; this XOR
-derivation lets the seeds of different calls collide (ROADMAP defect b).
+separate passes.  The models of several horizons run in that one scan as
+well, each on its own T mask sets, so one call summarizes a sequence at
+every horizon, each summary bit for bit that of a call of its own.  Sample
+t's masks come from seed ``seed ^ t``; this XOR derivation lets the seeds of
+different calls collide (ROADMAP defect b).
 
-Memory stays near that of the T samples of the head outputs: the scan works
-in blocks of ``network.BLOCK`` row-frames whatever T is, the softmax runs in
-place on the logits, and both per-class variance terms share one buffer.
+Memory stays near that of the T samples of the head outputs per model: the
+scan works in blocks of ``network.BLOCK`` row-frames whatever T is, the
+softmax runs in place on the logits, and both per-class variance terms share
+one buffer.
 
 A summary is stored in the binary container of the checkpoints
 (``network.save_container``) under its own format tag: a JSON header line
@@ -26,7 +30,7 @@ summary equals the written one bit for bit.  Only this module names them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .metrics import anticipating_selection
 from .network import (
     NetworkConfig,
     Params,
+    _stacked,
     forward,
     load_container,
     sample_masks,
@@ -113,21 +118,38 @@ def mc_predict(
     config: NetworkConfig,
     features: np.ndarray,
     samples: int = 10,
-    seed: int = 0,
-) -> PredictiveSummary:
+    seed: Union[int, Sequence[int]] = 0,
+    horizons: Optional[Sequence[float]] = None,
+) -> Union[PredictiveSummary, list[PredictiveSummary]]:
     """Draw ``samples`` mask sets, run them as the rows of one forward pass, aggregate.
 
     Regression samples are clamped to ``[0, horizon]`` before aggregation
     (the clamp policy of ``linear_clamped`` mode; a no-op for
     ``scaled_sigmoid``).
+
+    With ``horizons``, ``params`` holds one model per horizon stacked on a
+    leading axis (as ``network.train(..., horizons=)`` trains them),
+    ``seed`` holds one seed per model, and one summary per model is
+    returned; ``config.horizon`` is then unused.  All models' mask sets run
+    in one forward pass, and each summary is the one its model's own call
+    (with ``config.horizon`` its horizon) gives, bit for bit.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    masks = stack_masks([sample_masks(config, seed ^ t) for t in range(samples)])
-    outputs, _ = forward(params, masks, features, config)
-    reg = np.clip(outputs.regression, 0.0, config.horizon, out=outputs.regression)
+    one = horizons is None
+    if one:
+        params, seed, horizons = _stacked(params), [seed], [config.horizon]
+    if not len(seed) == len(horizons) == params["lstm_b"].shape[0]:
+        raise ValueError(f"{params['lstm_b'].shape[0]} models need one seed and one horizon "
+                         f"each, got {len(seed)} seeds and {len(horizons)} horizons")
+    masks = stack_masks([stack_masks([sample_masks(config, s ^ t) for t in range(samples)])
+                         for s in seed])
+    outputs, _ = forward(params, masks, features, config,
+                         horizons=np.asarray(horizons, dtype=np.float64))
     cls = softmax(outputs.class_logits, out=outputs.class_logits)
-    return aggregate_samples(reg, cls, config.horizon)
+    summaries = [aggregate_samples(np.clip(reg, 0.0, h, out=reg), probs, h)
+                 for reg, probs, h in zip(outputs.regression, cls, horizons)]
+    return summaries[0] if one else summaries
 
 
 def anticipating_mask(summary: PredictiveSummary) -> tuple[np.ndarray, np.ndarray]:

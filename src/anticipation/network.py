@@ -17,10 +17,14 @@ rows of one recurrence.  Its models are parameter sets stacked on a leading
 model axis: training runs the K models of K horizons on one row, in
 lockstep, since they share their initial weights, video order and masks and
 differ only in their targets (and, under ``scaled_sigmoid``, the output
-scale).  BPTT and Adam carry the same model axis.  Time runs in blocks of
-at most ``BLOCK`` row-frames, about ``BLOCK`` x 4H gate values per model
-whatever the row count, so the memory a scan needs grows with neither the
-sequence length nor the number of rows beyond its outputs.
+scale).  BPTT and Adam carry the same model axis.  MC-dropout prediction
+runs the K horizons' models of one sequence as one scan too, each model on
+its own T mask sets (mask arrays with a leading model axis).  Time runs in
+blocks of at most ``BLOCK`` row-frames, about ``BLOCK`` x 4H gate values per
+model whatever the row count, so the memory a scan needs grows with neither
+the sequence length nor the number of rows beyond its outputs.  A block's
+gate values are gate-major, so every elementwise step of the recurrence
+works on contiguous arrays whatever the number of models.
 
 Everything runs on float64 numpy.  Gradients are computed by hand with
 backpropagation through time, truncated at window boundaries during
@@ -191,13 +195,17 @@ def stack_masks(masks: Sequence[DropoutMasks]) -> DropoutMasks:
     )
 
 
-def _check_dims(config: NetworkConfig, masks: DropoutMasks, features: np.ndarray) -> None:
+def _check_dims(config: NetworkConfig, masks: DropoutMasks, features: np.ndarray,
+                models: Optional[int] = None) -> None:
+    """Features (n, input_dim) and masks of one set, R rows (R, dim) or, given
+    ``models``, per-model rows (``models``, R, dim)."""
     if features.ndim != 2 or features.shape[1] != config.input_dim:
         raise ValueError(
             f"features must be (n, {config.input_dim}), got {features.shape}"
         )
     rows = masks.recurrent_hidden.shape[:-1]
-    if (len(rows) > 1
+    lead_ok = len(rows) <= 1 or (len(rows) == 2 and rows[0] == models)
+    if (not lead_ok
             or masks.encoder_input.shape != rows + (config.input_dim,)
             or masks.recurrent_input.shape != rows + (config.encoder_out,)
             or masks.recurrent_hidden.shape != rows + (config.hidden,)):
@@ -232,13 +240,17 @@ def _scan(params, masks, features, config, state, keep=False, horizons=None):
     """The network over ``features`` for every model and every row of a stacked mask set.
 
     A model is one parameter set (``params`` arrays are (K, ...)), a row is
-    one mask set (``masks`` arrays are (R, dim)); every model runs every row
-    and all read the same frames.  Per block of ``block_frames(R)`` frames
-    (at most ``BLOCK`` row-frames) the encoder and the input projection
-    ``x @ W_x + b`` are computed at once, the recurrence steps through the
-    block writing the gate values in place over that projection, and the
-    heads read the block's hidden states.  The recurrent state is
-    unit-major, (K, H, R) and (K, 4H, R), so that each gate is one slice.
+    one mask set (``masks`` arrays are (R, dim), the same R sets for every
+    model, or (K, R, dim), R sets of each model's own); every model runs
+    every row and all read the same frames.  Per block of
+    ``block_frames(R)`` frames (at most ``BLOCK`` row-frames per model) the
+    encoder and the input projection ``x @ W_x + b`` are computed at once,
+    the recurrence steps through the block writing the gate values in place
+    over that projection, and the heads read the block's hidden states.  A
+    block's gates are gate-major, (frames, 4, K, H, R), so that at each step
+    the i/f/o gates together and each gate alone are contiguous for any K;
+    the state is (K, H, R), and the recurrent product ``W_h^T @ (h * m_h)``
+    is (K, 4H, R), added to the gates through one transposed view.
     ``horizons`` (K,) scales the ``scaled_sigmoid`` output of each model
     (default ``config.horizon``).  Returns the outputs with leading (K, R)
     axes, the final ``(h, c)`` as (K, R, H) arrays, and with ``keep`` (one
@@ -246,7 +258,10 @@ def _scan(params, masks, features, config, state, keep=False, horizons=None):
     ``xi`` model-major, (K or 1, n, width), and the gates, cells and hidden
     states step-major, (n, K, 1, width).
     """
-    models, rows = params["lstm_b"].shape[0], masks.recurrent_hidden.shape[0]
+    # Masks as (K or 1, R, dim): a model axis of one is shared by all models.
+    m_in, m_rec, m_hid = (m if m.ndim == 3 else m[None] for m in
+                          (masks.encoder_input, masks.recurrent_input, masks.recurrent_hidden))
+    models, rows = params["lstm_b"].shape[0], m_hid.shape[1]
     n, h_dim, k = features.shape[0], config.hidden, config.instruments
     h, c = np.zeros((models, h_dim, rows)), np.zeros((models, h_dim, rows))
     if state is not None:
@@ -259,32 +274,32 @@ def _scan(params, masks, features, config, state, keep=False, horizons=None):
     # yields tanh(a / 2) there and tanh(a) for g: the same values, bit for bit,
     # as ``sigmoid`` on the i/f/o pre-activations.
     half = np.where(np.arange(4 * h_dim) < 3 * h_dim, 0.5, 1.0)
-    wx, b = params["lstm_Wx"] * half, params["lstm_b"] * half
+    wx = params["lstm_Wx"] * half
+    b = (params["lstm_b"] * half).reshape(models, 4, h_dim).transpose(1, 0, 2)[..., None]
     wh_t = (params["lstm_Wh"] * half).transpose(0, 2, 1).copy()
     # One copy per model: a multiply without broadcasting is the cheaper one.
-    m_h = np.broadcast_to(masks.recurrent_hidden.T, (models, h_dim, rows)).copy()
+    m_h = np.broadcast_to(m_hid.transpose(0, 2, 1), (models, h_dim, rows)).copy()
     hm, ig = np.empty((models, h_dim, rows)), np.empty((models, h_dim, rows))
     hw = np.empty((models, 4 * h_dim, rows))
+    hw_by_gate = hw.reshape(models, 4, h_dim, rows).transpose(1, 0, 2, 3)
     blocks, step = [], block_frames(rows)
     for start in range(0, n, step):
         frames = features[start:start + step]
-        acts = [(frames[:, None, :] * masks.encoder_input)[None]]
+        acts = [frames[None, :, None, :] * m_in[:, None]]
         for l in range(len(config.encoder)):
             z = _dense(acts[-1], params[f"enc{l}_W"], params[f"enc{l}_b"])
             acts.append(np.tanh(z, out=z))
-        xi = acts[-1] * masks.recurrent_input
+        xi = acts[-1] * m_rec[:, None]
         xw = xi.reshape(xi.shape[0], -1, xi.shape[-1]) @ wx
-        xw = xw.reshape(models, len(frames), rows, 4 * h_dim)
-        gates = np.add(xw.transpose(1, 0, 3, 2), b[:, :, None], order="C")
+        xw = xw.reshape(models, len(frames), rows, 4, h_dim)
+        gates = np.add(xw.transpose(1, 3, 0, 4, 2), b, order="C")
         cells = np.empty((len(frames), models, h_dim, rows))
         hidden = np.empty((len(frames), models, h_dim, rows))
-        by_gate = gates.reshape(len(frames), models, 4, h_dim, rows)
-        steps = zip(gates, gates[:, :, :3 * h_dim], *(by_gate[:, :, j] for j in range(4)),
-                    cells, hidden)
+        steps = zip(gates, gates[:, :3], *(gates[:, j] for j in range(4)), cells, hidden)
         for a, ifo, i, f, o, g, c_t, h_t in steps:
             np.multiply(h, m_h, out=hm)
             np.matmul(wh_t, hm, out=hw)
-            a += hw
+            a += hw_by_gate
             np.tanh(a, out=a)
             ifo += 1.0
             ifo *= 0.5
@@ -297,8 +312,9 @@ def _scan(params, masks, features, config, state, keep=False, horizons=None):
             out[:, :, start:start + len(frames)] = _dense(by_row, params[f"{name}_W"],
                                                           params[f"{name}_b"])
         if keep:
+            gates_4h = gates[..., 0].transpose(0, 2, 1, 3).reshape(len(frames), models, -1)
             blocks.append(([act[:, :, 0] for act in acts + [xi]],
-                           [gates[..., 0], cells[..., 0], hidden[..., 0]]))
+                           [gates_4h, cells[..., 0], hidden[..., 0]]))
 
     reg_sig = None
     regression = heads["reg"]
@@ -336,6 +352,7 @@ def forward(
     features: np.ndarray,
     config: NetworkConfig,
     state: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    horizons: Optional[np.ndarray] = None,
 ) -> tuple[RawOutputs, tuple[np.ndarray, np.ndarray]]:
     """Run the network over a sequence of frames, strictly causally.
 
@@ -345,13 +362,24 @@ def forward(
     ``masks`` is one mask set, or R sets made by :func:`stack_masks`; then
     every output and the returned state carry a leading axis of R rows, one
     pass per set, all computed in one scan.
+
+    ``params`` may also hold K models stacked on a leading axis.  Then every
+    output and the state lead with a model axis of K, ``masks`` may carry
+    one too, (K, R, dim), to give each model its own sets, and ``horizons``
+    (K,) is each model's ``scaled_sigmoid`` horizon (default
+    ``config.horizon``).  Each model's outputs are those of its own call.
     """
     features = np.asarray(features, dtype=np.float64)
-    _check_dims(config, masks, features)
+    stacked = params["lstm_b"].ndim == 2
+    _check_dims(config, masks, features, params["lstm_b"].shape[0] if stacked else None)
     one = masks.recurrent_hidden.ndim == 1
-    outputs, (h, c), _ = _scan(_stacked(params), stack_masks([masks]) if one else masks,
-                               features, config, state)
-    index = (0, 0) if one else 0
+    if one:
+        masks = stack_masks([masks])
+        if state is not None:
+            state = tuple(s[..., None, :] for s in state)
+    outputs, (h, c), _ = _scan(params if stacked else _stacked(params), masks, features, config,
+                               state, horizons=horizons)
+    index = (slice(None) if stacked else 0, 0 if one else slice(None))
     return _select(outputs, index), (h[index], c[index])
 
 

@@ -357,8 +357,11 @@ def load_annotations(path: str, format: str = "generic_csv", fps: float = 1.0) -
         raise ValueError(f"unknown annotation format {format!r}, expected one of {ANNOTATION_FORMATS}")
     sep = "\t" if format == "cholec80_tool_tsv" else ","
     frame_field = "Frame" if format == "cholec80_tool_tsv" else "frame"
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise AnnotationParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise AnnotationParseError(f"{path}: file is empty")
     header = lines[0].split(sep)

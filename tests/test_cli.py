@@ -127,6 +127,44 @@ class TestPipeline:
             for rel in (f"checkpoints/model_h{h}.bin", f"reports/train_log_h{h}.csv"):
                 assert checksum(os.path.join(together, rel)) == checksum(os.path.join(alone, rel))
 
+    def test_predict_draws_each_sequence_in_one_call_as_per_horizon_calls_would(
+            self, tmp_path, monkeypatch):
+        """One ``mc_predict`` call per test sequence covers all three horizons, and
+        its summaries equal one call per horizon with that horizon's seed."""
+        from anticipation import inference
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config(horizons=[1.0, 2.0, 3.0])))
+        out = str(tmp_path / "run")
+        run_chain(str(path), out, commands=("simulate", "train"))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["horizons"])
+            return mc_predict(*args, **kwargs)
+
+        mc_predict = inference.mc_predict
+        monkeypatch.setattr(inference, "mc_predict", counted)
+        # Serial, so that the calls of every sequence are counted here.
+        monkeypatch.setattr(cli, "_fork_map", lambda fn, items: ([fn(i) for i in items], 1))
+        run_chain(str(path), out, commands=("predict",))
+        assert calls == [[1.0, 2.0, 3.0]] * 2
+        config = cli.load_config(str(path))
+        test_dir = os.path.join(out, "dataset", "test")
+        for index, seq in enumerate(cli.load_dataset(os.path.join(out, "dataset"), "test")):
+            feats = workflow.load_features(os.path.join(test_dir, f"{seq.id}.features.csv"))
+            for h in config["horizons"]:
+                net_config = cli.network_config(config, feats.shape[1], seq.n_instruments, h)
+                params = network.load_params(os.path.join(out, "checkpoints", f"model_h{h:g}.bin"),
+                                             net_config)
+                ref = mc_predict(params, net_config, feats, samples=config["eval"]["samples"],
+                                 seed=cli._summary_seed(config["seed"], h, index))
+                summary = inference.load_summary(
+                    os.path.join(out, "summaries", f"summary_{seq.id}_h{h:g}.bin"))
+                for name in inference.SUMMARY_ARRAYS:
+                    assert getattr(summary, name).tobytes() == getattr(ref, name).tobytes(), \
+                        (seq.id, h, name)
+
     def test_predict_then_evaluate_reuses_summaries(self, config_path, tmp_path):
         out = str(tmp_path / "run")
         run_chain(config_path, out, commands=("simulate", "train", "predict"))
@@ -291,6 +329,14 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(json.dumps(tiny_config()).encode() + b"\xff")
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: not UTF-8 text") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_sim_values(self, tmp_path):
         config = tiny_config()
@@ -709,6 +755,41 @@ class TestDamagedRunDirectory:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {message}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, split, seq_id, value", [
+        ("train", "train", "proc_0001", "nan"),
+        ("predict", "test", "proc_0003", "1e999"),
+        ("predict", "test", "proc_0004", "nan"),
+        ("evaluate", "test", "proc_0004", "-inf"),
+        ("analyze", "test", "proc_0004", "nan"),
+    ])
+    def test_non_finite_feature_names_its_file_line_and_column(self, predicted_run, tmp_path,
+                                                                capsys, command, split, seq_id,
+                                                                value):
+        """A non-finite cell would carry NaN through the recurrence into a quiet
+        wrong summary (or, in ``train``, into the loss): it exits 3 instead."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "summaries"))
+        path = os.path.join(out, "dataset", split, f"{seq_id}.features.csv")
+        lines = Path(path).read_text().splitlines(keepends=True)
+        cells = lines[6].split(",")
+        cells[1] = value
+        lines[6] = ",".join(cells)
+        Path(path).write_text("".join(lines))
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: line 7, column 2: feature value "
+                              f"'{value}' is not a finite number")
+        assert "Traceback" not in err
+
+    def test_annotation_file_that_is_not_utf8_names_it(self, predicted_run, tmp_path, capsys):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "dataset", "test", "proc_0004.csv")
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: not UTF-8 text") and "Traceback" not in err
 
     @pytest.mark.parametrize("command, split, seq_id", [
         ("baseline", "train", "proc_0002"),

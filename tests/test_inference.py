@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -167,6 +168,36 @@ class TestMcPredict:
                      "class_aleatoric_var", "class_epistemic_per_class",
                      "class_aleatoric_per_class"):
             np.testing.assert_allclose(getattr(s, name), getattr(ref, name), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("output_mode", ["linear_clamped", "scaled_sigmoid"])
+    def test_stacked_models_equal_one_call_each(self, output_mode):
+        """Three horizons' models in one call equal three one-model calls on every
+        summary array, with a phase head, T = 5 and a sequence longer than two
+        scan blocks of 5 rows."""
+        config = NetworkConfig(input_dim=4, instruments=2, hidden=6, encoder=(5,), dropout=0.3,
+                               phase_classes=3, output_mode=output_mode)
+        horizons, seeds, samples = (1.0, 2.0, 3.0), [7, 8, 123456789], 5
+        models = [init_params(config, seed=s) for s in (1, 2, 3)]
+        stacked = {name: np.stack([p[name] for p in models]) for name in models[0]}
+        feats = np.random.default_rng(5).normal(size=(2 * block_frames(samples) + 7, 4)) * 2
+        summaries = mc_predict(stacked, config, feats, samples=samples, seed=seeds,
+                               horizons=horizons)
+        assert len(summaries) == len(horizons)
+        for summary, params, h, seed in zip(summaries, models, horizons, seeds):
+            ref = mc_predict(params, dataclasses.replace(config, horizon=h), feats,
+                             samples=samples, seed=seed)
+            assert (summary.samples, summary.horizon) == (ref.samples, ref.horizon) == (samples, h)
+            assert summary.reg_mean.max() <= h
+            for name in SUMMARY_ARRAYS:
+                assert getattr(summary, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_stacked_models_need_one_seed_and_horizon_each(self):
+        config, params = self.net()
+        stacked = {name: np.stack([value] * 2) for name, value in params.items()}
+        for seeds, horizons in (([1], [1.0, 2.0]), ([1, 2], [1.0]), ([1, 2, 3], [1.0, 2.0, 3.0])):
+            with pytest.raises(ValueError, match="2 models need one seed and one horizon"):
+                mc_predict(stacked, config, np.zeros((3, 4)), samples=2, seed=seeds,
+                           horizons=horizons)
 
     # n = 3000 frames at the default model size (H = 64), three instruments.
     MEMORY_CONFIG = NetworkConfig(input_dim=8, instruments=3, hidden=64, encoder=(64, 64))

@@ -33,6 +33,7 @@ from anticipation.network import (
     save_container,
     sigmoid,
     smooth_l1,
+    stack_masks,
 )
 from anticipation.workflow import (
     FeatureSpec,
@@ -227,6 +228,55 @@ class TestForward:
         out, _ = forward(params, sample_masks(config, 1),
                          np.random.default_rng(0).normal(size=(20, 3)) * 5, config)
         assert (out.regression > 0).all() and (out.regression < 3.0).all()
+
+
+class TestStackedModels:
+    """K models stacked on a leading axis run as one forward pass, each exactly as alone."""
+
+    @pytest.mark.parametrize("output_mode", ["linear_clamped", "scaled_sigmoid"])
+    @pytest.mark.parametrize("layout", ["one set", "shared rows", "own rows"])
+    def test_equal_one_forward_per_model(self, output_mode, layout):
+        """K = 3 models with their own horizons, R = 4 rows (shared by all
+        models or each model's own), a phase head, an initial state and a
+        sequence longer than two scan blocks: outputs and final state
+        ``.tobytes()``-equal to each model's own forward."""
+        config = tiny_config(phase_classes=3, output_mode=output_mode)
+        rows, horizons = 4, (1.0, 2.0, 3.0)
+        models = [init_params(config, seed=s) for s in range(len(horizons))]
+        stacked = {name: np.stack([p[name] for p in models]) for name in models[0]}
+        own = [[sample_masks(config, 10 * m + r) for r in range(rows)] for m in range(3)]
+        masks, model_masks = {
+            "one set": (own[0][0], [own[0][0]] * 3),
+            "shared rows": (stack_masks(own[0]), [stack_masks(own[0])] * 3),
+            "own rows": (stack_masks([stack_masks(sets) for sets in own]),
+                         [stack_masks(sets) for sets in own]),
+        }[layout]
+        rng = np.random.default_rng(7)
+        feats = rng.normal(size=(2 * block_frames(rows) + 3, config.input_dim)) * 2
+        lead = (3,) if layout == "one set" else (3, rows)
+        h0, c0 = rng.normal(size=(2, *lead, config.hidden))
+        out, (h, c) = forward(stacked, masks, feats, config, state=(h0, c0),
+                              horizons=np.array(horizons))
+        assert out.regression.shape == (*lead, len(feats), config.instruments)
+        for m, (params, horizon) in enumerate(zip(models, horizons)):
+            ref, (ref_h, ref_c) = forward(params, model_masks[m], feats,
+                                          dataclasses.replace(config, horizon=horizon),
+                                          state=(h0[m], c0[m]))
+            for got, want in ((out.regression[m], ref.regression),
+                              (out.class_logits[m], ref.class_logits),
+                              (out.phase_logits[m], ref.phase_logits),
+                              (h[m], ref_h), (c[m], ref_c)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), m
+
+    def test_masks_of_another_model_count_are_refused(self):
+        config = tiny_config()
+        params = init_params(config, seed=0)
+        stacked = {name: np.stack([value] * 3) for name, value in params.items()}
+        masks = stack_masks([stack_masks([sample_masks(config, m)]) for m in range(2)])
+        feats = np.zeros((4, config.input_dim))
+        for p in (stacked, params):  # two models' masks: neither three models nor one fit
+            with pytest.raises(ValueError, match="dropout masks"):
+                forward(p, masks, feats, config)
 
 
 class TestLoss:
