@@ -15,6 +15,7 @@ import anticipation as ant
 from anticipation.analysis import (
     error_uncertainty_pcc,
     filter_by_uncertainty,
+    pooled,
     tp_fp_uncertainty,
 )
 
@@ -62,17 +63,18 @@ print(f"  example frame {i}, cut_tool: f_hat {s0.reg_mean[i, 1]:.2f} min, "
 
 print("\nerror-uncertainty correlation (PCC per instrument; the triggered cut_tool,"
       "\nwhose frames span hard guesses and easy countdowns, correlates clearest):")
-for name, res in zip(sim.instrument_names, error_uncertainty_pcc(summaries, targets)):
+pool = pooled(summaries, targets)
+for name, res in zip(sim.instrument_names, error_uncertainty_pcc(pool)):
     shown = "absent: " + res.reason if np.isnan(res.value) else f"{res.value:+.3f}"
     print(f"  {name:10s} {shown}  ({res.count} anticipating predictions)")
 
 print("\npMAE after keeping only the least (epistemically) uncertain predictions:")
-curves = filter_by_uncertainty(summaries, targets, percentiles=[25, 50, 75, 100])
+curves = filter_by_uncertainty(pool, percentiles=[25, 50, 75, 100])
 for name, curve in zip(sim.instrument_names, curves):
     cells = "  ".join(f"{q:3.0f}%: {v:5.3f}" for q, v in zip(curve.percentiles, curve.pmae))
     print(f"  {name:10s} {cells}")
 
 print("\nanticipating-class TP vs FP uncertainty (medians):")
-for name, res in zip(sim.instrument_names, tp_fp_uncertainty(summaries, targets)):
+for name, res in zip(sim.instrument_names, tp_fp_uncertainty(pool)):
     print(f"  {name:10s} TP n={res.tp.count:5d} alea {res.tp.median_aleatoric:.4f} | "
           f"FP n={res.fp.count:5d} alea {res.fp.median_aleatoric:.4f}")

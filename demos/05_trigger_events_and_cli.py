@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import anticipation as ant
-from anticipation.analysis import trigger_conditional_uncertainty
+from anticipation.analysis import pooled, trigger_conditional_uncertainty
 
 H = 3.0
 
@@ -43,7 +43,7 @@ summaries = [ant.mc_predict(params, net, s.features, samples=10, seed=500 + i)
              for i, s in enumerate(test_set)]
 targets = [ant.compute_targets(s, H) for s in test_set]
 
-result = trigger_conditional_uncertainty(summaries, targets, target=1, trigger=0)
+result = trigger_conditional_uncertainty(pooled(summaries, targets), target=1, trigger=0)
 print("anticipating predictions for instrument 1, split by instrument 0 visibility:")
 for cond in (result.visible, result.hidden):
     label = "trigger visible" if cond.visible else "trigger hidden "

@@ -12,6 +12,7 @@ from .analysis import (
     error_uncertainty_pcc,
     filter_by_uncertainty,
     lower_median,
+    pooled,
     tp_fp_uncertainty,
     trigger_conditional_uncertainty,
 )

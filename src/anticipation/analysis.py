@@ -1,7 +1,8 @@
 """Uncertainty-quality analyses on MC prediction summaries.
 
-Four pure analyses, each restricted to *anticipating predictions* (frames
-where the model claims an instrument is coming):
+Four pure analyses of the dict :func:`pooled` builds from a list of
+summaries and their targets, each restricted to *anticipating predictions*
+(frames where the model claims an instrument is coming):
 
 * correlation between absolute regression error and epistemic variance,
 * pMAE as a function of the retained fraction when the most uncertain
@@ -65,6 +66,7 @@ def pooled(summaries, targets) -> dict:
         "classes": np.concatenate([t.classes for t in targets]),
         "reg_mask": np.concatenate(reg_masks),
         "cls_mask": np.concatenate(cls_masks),
+        "lengths": [t.remaining.shape[0] for t in targets],
     }
 
 
@@ -79,11 +81,7 @@ class PccResult:
     reason: Optional[str] = None
 
 
-def error_uncertainty_pcc(
-    summaries,
-    targets,
-    use_std: bool = False,
-) -> list[PccResult]:
+def error_uncertainty_pcc(pool: dict, use_std: bool = False) -> list[PccResult]:
     """Pearson correlation of |error| vs epistemic variance per instrument.
 
     Restricted to regression anticipating predictions.  ``use_std``
@@ -91,7 +89,6 @@ def error_uncertainty_pcc(
     Undefined (absent) when fewer than two points are selected or either
     coordinate is constant.
     """
-    pool = pooled(summaries, targets)
     results = []
     for j in range(pool["remaining"].shape[1]):
         sel = pool["reg_mask"][:, j]
@@ -132,8 +129,7 @@ DEFAULT_PERCENTILES = tuple(range(10, 101, 10))
 
 
 def filter_by_uncertainty(
-    summaries,
-    targets,
+    pool: dict,
     percentiles: Sequence[float] = DEFAULT_PERCENTILES,
 ) -> list[FilterCurve]:
     """pMAE over the q% least (epistemically) uncertain anticipating predictions.
@@ -141,7 +137,6 @@ def filter_by_uncertainty(
     At q = 100 the curve reproduces the unfiltered pMAE exactly.  The sort
     is stable, so equal uncertainties keep pooled frame order.
     """
-    pool = pooled(summaries, targets)
     grid = np.asarray(sorted(percentiles), dtype=np.float64)
     curves = []
     for j in range(pool["remaining"].shape[1]):
@@ -181,14 +176,13 @@ class TpFpResult:
     fp: GroupStats
 
 
-def tp_fp_uncertainty(summaries, targets) -> list[TpFpResult]:
+def tp_fp_uncertainty(pool: dict) -> list[TpFpResult]:
     """Median anticipating-class uncertainties of TP vs FP predictions.
 
     A prediction counts as TP when the true class is anticipating, FP
     otherwise; uncertainties are the per-class values of the anticipating
     class.  Empty groups report NaN medians with count 0.
     """
-    pool = pooled(summaries, targets)
     results = []
     for j in range(pool["remaining"].shape[1]):
         sel = pool["cls_mask"][:, j]
@@ -238,8 +232,7 @@ def _seen_within(track: np.ndarray, memory_frames: int) -> np.ndarray:
 
 
 def trigger_conditional_uncertainty(
-    summaries,
-    targets,
+    pool: dict,
     target: int,
     trigger: int,
     memory_frames: int = 0,
@@ -247,20 +240,19 @@ def trigger_conditional_uncertainty(
     """Uncertainty of anticipating predictions for ``target`` split by
     whether ``trigger`` is currently visible.
 
-    The trigger is visible in the frames ``targets`` label it ``PRESENT``,
-    i.e. where it is annotated present.  ``memory_frames`` widens the
-    visible condition to "seen within the last m frames" of the same
-    sequence; the window never reaches across sequences.
+    The trigger is visible in the frames the pooled targets label it
+    ``PRESENT``, i.e. where it is annotated present.  ``memory_frames``
+    widens the visible condition to "seen within the last m frames" of the
+    same sequence; the window never reaches across sequences.
     """
     if target == trigger:
         raise ValueError("target and trigger must be different instruments")
-    pool = pooled(summaries, targets)
     k = pool["remaining"].shape[1]
     for name, index in (("target", target), ("trigger", trigger)):
         if not 0 <= index < k:
             raise ValueError(f"{name} {index} out of range for {k} instruments")
-    visible = np.concatenate([_seen_within(t.classes[:, trigger] == PRESENT, memory_frames)
-                              for t in _as_list(targets)])
+    tracks = np.split(pool["classes"][:, trigger] == PRESENT, np.cumsum(pool["lengths"][:-1]))
+    visible = np.concatenate([_seen_within(track, memory_frames) for track in tracks])
 
     conditions = []
     for cond_visible in (True, False):

@@ -10,7 +10,9 @@ with the horizon beyond it; ``oracle`` mode (OracleHist) expands to the
 true duration of the evaluated video, which is only available offline.
 Thresholds are chosen per instrument by exhaustive search over the distinct
 bin counts (plus a sentinel that marks nothing present), minimizing
-training-set wMAE; ties go to the larger threshold.
+training-set wMAE; ties go to the larger threshold.  All candidates are
+scored in one pass, as the columns of one remaining-time call per distinct
+expansion length, bit for bit as a pass per candidate would score them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from . import labels, metrics
 from .workflow import ProcedureSequence
 
 MODES = ("mean", "oracle")
+
+# Candidate-frames the threshold search scores at once: bounds its (C, n)
+# temporaries to a few MB whatever the size of the train set.
+SCORE_BLOCK = 1 << 18
 
 
 @dataclass
@@ -70,7 +76,7 @@ def expand_to_frames(bin_presence: np.ndarray, n_frames: int) -> np.ndarray:
 
 def _remaining_track(bin_presence: np.ndarray, expand_len: int, horizon: float,
                      fps: float) -> np.ndarray:
-    """Remaining times of one instrument's estimated timeline over ``expand_len`` frames."""
+    """Remaining times of (B, ...) estimated timelines over ``expand_len`` frames."""
     return labels.remaining_time(expand_to_frames(bin_presence, expand_len), fps, horizon)
 
 
@@ -78,7 +84,7 @@ def _fit_length(track: np.ndarray, out_len: int, horizon: float) -> np.ndarray:
     """``track`` cut to ``out_len`` frames, or padded with the horizon beyond its end."""
     if out_len <= track.shape[0]:
         return track[:out_len]
-    return np.concatenate([track, np.full(out_len - track.shape[0], horizon)])
+    return np.concatenate([track, np.full((out_len - track.shape[0],) + track.shape[1:], horizon)])
 
 
 def predict_baseline(model: BaselineModel, duration: int) -> np.ndarray:
@@ -90,12 +96,8 @@ def predict_baseline(model: BaselineModel, duration: int) -> np.ndarray:
     """
     out_len = int(duration)
     expand_len = out_len if model.mode == "oracle" else model.mean_duration
-    bin_presence = model.bin_presence()
-    out = np.empty((out_len, model.n_instruments))
-    for j in range(model.n_instruments):
-        track = _remaining_track(bin_presence[j], expand_len, model.horizon, model.fps)
-        out[:, j] = _fit_length(track, out_len, model.horizon)
-    return out
+    track = _remaining_track(model.bin_presence().T, expand_len, model.horizon, model.fps)
+    return _fit_length(track, out_len, model.horizon)
 
 
 def _candidate_thresholds(counts: np.ndarray) -> np.ndarray:
@@ -109,29 +111,34 @@ def _candidate_thresholds(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([distinct, [distinct[-1] + 1]]).astype(np.float64)
 
 
-def _score_threshold(
+def _candidate_scores(
     counts: np.ndarray,
-    threshold: float,
+    cands: np.ndarray,
     train_targets: list[np.ndarray],
     expand_lens: list[int],
     horizon: float,
     fps: float,
-) -> float:
-    """Pooled train wMAE of the presence timeline induced by one threshold."""
-    bin_presence = counts > threshold
-    # The track depends on the expansion length alone, which mean mode shares
-    # across videos: compute it once per distinct length.
-    tracks = {n: _remaining_track(bin_presence, n, horizon, fps) for n in set(expand_lens)}
-    preds = [_fit_length(tracks[n], r_true.shape[0], horizon)
-             for r_true, n in zip(train_targets, expand_lens)]
-    value = metrics.wmae(
-        np.concatenate(preds)[:, None],
-        np.concatenate(train_targets)[:, None],
-        horizon,
-    )[0]
-    # An instrument absent from the train labels has no scored frames at
+) -> np.ndarray:
+    """Pooled train wMAE of the presence timeline each threshold in ``cands`` induces."""
+    target = np.concatenate(train_targets)
+    scores = []
+    # Candidates in chunks of at most SCORE_BLOCK candidate-frames.
+    step = max(1, SCORE_BLOCK // target.shape[0])
+    for first in range(0, cands.shape[0], step):
+        bin_presence = counts[:, None] > cands[first:first + step]  # (B, C)
+        # The tracks depend on the expansion length alone, which mean mode
+        # shares across videos: compute them once per distinct length.
+        tracks = {n: _remaining_track(bin_presence, n, horizon, fps) for n in set(expand_lens)}
+        preds = np.empty((bin_presence.shape[1], target.shape[0]))
+        start = 0
+        for r_true, n in zip(train_targets, expand_lens):
+            stop = start + r_true.shape[0]
+            preds[:, start:stop] = _fit_length(tracks[n], r_true.shape[0], horizon).T
+            start = stop
+        scores.append(metrics.wmae_rows(preds, target, horizon))
+    # An instrument present in every train frame has no scored frames at
     # all; every threshold is equally useless then.
-    return float(value) if not np.isnan(value) else 0.0
+    return np.nan_to_num(np.concatenate(scores), nan=0.0)
 
 
 def fit_baseline(
@@ -160,13 +167,11 @@ def fit_baseline(
 
     thresholds = np.empty(k)
     for j in range(k):
-        per_video = [t.remaining[:, j] for t in targets]
-        best_val, best_thr = np.inf, None
-        for cand in _candidate_thresholds(hist[j]):
-            val = _score_threshold(hist[j], cand, per_video, expand_lens, horizon, fps)
-            if val <= best_val:  # ties break toward the larger threshold
-                best_val, best_thr = val, cand
-        thresholds[j] = best_thr
+        cands = _candidate_thresholds(hist[j])
+        values = _candidate_scores(hist[j], cands, [t.remaining[:, j] for t in targets],
+                                   expand_lens, horizon, fps)
+        # The last of the equal minima: ties break toward the larger threshold.
+        thresholds[j] = cands[cands.shape[0] - 1 - np.argmin(values[::-1])]
 
     return BaselineModel(
         bins=bins, mode=mode, horizon=float(horizon), fps=fps,

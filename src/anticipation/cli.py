@@ -695,10 +695,11 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
         summaries = by_horizon.pop(h)  # popped, so freed before the next horizon's arrays
         targets = [labels.compute_targets(s, h) for s in test_seqs]
         names = test_seqs[0].names
+        pool = analysis.pooled(summaries, targets)
 
-        pcc = analysis.error_uncertainty_pcc(summaries, targets, use_std=use_std)
-        curves = analysis.filter_by_uncertainty(summaries, targets, percentiles=percentiles)
-        tpfp = analysis.tp_fp_uncertainty(summaries, targets)
+        pcc = analysis.error_uncertainty_pcc(pool, use_std=use_std)
+        curves = analysis.filter_by_uncertainty(pool, percentiles=percentiles)
+        tpfp = analysis.tp_fp_uncertainty(pool)
         if all(np.isnan(r.value) and r.count == 0 for r in pcc) and \
                 all(res.tp.count == 0 and res.fp.count == 0 for res in tpfp):
             raise EmptyResultError(
@@ -715,15 +716,13 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
         trigger_result = None
         if trigger_cfg:
             trigger_result = analysis.trigger_conditional_uncertainty(
-                summaries, targets,
-                target=trigger_cfg["target"], trigger=trigger_cfg["trigger"],
+                pool, target=trigger_cfg["target"], trigger=trigger_cfg["trigger"],
                 memory_frames=config["analysis"]["memory_frames"],
             )
             trig_path, = run.claim(os.path.join("reports", f"analysis_trigger_h{h:g}.csv"))
             reports.write_trigger_csv(trigger_result, trig_path, names)
 
         if args.plots:
-            pool = analysis.pooled(summaries, targets)
             for j, name in enumerate(names):
                 sel = pool["reg_mask"][:, j]
                 if sel.sum() < 2:

@@ -58,22 +58,12 @@ def remaining_time(presence: np.ndarray, fps: float, horizon: float) -> np.ndarr
     counted in frames and converted with ``fps * 60`` frames per minute.
     """
     presence = np.asarray(presence, dtype=bool)
-    squeeze = presence.ndim == 1
-    if squeeze:
-        presence = presence[:, None]
-    n, k = presence.shape
-    frames = np.arange(n)
-    gap = np.empty((n, k), dtype=np.float64)
-    for j in range(k):
-        occ = np.flatnonzero(presence[:, j])
-        if occ.size == 0:
-            gap[:, j] = np.inf
-            continue
-        nxt = np.searchsorted(occ, frames, side="left")
-        has_next = nxt < occ.size
-        gap[:, j] = np.where(has_next, occ[np.minimum(nxt, occ.size - 1)] - frames, np.inf)
-    r = np.minimum(gap / (fps * 60.0), horizon)
-    return r[:, 0] if squeeze else r
+    n = presence.shape[0]
+    frames = np.arange(n).reshape((n,) + (1,) * (presence.ndim - 1))
+    # Frame of the next occurrence at or after each frame; n where none follows.
+    nxt = np.minimum.accumulate(np.where(presence, frames, n)[::-1], axis=0)[::-1]
+    gap = np.where(nxt < n, nxt - frames, np.inf)
+    return np.minimum(gap / (fps * 60.0), horizon)
 
 
 def classify(remaining: np.ndarray, presence: np.ndarray, horizon: float) -> np.ndarray:

@@ -43,16 +43,21 @@ def wmae(predictions, remaining, horizon: float) -> np.ndarray:
     r = _as_pooled(remaining)
     if pred.shape != r.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {r.shape}")
-    err = np.abs(pred - r)
-    anticipating = (r > 0.0) & (r < horizon)
-    background = r == horizon
-    k = r.shape[1]
-    out = np.full(k, np.nan)
-    for j in range(k):
-        parts = [err[g[:, j], j].mean() for g in (anticipating, background) if g[:, j].any()]
-        if parts:
-            out[j] = float(np.mean(parts))
-    return out
+    return np.array([wmae_rows(pred[None, :, j], r[:, j], horizon)[0] for j in range(r.shape[1])])
+
+
+def wmae_rows(predictions: np.ndarray, remaining: np.ndarray, horizon: float) -> np.ndarray:
+    """wMAE of each row of (C, n) ``predictions`` against one (n,) target column.
+
+    NaN where both frame groups are empty.  Predictions are scored as given,
+    not clamped.
+    """
+    err = np.abs(predictions - remaining)
+    groups = ((remaining > 0.0) & (remaining < horizon), remaining == horizon)
+    # np.compress keeps each row contiguous, so a row's mean sums in the same
+    # pairwise order as a 1-D mean; ``err[:, g]`` is column-major and does not.
+    parts = [np.compress(g, err, axis=1).mean(axis=1) for g in groups if g.any()]
+    return np.mean(parts, axis=0) if parts else np.full(err.shape[0], np.nan)
 
 
 def pmae(predictions, remaining, horizon: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -488,10 +489,15 @@ def save_features(features: np.ndarray, path: str) -> None:
 
 def load_features(path: str) -> np.ndarray:
     """Read a feature CSV written by :func:`save_features` as an (n, F) array."""
-    try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise AnnotationParseError(f"{path}: malformed feature CSV: {exc}") from None
+    with warnings.catch_warnings():
+        # numpy only warns about a file without rows; refuse it instead.
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except UserWarning:
+            raise AnnotationParseError(f"{path}: feature file has no rows") from None
+        except ValueError as exc:
+            raise AnnotationParseError(f"{path}: malformed feature CSV: {exc}") from None
 
 
 def attach_features(seq: ProcedureSequence, path: str) -> ProcedureSequence:

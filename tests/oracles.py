@@ -79,20 +79,21 @@ def pooled_wmae(preds: list[np.ndarray], remaining: list[np.ndarray], horizon: f
     return float(np.mean(parts)) if parts else 0.0
 
 
-def exhaustive_baseline_search(
+def exhaustive_baseline_scores(
     counts: np.ndarray,
     remaining: list[np.ndarray],
     expand_lens: list[int],
     horizon: float,
     fps: float,
 ):
-    """Exhaustive threshold search with its own expansion and anticipation.
+    """Every candidate threshold and its pooled train wMAE, with the oracle's
+    own expansion and anticipation.
 
-    Returns (best_threshold, best_wmae); ties go to the larger threshold.
+    Returns (candidates, scores), both ascending in the threshold.
     """
     bins = counts.shape[0]
     cands = sorted(set(int(v) for v in counts)) + [int(counts.max()) + 1]
-    best_thr, best_val = None, np.inf
+    scores = []
     for cand in cands:
         bin_presence = counts > cand
         preds = []
@@ -106,7 +107,24 @@ def exhaustive_baseline_search(
                 preds.append(r_syn[:out_len])
             else:
                 preds.append(np.concatenate([r_syn, np.full(out_len - expand_len, horizon)]))
-        val = pooled_wmae(preds, remaining, horizon)
+        scores.append(pooled_wmae(preds, remaining, horizon))
+    return cands, scores
+
+
+def exhaustive_baseline_search(
+    counts: np.ndarray,
+    remaining: list[np.ndarray],
+    expand_lens: list[int],
+    horizon: float,
+    fps: float,
+):
+    """Exhaustive threshold search over :func:`exhaustive_baseline_scores`.
+
+    Returns (best_threshold, best_wmae); ties go to the larger threshold.
+    """
+    best_thr, best_val = None, np.inf
+    for cand, val in zip(*exhaustive_baseline_scores(counts, remaining, expand_lens,
+                                                     horizon, fps)):
         if val <= best_val:
             best_thr, best_val = cand, val
     return float(best_thr), float(best_val)

@@ -19,6 +19,7 @@ from anticipation import cli
 from anticipation.analysis import (
     error_uncertainty_pcc,
     filter_by_uncertainty,
+    pooled,
     trigger_conditional_uncertainty,
 )
 from anticipation.inference import aggregate_samples, mc_predict
@@ -365,7 +366,8 @@ def test_criterion_07_end_to_end_anticipation(deterministic_trigger_run):
 def test_criterion_08_trigger_uncertainty(uncertain_trigger_run):
     """Anticipating-prediction uncertainty for B drops while A is visible."""
     run = uncertain_trigger_run
-    trig = trigger_conditional_uncertainty(run["summaries"], run["targets"], target=1, trigger=0)
+    trig = trigger_conditional_uncertainty(pooled(run["summaries"], run["targets"]),
+                                           target=1, trigger=0)
     ok = (trig.visible.median_cls_aleatoric < trig.hidden.median_cls_aleatoric
           and trig.visible.median_cls_epistemic < trig.hidden.median_cls_epistemic
           and trig.visible.cls_count > 0 and trig.hidden.cls_count > 0)
@@ -380,8 +382,9 @@ def test_criterion_09_filtering_and_correlation(uncertain_trigger_run):
     """Filtering the most epistemically uncertain half does not hurt pMAE;
     error and uncertainty correlate positively (instrument B)."""
     run = uncertain_trigger_run
-    curves = filter_by_uncertainty(run["summaries"], run["targets"], percentiles=[50, 100])
-    pcc = error_uncertainty_pcc(run["summaries"], run["targets"])
+    pool = pooled(run["summaries"], run["targets"])
+    curves = filter_by_uncertainty(pool, percentiles=[50, 100])
+    pcc = error_uncertainty_pcc(pool)
     filtered, unfiltered = curves[1].at(50), curves[1].at(100)
     ok = filtered <= unfiltered and pcc[1].value > 0
     report(9, ok, f"pMAE(50% least uncertain) {filtered:.3f} <= unfiltered {unfiltered:.3f}; "

@@ -10,6 +10,7 @@ from anticipation import (
     error_uncertainty_pcc,
     filter_by_uncertainty,
     lower_median,
+    pooled,
     tp_fp_uncertainty,
     trigger_conditional_uncertainty,
 )
@@ -83,23 +84,23 @@ class TestPcc:
         """Errors proportional to uncertainties give PCC 1; reversed, -1."""
         targets = make_targets([2.5, 2.5, 2.5])
         up = make_summary([2.2, 1.9, 1.6], reg_var=[2.0, 4.0, 6.0])  # errors .3 .6 .9
-        assert error_uncertainty_pcc(up, targets)[0].value == pytest.approx(1.0)
+        assert error_uncertainty_pcc(pooled(up, targets))[0].value == pytest.approx(1.0)
         down = make_summary([2.2, 1.9, 1.6], reg_var=[6.0, 4.0, 2.0])
-        assert error_uncertainty_pcc(down, targets)[0].value == pytest.approx(-1.0)
+        assert error_uncertainty_pcc(pooled(down, targets))[0].value == pytest.approx(-1.0)
 
     def test_exact_linear_relation_gives_one(self):
         targets = make_targets([1.0, 1.0, 1.0])
         s = make_summary([2.0, 2.2, 2.4], reg_var=[2.0, 4.0, 6.0])
-        assert error_uncertainty_pcc(s, targets)[0].value == pytest.approx(1.0)
+        assert error_uncertainty_pcc(pooled(s, targets))[0].value == pytest.approx(1.0)
 
     def test_constant_uncertainty_absent(self):
         s = make_summary([2.0, 2.2, 2.4], reg_var=[1.0, 1.0, 1.0])
-        res = error_uncertainty_pcc(s, make_targets([1.0, 1.0, 1.0]))[0]
+        res = error_uncertainty_pcc(pooled(s, make_targets([1.0, 1.0, 1.0])))[0]
         assert np.isnan(res.value) and res.reason == "constant series"
 
     def test_too_few_points_absent(self):
         s = make_summary([3.0, 3.0, 1.5], reg_var=[1.0, 2.0, 3.0])
-        res = error_uncertainty_pcc(s, make_targets([3.0, 3.0, 1.0]))[0]
+        res = error_uncertainty_pcc(pooled(s, make_targets([3.0, 3.0, 1.0])))[0]
         assert np.isnan(res.value) and "fewer than 2" in res.reason
 
     def test_matches_scipy_on_random_data(self):
@@ -108,7 +109,7 @@ class TestPcc:
         var = rng.uniform(0.01, 1.0, size=60)
         r = rng.uniform(0, 3, size=60)
         s = make_summary(preds, reg_var=var)
-        res = error_uncertainty_pcc(s, make_targets(r))[0]
+        res = error_uncertainty_pcc(pooled(s, make_targets(r)))[0]
         expected = stats.pearsonr(np.abs(preds - r), var).statistic
         assert res.value == pytest.approx(expected, abs=1e-12)
 
@@ -117,8 +118,9 @@ class TestPcc:
         preds = rng.uniform(0.4, 2.6, size=40)
         var = rng.uniform(0.01, 1.0, size=40)
         r = rng.uniform(0, 3, size=40)
-        base = error_uncertainty_pcc(make_summary(preds, reg_var=var), make_targets(r))[0]
-        scaled = error_uncertainty_pcc(make_summary(preds, reg_var=5 * var + 2), make_targets(r))[0]
+        base = error_uncertainty_pcc(pooled(make_summary(preds, reg_var=var), make_targets(r)))[0]
+        scaled = error_uncertainty_pcc(
+            pooled(make_summary(preds, reg_var=5 * var + 2), make_targets(r)))[0]
         assert scaled.value == pytest.approx(base.value, abs=1e-12)
 
     def test_use_std_option(self):
@@ -126,7 +128,7 @@ class TestPcc:
         preds = rng.uniform(0.4, 2.6, size=40)
         var = rng.uniform(0.01, 1.0, size=40)
         r = rng.uniform(0, 3, size=40)
-        res = error_uncertainty_pcc(make_summary(preds, reg_var=var), make_targets(r),
+        res = error_uncertainty_pcc(pooled(make_summary(preds, reg_var=var), make_targets(r)),
                                     use_std=True)[0]
         expected = stats.pearsonr(np.abs(preds - r), np.sqrt(var)).statistic
         assert res.value == pytest.approx(expected, abs=1e-12)
@@ -138,7 +140,7 @@ class TestFiltering:
         preds = rng.uniform(0.4, 2.6, size=30)
         var = rng.uniform(0, 1, size=30)
         r = rng.uniform(0, 3, size=30)
-        curve = filter_by_uncertainty(make_summary(preds, reg_var=var), make_targets(r))[0]
+        curve = filter_by_uncertainty(pooled(make_summary(preds, reg_var=var), make_targets(r)))[0]
         from anticipation.metrics import pmae
         unfiltered = pmae(preds.reshape(-1, 1), r.reshape(-1, 1), 3.0)[0]
         assert curve.at(100) == unfiltered
@@ -146,21 +148,22 @@ class TestFiltering:
     def test_keeps_lower_uncertainty_half(self):
         s = make_summary([1.2, 2.0], reg_var=[0.01, 0.5])
         t = make_targets([1.0, 1.0])  # errors 0.2, 1.0
-        curve = filter_by_uncertainty(s, t, percentiles=[50, 100])[0]
+        curve = filter_by_uncertainty(pooled(s, t), percentiles=[50, 100])[0]
         assert curve.at(50) == pytest.approx(0.2)
         assert curve.at(100) == pytest.approx(0.6)
 
     def test_ties_keep_stable_order(self):
         s = make_summary([1.2, 2.0, 1.4, 2.2], reg_var=[0.3, 0.3, 0.3, 0.3])
         t = make_targets([1.0, 1.0, 1.0, 1.0])
-        curve = filter_by_uncertainty(s, t, percentiles=[25, 50, 75, 100])[0]
+        curve = filter_by_uncertainty(pooled(s, t), percentiles=[25, 50, 75, 100])[0]
         np.testing.assert_allclose(
             curve.pmae, [0.2, 0.6, (0.2 + 1.0 + 0.4) / 3, (0.2 + 1.0 + 0.4 + 1.2) / 4]
         )
 
     def test_empty_selection_gives_empty_curve(self):
         s = make_summary([3.0, 3.0], reg_var=[0.1, 0.2])
-        curve = filter_by_uncertainty(s, make_targets([3.0, 3.0]), percentiles=[50, 100])[0]
+        curve = filter_by_uncertainty(pooled(s, make_targets([3.0, 3.0])),
+                                      percentiles=[50, 100])[0]
         assert np.isnan(curve.pmae).all()
         assert (curve.counts == 0).all()
 
@@ -170,7 +173,7 @@ class TestTpFp:
         cls = np.tile([0.8, 0.1, 0.1], (3, 1, 1))
         s = make_summary([1.0, 1.0, 1.0], class_mean=cls, cls_alea=[0.1, 0.2, 0.3])
         t = make_targets([1.0, 1.0, 1.0], classes=[ANTICIPATING] * 3)
-        res = tp_fp_uncertainty(s, t)[0]
+        res = tp_fp_uncertainty(pooled(s, t))[0]
         assert res.tp.count == 3 and res.fp.count == 0
         assert np.isnan(res.fp.median_aleatoric)
 
@@ -178,13 +181,13 @@ class TestTpFp:
         cls = np.tile([0.8, 0.1, 0.1], (3, 1, 1))
         s = make_summary([1.0] * 3, class_mean=cls, cls_epi=[0.1, 0.2, 0.3])
         t = make_targets([1.0] * 3, classes=[ANTICIPATING] * 3)
-        assert tp_fp_uncertainty(s, t)[0].tp.median_epistemic == pytest.approx(0.2)
+        assert tp_fp_uncertainty(pooled(s, t))[0].tp.median_epistemic == pytest.approx(0.2)
 
     def test_single_fp(self):
         cls = np.tile([0.8, 0.1, 0.1], (1, 1, 1))
         s = make_summary([1.0], class_mean=cls, cls_alea=[0.25])
         t = make_targets([3.0], classes=[BACKGROUND])
-        res = tp_fp_uncertainty(s, t)[0]
+        res = tp_fp_uncertainty(pooled(s, t))[0]
         assert res.fp.count == 1
         assert res.fp.median_aleatoric == pytest.approx(0.25)
 
@@ -196,7 +199,7 @@ class TestTrigger:
                          cls_epi=[0.1, 0.1, 0.4, 0.6], reg_var=[0.1, 0.1, 0.4, 0.6])
         t = make_targets([1.0] * 4, classes=[ANTICIPATING] * 4)
         s, t = with_trigger(s, t, [True, True, False, False])
-        res = trigger_conditional_uncertainty(s, t, target=0, trigger=1)
+        res = trigger_conditional_uncertainty(pooled(s, t), target=0, trigger=1)
         assert res.visible.cls_count == 2 and res.hidden.cls_count == 2
         assert res.visible.median_cls_aleatoric == pytest.approx(0.1)
         # lower-median convention: {0.4, 0.6} -> 0.4
@@ -208,7 +211,7 @@ class TestTrigger:
         s = make_summary([1.0] * 3, class_mean=cls)
         t = make_targets([1.0] * 3, classes=[ANTICIPATING] * 3)
         s, t = with_trigger(s, t, np.zeros(3, dtype=bool))
-        res = trigger_conditional_uncertainty(s, t, target=0, trigger=1)
+        res = trigger_conditional_uncertainty(pooled(s, t), target=0, trigger=1)
         assert res.visible.cls_count == 0
         assert np.isnan(res.visible.median_cls_aleatoric)
         assert res.hidden.cls_count == 3
@@ -218,8 +221,8 @@ class TestTrigger:
         s = make_summary([1.0] * 4, class_mean=cls)
         t = make_targets([1.0] * 4, classes=[ANTICIPATING] * 4)
         s, t = with_trigger(s, t, [True, False, False, False])
-        strict = trigger_conditional_uncertainty(s, t, 0, 1)
-        widened = trigger_conditional_uncertainty(s, t, 0, 1, memory_frames=2)
+        strict = trigger_conditional_uncertainty(pooled(s, t), 0, 1)
+        widened = trigger_conditional_uncertainty(pooled(s, t), 0, 1, memory_frames=2)
         assert strict.visible.cls_count == 1
         assert widened.visible.cls_count == 3
 
@@ -229,20 +232,20 @@ class TestTrigger:
                              [False, False, True])
         second = with_trigger(make_summary([1.0] * 3), make_targets([1.0] * 3),
                               [False, False, False])
-        res = trigger_conditional_uncertainty([first[0], second[0]], [first[1], second[1]],
-                                              target=0, trigger=1, memory_frames=1)
+        pool = pooled([first[0], second[0]], [first[1], second[1]])
+        res = trigger_conditional_uncertainty(pool, target=0, trigger=1, memory_frames=1)
         assert res.visible.cls_count == 1 and res.hidden.cls_count == 5
 
     def test_rejects_same_instrument(self):
         s, t = with_trigger(make_summary([1.0]), make_targets([1.0]), [True])
         with pytest.raises(ValueError, match="different instruments"):
-            trigger_conditional_uncertainty(s, t, target=0, trigger=0)
+            trigger_conditional_uncertainty(pooled(s, t), target=0, trigger=0)
 
     @pytest.mark.parametrize("trigger", [1, -1])
     def test_rejects_trigger_outside_the_pooled_instruments(self, trigger):
         s, t = make_summary([1.0] * 3), make_targets([1.0] * 3)
         with pytest.raises(ValueError, match="out of range for 1 instruments"):
-            trigger_conditional_uncertainty(s, t, target=0, trigger=trigger)
+            trigger_conditional_uncertainty(pooled(s, t), target=0, trigger=trigger)
 
 
 class TestPooling:
@@ -255,14 +258,15 @@ class TestPooling:
             r = rng.uniform(0.1, 2.9, size=20)
             summaries.append(make_summary(preds, reg_var=var))
             targets.append(make_targets(r))
-        first = error_uncertainty_pcc(summaries, targets)[0]
-        second = error_uncertainty_pcc(summaries, targets)[0]
+        pool = pooled(summaries, targets)
+        first = error_uncertainty_pcc(pool)[0]
+        second = error_uncertainty_pcc(pool)[0]
         assert first.value == second.value and first.count == 3 * 20
         joined_s = make_summary(
             np.concatenate([s.reg_mean[:, 0] for s in summaries]),
             reg_var=np.concatenate([s.reg_epistemic_var[:, 0] for s in summaries]),
         )
         joined_t = make_targets(np.concatenate([t.remaining[:, 0] for t in targets]))
-        assert error_uncertainty_pcc(joined_s, joined_t)[0].value == pytest.approx(
+        assert error_uncertainty_pcc(pooled(joined_s, joined_t))[0].value == pytest.approx(
             first.value, abs=1e-14
         )

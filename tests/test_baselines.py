@@ -22,13 +22,15 @@ from anticipation import (
     predict_baseline,
     save_baseline,
 )
+from anticipation import baselines
 from anticipation.baselines import (
+    _candidate_scores,
     _candidate_thresholds,
     expand_to_frames,
     occurrence_histogram,
 )
 
-from oracles import exhaustive_baseline_search, scan_forward_targets
+from oracles import exhaustive_baseline_scores, exhaustive_baseline_search, scan_forward_targets
 
 
 def seq_from(presence, seq_id="v"):
@@ -175,6 +177,65 @@ class TestThresholdOptimality:
             synthetic = expand_to_frames(bins[j], seq.n_frames)
             r_ref, _ = scan_forward_targets(synthetic[:, None], 1.0, 3.0)
             np.testing.assert_array_equal(pred[:, j], r_ref[:, 0])
+
+
+class TestCandidateScores:
+    """All candidates of an instrument are scored in one pass; each score must
+    be the one a per-candidate pooled wMAE gives, bit for bit."""
+
+    @staticmethod
+    def scores_and_oracle(train, horizon, bins, mode, j):
+        hist = occurrence_histogram(train, bins)
+        remaining = [compute_targets(s, horizon).remaining[:, j] for s in train]
+        mean_duration = int(round(np.mean([s.n_frames for s in train])))
+        expand = ([s.n_frames for s in train] if mode == "oracle"
+                  else [mean_duration] * len(train))
+        cands, values = exhaustive_baseline_scores(hist[j], remaining, expand, horizon, 1.0)
+        scores = _candidate_scores(hist[j], _candidate_thresholds(hist[j]), remaining, expand,
+                                   horizon, 1.0)
+        return scores, np.array(values), np.array(cands, dtype=np.float64)
+
+    @pytest.mark.parametrize("mode", ["mean", "oracle"])
+    @pytest.mark.parametrize("bins", [1, 7, 25, 1000])
+    def test_equal_the_oracle_bit_for_bit(self, mode, bins):
+        rng = np.random.default_rng(bins)
+        for trial in range(2):
+            train = random_train_set(rng, n_videos=3, k=2)
+            for j in range(2):
+                scores, values, _ = self.scores_and_oracle(train, 2.0, bins, mode, j)
+                assert scores.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_chunks_of_candidates_score_as_one(self, monkeypatch, per_chunk):
+        train = random_train_set(np.random.default_rng(7), n_videos=3, k=2)
+        whole, _, cands = self.scores_and_oracle(train, 2.0, 1000, "mean", 0)
+        assert cands.size > 3 and cands.size % 3  # several chunks, the last one short
+        monkeypatch.setattr(baselines, "SCORE_BLOCK", per_chunk * sum(s.n_frames for s in train))
+        chunked, values, _ = self.scores_and_oracle(train, 2.0, 1000, "mean", 0)
+        assert chunked.tobytes() == whole.tobytes() == values.tobytes()
+
+    def test_tie_picks_the_larger_threshold(self):
+        """Counts [1, 0, 3, 0]: marking bins 0 and 2 or bin 2 alone costs the
+        same (errors 1 + 3 frames against 4 + 0), so thresholds 0 and 1 tie."""
+        train = [seq_from(np.array([0, 1, 0, 0, 0, 1, 1, 1, 0, 0], dtype=bool)[:, None])]
+        scores, values, cands = self.scores_and_oracle(train, 0.1, 4, "oracle", 0)
+        np.testing.assert_array_equal(cands, [0.0, 1.0, 3.0, 4.0])
+        assert scores.tobytes() == values.tobytes()
+        assert values[0] == values[1] < values[2]
+        model = fit_baseline(train, horizon=0.1, bins=4, mode="oracle")
+        assert model.thresholds[0] == 1.0
+
+    @pytest.mark.parametrize("mode", ["mean", "oracle"])
+    def test_instrument_absent_from_train_set_picks_the_sentinel(self, mode):
+        rng = np.random.default_rng(8)
+        train = [seq_from(np.column_stack([rng.random(n) < 0.2, np.zeros(n, dtype=bool)]), str(i))
+                 for i, n in enumerate((90, 110, 100))]
+        scores, values, cands = self.scores_and_oracle(train, 2.0, 25, mode, 1)
+        np.testing.assert_array_equal(cands, [0.0, 1.0])
+        assert scores.tobytes() == values.tobytes() and values[0] == values[1]
+        model = fit_baseline(train, horizon=2.0, bins=25, mode=mode)
+        assert model.thresholds[1] == 1.0
+        assert not model.bin_presence()[1].any()
 
 
 class TestSerialization:

@@ -782,6 +782,22 @@ class TestDamagedRunDirectory:
                               f"'{value}' is not a finite number")
         assert "Traceback" not in err
 
+    def test_empty_feature_file_is_one_line_on_stderr(self, predicted_run, tmp_path):
+        """A process with default warning filters: numpy's 'no data' warning
+        must not reach stderr beside the exit-3 message."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "dataset", "test", "proc_0004.features.csv")
+        Path(path).write_text("")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(anticipation.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        result = subprocess.run(
+            [sys.executable, "-m", "anticipation", "predict", "--config", config_path,
+             "--out", out, "--overwrite"],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": src}, timeout=300,
+        )
+        assert result.returncode == 3
+        assert result.stderr == f"input error: {path}: feature file has no rows\n"
+
     def test_annotation_file_that_is_not_utf8_names_it(self, predicted_run, tmp_path, capsys):
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "dataset", "test", "proc_0004.csv")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anticipation import ProcedureSequence, compute_targets
 from anticipation.labels import ANTICIPATING, BACKGROUND, PRESENT, classify, remaining_time
@@ -65,6 +68,33 @@ class TestOracleEquivalence:
             r_ref, c_ref = scan_forward_targets(presence, fps, h)
             np.testing.assert_array_equal(t.remaining, r_ref)
             np.testing.assert_array_equal(t.classes, c_ref)
+
+
+@st.composite
+def presence_matrices(draw):
+    """(n, C) presence with an all-false, an all-true and a one-frame column
+    added to the drawn ones, at a few frame rates and horizons."""
+    n = draw(st.integers(1, 60))
+    drawn = draw(hnp.arrays(bool, (n, draw(st.integers(0, 4)))))
+    one_frame = np.zeros((n, 1), dtype=bool)
+    one_frame[draw(st.integers(0, n - 1))] = True
+    columns = [drawn, np.zeros((n, 1), dtype=bool), np.ones((n, 1), dtype=bool), one_frame]
+    order = draw(st.permutations(range(len(columns))))
+    presence = np.hstack([columns[i] for i in order])
+    fps = draw(st.sampled_from([0.5, 1.0, 25.0]))
+    return presence, fps, draw(st.sampled_from([0.05, 1.0, 3.0]))
+
+
+class TestRemainingTime:
+    @given(presence_matrices())
+    def test_equals_forward_scan_and_each_column_alone(self, case):
+        presence, fps, h = case
+        r = remaining_time(presence, fps, h)
+        r_ref, _ = scan_forward_targets(presence, fps, h)
+        assert r.shape == presence.shape
+        assert r.tobytes() == r_ref.tobytes()
+        for j in range(presence.shape[1]):
+            assert remaining_time(presence[:, j], fps, h).tobytes() == r[:, j].tobytes()
 
 
 class TestInvariants:
