@@ -65,8 +65,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"features reattached from {os.path.basename(feat_path)}: "
           f"shape {restored.features.shape}, identical")
 
-# Features decode the scene: correlate each frame with the signatures.
-inst_sig, phase_sig = config.signature_matrices()
+# Features decode the scene: instrument k owns feature column k, so
+# correlate each frame with those axes.
+inst_sig = np.eye(config.instruments, config.feature_dim)
 frame = seq.features[trigger_on[0]]
 scores = frame @ inst_sig.T
 print(f"\nfeature vector at the first clip_tool onset correlates with signatures as "

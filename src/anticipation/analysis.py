@@ -210,8 +210,6 @@ class TriggerCondition:
     median_reg_epistemic: float
     median_cls_epistemic: float
     median_cls_aleatoric: float
-    reg_epistemic: np.ndarray = field(repr=False, default=None)
-    cls_epistemic: np.ndarray = field(repr=False, default=None)
     cls_aleatoric: np.ndarray = field(repr=False, default=None)
 
 
@@ -266,8 +264,6 @@ def trigger_conditional_uncertainty(
             median_reg_epistemic=lower_median(pool["reg_var"][reg_sel, target]),
             median_cls_epistemic=lower_median(pool["cls_epi"][cls_sel, target]),
             median_cls_aleatoric=lower_median(pool["cls_alea"][cls_sel, target]),
-            reg_epistemic=pool["reg_var"][reg_sel, target],
-            cls_epistemic=pool["cls_epi"][cls_sel, target],
             cls_aleatoric=pool["cls_alea"][cls_sel, target],
         ))
     return TriggerResult(target=target, trigger=trigger,

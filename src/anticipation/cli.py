@@ -84,8 +84,6 @@ EXIT_EMPTY = 5
 # ``sim`` holds the fields of ``workflow.SimConfig``, nested parts included.
 _TRAIN_FIELDS = ("learning_rate", "window", "accum_steps", "epochs")
 _DATA_FIELDS = ("input_dim", "instruments", "horizon", "seed")
-# FeatureSpec's signature arrays are set from Python only, never from JSON.
-_ARRAY_FIELDS = ("instrument_signatures", "phase_signatures")
 _NETWORK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(network.NetworkConfig)
                      if f.name not in _DATA_FIELDS}
 _METHODS = ("meanhist", "oraclehist", "model")
@@ -190,7 +188,7 @@ def _check(value, hint, key: str) -> None:
             _check(item, args[0], f"{key}[{i}]")
     elif isinstance(value, dict):
         fields = hint if isinstance(hint, dict) else _hints(hint)
-        unknown = set(value) - set(fields).difference(_ARRAY_FIELDS)
+        unknown = set(value) - set(fields)
         if unknown:
             where = key or "top level"
             raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -373,12 +371,12 @@ def _same_instruments(data_dir: str, split: str, seq: workflow.ProcedureSequence
 
 
 def _with_features(seq: workflow.ProcedureSequence, run: _Run, split: str,
-                   width: Optional[int] = None, source: str = "") -> workflow.ProcedureSequence:
+                   width: Optional[int], source: str) -> workflow.ProcedureSequence:
     """``seq`` with features, its feature file read unless they are attached already.
 
     An InputError names a feature file that is missing, holds a cell that is
-    not a finite number (by line and column) or, given ``width``, has another
-    number of columns than ``source``.
+    not a finite number (by line and column) or, unless ``width`` is None (the
+    first file of a split), has another number of columns than ``source``.
     """
     path = os.path.join(run.data_dir, split, f"{seq.id}.features.csv")
     if seq.features is None:
@@ -673,7 +671,7 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
                      for s in test_seqs]
             table[method] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
         if "model" in methods:
-            preds = [np.clip(s.reg_mean[:, subset], 0.0, h) for s in summaries.pop(h)]
+            preds = [s.reg_mean[:, subset] for s in summaries.pop(h)]
             table["model"] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
         csv_path, json_path = run.claim(os.path.join("reports", f"metrics_h{h:g}.csv"),
                                         os.path.join("reports", f"metrics_h{h:g}.json"))
@@ -807,19 +805,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     run.record(args.command, config)
     print(f"{args.command}: wrote {len(run.claimed)} artifact(s) under {args.out}")
     return EXIT_OK
-
-
-def run(command: str, config: str, out: str, **flags) -> int:
-    """Programmatic entry point; returns the process exit code."""
-    argv = [command, "--config", config, "--out", out]
-    for key, value in flags.items():
-        flag = f"--{key.replace('_', '-')}"
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif value is not None:
-            argv += [flag, str(value)]
-    return main(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -85,8 +85,6 @@ def compute_targets(seq: ProcedureSequence, horizon: float) -> AnticipationTarge
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if seq.n_frames < 1:
-        raise ValueError("sequence must contain at least one frame")
     r = remaining_time(seq.presence, seq.fps, horizon)
     c = classify(r, seq.presence, horizon)
     return AnticipationTargets(horizon=float(horizon), fps=seq.fps, remaining=r, classes=c)

@@ -53,63 +53,44 @@ def write_metrics_table(reports: Mapping[str, MetricsReport], csv_path: str,
             fh.write("\n")
 
 
-def write_pcc_csv(results: Sequence[PccResult], path: str,
-                  names: Optional[Sequence[str]] = None) -> None:
-    names = list(names) if names else [f"inst_{j}" for j in range(len(results))]
+def _write_csv(path: str, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["instrument", "pcc", "count", "reason"])
-        for name, res in zip(names, results):
-            writer.writerow([name, _cell(res.value), res.count, res.reason or ""])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_filter_csv(curves: Sequence[FilterCurve], path: str,
-                     names: Optional[Sequence[str]] = None) -> None:
-    names = list(names) if names else [f"inst_{j}" for j in range(len(curves))]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instrument", "percentile", "pmae", "count"])
-        for name, curve in zip(names, curves):
-            for q, v, c in zip(curve.percentiles, curve.pmae, curve.counts):
-                writer.writerow([name, f"{q:g}", _cell(float(v)), int(c)])
+def write_pcc_csv(results: Sequence[PccResult], path: str, names: Sequence[str]) -> None:
+    _write_csv(path, ["instrument", "pcc", "count", "reason"],
+               ([name, _cell(res.value), res.count, res.reason or ""]
+                for name, res in zip(names, results)))
 
 
-def write_tpfp_csv(results: Sequence[TpFpResult], path: str,
-                   names: Optional[Sequence[str]] = None) -> None:
-    names = list(names) if names else [f"inst_{j}" for j in range(len(results))]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "instrument", "group", "count", "median_epistemic", "median_aleatoric",
-        ])
-        for name, res in zip(names, results):
-            for group, stats in (("tp", res.tp), ("fp", res.fp)):
-                writer.writerow([
-                    name, group, stats.count,
-                    _cell(stats.median_epistemic), _cell(stats.median_aleatoric),
-                ])
+def write_filter_csv(curves: Sequence[FilterCurve], path: str, names: Sequence[str]) -> None:
+    _write_csv(path, ["instrument", "percentile", "pmae", "count"],
+               ([name, f"{q:g}", _cell(float(v)), int(c)]
+                for name, curve in zip(names, curves)
+                for q, v, c in zip(curve.percentiles, curve.pmae, curve.counts)))
 
 
-def write_trigger_csv(result: TriggerResult, path: str,
-                      names: Optional[Sequence[str]] = None) -> None:
-    def label(idx: int) -> str:
-        return names[idx] if names else f"inst_{idx}"
+def write_tpfp_csv(results: Sequence[TpFpResult], path: str, names: Sequence[str]) -> None:
+    _write_csv(path, ["instrument", "group", "count", "median_epistemic", "median_aleatoric"],
+               ([name, group, stats.count,
+                 _cell(stats.median_epistemic), _cell(stats.median_aleatoric)]
+                for name, res in zip(names, results)
+                for group, stats in (("tp", res.tp), ("fp", res.fp))))
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "target", "trigger", "condition", "reg_count", "cls_count",
-            "median_reg_epistemic", "median_cls_epistemic", "median_cls_aleatoric",
-        ])
-        for cond in (result.visible, result.hidden):
-            writer.writerow([
-                label(result.target), label(result.trigger),
-                "visible" if cond.visible else "hidden",
-                cond.reg_count, cond.cls_count,
-                _cell(cond.median_reg_epistemic),
-                _cell(cond.median_cls_epistemic),
-                _cell(cond.median_cls_aleatoric),
-            ])
+
+def write_trigger_csv(result: TriggerResult, path: str, names: Sequence[str]) -> None:
+    _write_csv(path, ["target", "trigger", "condition", "reg_count", "cls_count",
+                      "median_reg_epistemic", "median_cls_epistemic", "median_cls_aleatoric"],
+               ([names[result.target], names[result.trigger],
+                 "visible" if cond.visible else "hidden",
+                 cond.reg_count, cond.cls_count,
+                 _cell(cond.median_reg_epistemic),
+                 _cell(cond.median_cls_epistemic),
+                 _cell(cond.median_cls_aleatoric)]
+                for cond in (result.visible, result.hidden)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ an optional phase index per frame, and optional per-frame feature vectors
 
 The simulator draws a duration, partitions it into phases, places sparse
 instrument usage segments inside phases, fires trigger rules (instrument A
-makes instrument B appear after a delay), and emits decodable features.
+makes instrument B appear after a delay), and emits features on fixed axes:
+one column per instrument (1.0 while it is visible), one per phase (1.0
+while the procedure is in it), plus Gaussian noise (:class:`FeatureSpec`).
 All randomness is derived from ``(config, seed)``, so generation is
 reproducible byte for byte.
 
@@ -126,19 +128,14 @@ class TriggerRule:
 class FeatureSpec:
     """How observable features are emitted from presence and phase.
 
-    Each instrument and each phase owns a signature vector; a frame's
-    feature vector is the sum of the signatures of everything visible in
-    that frame plus Gaussian noise.  The default signatures are scaled
-    one-hot blocks (instrument k -> axis k, phase p -> axis K + p), which
-    makes presence and phase exactly decodable at zero noise.
+    A frame's feature vector has ``K + P`` columns: column ``k`` is 1.0
+    while instrument ``k`` is visible, column ``K + p`` is 1.0 in phase
+    ``p``, and every other column is 0.0; then Gaussian noise of standard
+    deviation ``noise_std`` is added to every column.  At zero noise,
+    presence and phase are read back exactly.
     """
 
-    dim: Optional[_at_least(1)] = None  # default K + P
     noise_std: NonNegative = 0.0
-    instrument_gain: float = 1.0
-    phase_gain: float = 1.0
-    instrument_signatures: Optional[np.ndarray] = None  # (K, F)
-    phase_signatures: Optional[np.ndarray] = None       # (P, F)
 
 
 @dataclass(frozen=True)
@@ -182,33 +179,7 @@ class SimConfig:
 
     @property
     def feature_dim(self) -> int:
-        if self.features.dim is not None:
-            return self.features.dim
         return self.instruments + self.phases
-
-    def signature_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Instrument (K, F) and phase (P, F) signature matrices."""
-        f = self.feature_dim
-        spec = self.features
-        if spec.instrument_signatures is not None:
-            inst = np.asarray(spec.instrument_signatures, dtype=np.float64)
-            if inst.shape != (self.instruments, f):
-                raise ValueError(f"instrument_signatures must be {(self.instruments, f)}")
-        else:
-            inst = np.zeros((self.instruments, f))
-            for k in range(min(self.instruments, f)):
-                inst[k, k] = spec.instrument_gain
-        if spec.phase_signatures is not None:
-            ph = np.asarray(spec.phase_signatures, dtype=np.float64)
-            if ph.shape != (self.phases, f):
-                raise ValueError(f"phase_signatures must be {(self.phases, f)}")
-        else:
-            ph = np.zeros((self.phases, f))
-            for p in range(self.phases):
-                col = self.instruments + p
-                if col < f:
-                    ph[p, col] = spec.phase_gain
-        return inst, ph
 
 
 def _segment_length(rng: np.random.Generator, mean: float, std: float) -> int:
@@ -240,15 +211,15 @@ def _place_segment(presence: np.ndarray, instrument: int, onset: int, length: in
 
 def emit_features(
     presence: np.ndarray,
-    phase: Optional[np.ndarray],
+    phase: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-frame features: sum of visible signatures plus Gaussian noise."""
-    inst_sig, phase_sig = config.signature_matrices()
-    feats = presence.astype(np.float64) @ inst_sig
-    if phase is not None:
-        feats += phase_sig[phase]
+    """Per-frame features: presence and one-hot phase axes plus Gaussian noise."""
+    n, k = presence.shape
+    feats = np.zeros((n, config.feature_dim))
+    feats[:, :k] = presence
+    feats[np.arange(n), k + phase] = 1.0
     if config.features.noise_std > 0:
         feats += rng.normal(0.0, config.features.noise_std, size=feats.shape)
     return feats

@@ -50,10 +50,12 @@ def nearest_signature_decode(features: np.ndarray, phase: np.ndarray, config):
     """Decode presence flags by nearest candidate signature sum.
 
     Enumerates every (presence combination, phase) candidate feature vector
-    and picks the closest one per frame.
+    and picks the closest one per frame.  The signatures are the documented
+    axes: instrument k on column k, phase p on column K + p.
     """
-    inst_sig, phase_sig = config.signature_matrices()
     k = config.instruments
+    inst_sig = np.eye(k, config.feature_dim)
+    phase_sig = np.eye(config.phases, config.feature_dim, k=k)
     combos = list(itertools.product([0, 1], repeat=k))
     candidates = []
     for p in range(config.phases):

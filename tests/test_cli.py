@@ -417,12 +417,6 @@ class TestExitCodes:
             save_summary(summary, os.path.join(out, "summaries", f"summary_{seq_id}_h3.bin"))
         assert cli.main(["analyze", "--config", config_path, "--out", out]) == 5
 
-    def test_programmatic_run_wrapper(self, config_path, tmp_path):
-        out = str(tmp_path / "run")
-        assert cli.run("simulate", config_path, out) == 0
-        assert cli.run("simulate", config_path, out) == 3
-        assert cli.run("simulate", config_path, out, overwrite=True) == 0
-
     def test_numeric_failure_exit_code(self, tmp_path):
         """An exploding learning rate drives the loss to infinity."""
         config = tiny_config(train={"epochs": 2, "learning_rate": 1e155,
@@ -1239,14 +1233,17 @@ class TestConfigHandling:
             ("sim.features", lambda c: c["sim"]["features"]),
             ("analysis.trigger", lambda c: c["analysis"]["trigger"]),
         ]
-        cases = [(where, at, "wings") for where, at in levels] + [
-            ("sim.features", lambda c: c["sim"]["features"], key)
-            for key in ("instrument_signatures", "phase_signatures")
+        # Settings of other feature layouts: the layout is fixed, so none is a key.
+        cases = [(where, at, "wings", [[1.0]]) for where, at in levels] + [
+            ("sim.features", lambda c: c["sim"]["features"], key, value)
+            for key, value in (("dim", 6), ("instrument_gain", 2.0), ("phase_gain", 0.5),
+                               ("instrument_signatures", [[1.0]]),
+                               ("phase_signatures", [[1.0]]))
         ]
-        for where, at, key in cases:
+        for where, at, key, value in cases:
             config = tiny_config()
             config["sim"]["trigger_rules"] = [{"trigger": 0, "target": 1, "delay_mean": 5}]
-            at(config)[key] = [[1.0]]
+            at(config)[key] = value
             path = tmp_path / "c.json"
             path.write_text(json.dumps(config))
             with pytest.raises(cli.ConfigError, match=rf"in {re.escape(where)}: {key}$"):

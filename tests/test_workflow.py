@@ -142,6 +142,35 @@ class TestFeatures:
         recovered = (decoded == seq.presence).mean()
         assert recovered >= 0.9
 
+    @pytest.mark.parametrize("n, k, p", [(1, 1, 1), (7, 1, 3), (50, 4, 2), (300, 3, 5)])
+    def test_fixed_axes_at_zero_noise(self, n, k, p):
+        """Presence on columns 0..K-1, the phase one-hot on K..K+P-1; no draw is made."""
+        rng = np.random.default_rng(n * k * p)
+        presence = rng.random((n, k)) < 0.3
+        phase = rng.integers(0, p, n)
+        config = basic_config(instruments=k, phases=p, phase_plan=(PhaseSpec(1.0),) * p,
+                              usage_rules=(), trigger_rules=())
+        state = rng.bit_generator.state
+        feats = emit_features(presence, phase, config, rng)
+        assert feats.tobytes() == np.hstack([presence, np.eye(p)[phase]]).tobytes()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("noise_std", [0.05, 2.0])
+    def test_noise_is_one_normal_draw_over_the_layout(self, noise_std):
+        rng = np.random.default_rng(4)
+        presence = rng.random((40, 3)) < 0.5
+        phase = rng.integers(0, 2, 40)
+        config = basic_config(instruments=3, features=FeatureSpec(noise_std=noise_std),
+                              usage_rules=(), trigger_rules=())
+        state = rng.bit_generator.state
+        feats = emit_features(presence, phase, config, rng)
+        draw_rng = np.random.default_rng()
+        draw_rng.bit_generator.state = state
+        draw = draw_rng.normal(0.0, noise_std, size=(40, 5))
+        # Compared as layout + draw: subtracting the layout again would round.
+        assert feats.tobytes() == (np.hstack([presence, np.eye(2)[phase]]) + draw).tobytes()
+        assert rng.bit_generator.state == draw_rng.bit_generator.state
+
     def test_feature_file_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(40, 6))
