@@ -66,6 +66,7 @@ from .errors import (
     NumericError,
     _at_least,
     _hints,
+    check,
 )
 
 EXIT_OK = 0
@@ -81,32 +82,52 @@ EXIT_EMPTY = 5
 
 # ``model`` and ``train`` hold the fields of ``network.NetworkConfig`` except
 # the ones set from the data and the top level; _TRAIN_FIELDS form ``train``.
-# ``sim`` holds the fields of ``workflow.SimConfig``, nested parts included.
+# ``sim`` holds the fields of ``workflow.SimConfig``, nested parts included,
+# and ``split``, ``eval`` and ``analysis`` those of the dataclasses below.
 _TRAIN_FIELDS = ("learning_rate", "window", "accum_steps", "epochs")
 _DATA_FIELDS = ("input_dim", "instruments", "horizon", "seed")
-_NETWORK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(network.NetworkConfig)
-                     if f.name not in _DATA_FIELDS}
+_NETWORK_TYPES = _hints(network.NetworkConfig)
+_NETWORK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(network.NetworkConfig)}
 _METHODS = ("meanhist", "oraclehist", "model")
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "horizons": [3.0],
-    "sim": None,
-    "split": {"n_train": 12, "n_test": 8},
-    "model": {k: v for k, v in _NETWORK_DEFAULTS.items() if k not in _TRAIN_FIELDS},
-    "train": {k: v for k, v in _NETWORK_DEFAULTS.items() if k in _TRAIN_FIELDS},
-    "eval": {"samples": 10, "bins": 1000, "instruments": None,
-             "methods": list(_METHODS)},
-    "analysis": {"percentiles": list(analysis.DEFAULT_PERCENTILES), "trigger": None,
-                 "use_std": False, "memory_frames": 0},
-}
+# Field types with a test are built here, not inside an annotation, where a
+# test could not look up the names of this module (see errors).
+Method = Annotated[str, f"one of {', '.join(_METHODS)} (in any case)",
+                   lambda v: v.lower() in _METHODS]
+Percentile = Annotated[float, "a number in (0, 100]", lambda v: 0 < v <= 100]
+Instruments = Annotated[tuple[Union[str, int], ...],
+                        "one or more distinct instrument names or indices",
+                        lambda v: 0 < len(set(v)) == len(v)]
+# That both instruments exist is checked against the data, by 'analyze'.
+TriggerPair = Annotated[
+    typing.TypedDict("TriggerPair", {"trigger": _at_least(0), "target": _at_least(0)}),
+    "a trigger and a target that differ", lambda v: v["trigger"] != v["target"],
+]
 
 
-# Types of the keys whose literal default does not give them, or whose values
-# have a range; every other key has the type of its default value.  The
-# dataclasses declare the ranges of their fields.
-_NETWORK_TYPES = _hints(network.NetworkConfig)
-_TYPES = {
+@dataclasses.dataclass(frozen=True)
+class SplitConfig:
+    n_train: _at_least(1) = 12
+    n_test: _at_least(0) = 8
+
+
+@dataclasses.dataclass(frozen=True)
+class EvalConfig:
+    samples: _at_least(1) = 10
+    bins: _at_least(1) = 1000
+    instruments: Optional[Instruments] = None
+    methods: tuple[Method, ...] = _METHODS
+
+
+@dataclasses.dataclass(frozen=True)
+class AnalysisConfig:
+    percentiles: tuple[Percentile, ...] = analysis.DEFAULT_PERCENTILES
+    trigger: Optional[TriggerPair] = None
+    use_std: bool = False
+    memory_frames: _at_least(0) = 0
+
+
+_CONFIG_TYPES = {
     "seed": _NETWORK_TYPES["seed"],
     # Artifact names tag a horizon as f"{h:g}", so no two horizons may share a tag.
     "horizons": Annotated[
@@ -115,88 +136,24 @@ _TYPES = {
         lambda v: 0 < len({f"{h:g}" for h in v}) == len(v),
     ],
     "sim": Optional[workflow.SimConfig],
-    "split.n_train": _at_least(1),
-    "split.n_test": _at_least(0),
-    "model": {k: _NETWORK_TYPES[k] for k in DEFAULT_CONFIG["model"]},
-    "train": {k: _NETWORK_TYPES[k] for k in DEFAULT_CONFIG["train"]},
-    "eval.samples": _at_least(1),
-    "eval.bins": _at_least(1),
-    "eval.instruments": Optional[tuple[Union[str, int], ...]],
-    "eval.methods": tuple[Annotated[str, f"one of {', '.join(_METHODS)} (in any case)",
-                                    lambda v: v.lower() in _METHODS], ...],
-    "analysis.percentiles": tuple[Annotated[float, "a number in (0, 100]", lambda v: 0 < v <= 100], ...],
-    # That both instruments exist is checked against the data, by 'analyze'.
-    "analysis.trigger": Optional[Annotated[
-        typing.TypedDict("TriggerPair", {"trigger": _at_least(0), "target": _at_least(0)}),
-        "a trigger and a target that differ", lambda v: v["trigger"] != v["target"],
-    ]],
-    "analysis.memory_frames": _at_least(0),
+    "split": SplitConfig,
+    "model": {k: _NETWORK_TYPES[k] for k in _NETWORK_DEFAULTS
+              if k not in _TRAIN_FIELDS + _DATA_FIELDS},
+    "train": {k: _NETWORK_TYPES[k] for k in _TRAIN_FIELDS},
+    "eval": EvalConfig,
+    "analysis": AnalysisConfig,
 }
-_JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
-
-def _types(default, key: str = ""):
-    """Type tree of the config below ``key``: ``_TYPES`` where given, else from the defaults."""
-    if key in _TYPES:
-        return _TYPES[key]
-    if isinstance(default, dict):
-        return {k: _types(v, f"{key}.{k}" if key else k) for k, v in default.items()}
-    return type(default)
-
-
-_CONFIG_TYPES = _types(DEFAULT_CONFIG)
-
-
-def _is_scalar(value, hint) -> bool:
-    """A float field accepts an int; no field but a bool accepts true or false."""
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _check(value, hint, key: str) -> None:
-    """Raise a ConfigError naming ``key`` unless ``value`` is JSON of type ``hint``.
-
-    A record type (a dict of key types, a dataclass or a TypedDict) is a JSON
-    object without unknown keys (and, for a TypedDict, with its required
-    ones); ``tuple[X, ...]`` is a JSON list; a value of type
-    ``Annotated[X, text, test]`` is an X that passes ``test``.
-    """
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is Annotated:
-        _check(value, args[0], key)
-        if not args[2](value):
-            raise ConfigError(f"{key}: expected {args[1]}, got {json.dumps(value)}")
-        return
-    if origin is Union and type(None) in args:  # Optional[X]
-        if value is not None:
-            _check(value, args[0], key)
-        return
-    if origin is Union:  # a choice of scalar types
-        ok = any(_is_scalar(value, a) for a in args)
-        expected = " or ".join(_JSON_NAMES[a] for a in args)
-    elif origin is tuple:
-        ok, expected = isinstance(value, list), "a list"
-    elif isinstance(hint, dict) or dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
-        ok, expected = isinstance(value, dict), "an object"
-    else:
-        ok, expected = _is_scalar(value, hint), _JSON_NAMES[hint]
-    if not ok:
-        raise ConfigError(f"{key}: expected {expected}, got {json.dumps(value)}")
-    if origin is tuple:
-        for i, item in enumerate(value):
-            _check(item, args[0], f"{key}[{i}]")
-    elif isinstance(value, dict):
-        fields = hint if isinstance(hint, dict) else _hints(hint)
-        unknown = set(value) - set(fields)
-        if unknown:
-            where = key or "top level"
-            raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
-        missing = getattr(hint, "__required_keys__", set()) - set(value)
-        if missing:
-            raise ConfigError(f"{key}: missing key(s): {', '.join(sorted(missing))}")
-        for k, item in value.items():
-            _check(item, fields[k], f"{key}.{k}" if key else k)
+# The defaults, as JSON: those of the section dataclasses, and NetworkConfig's
+# for ``model``, ``train`` and the top level.
+DEFAULT_CONFIG = json.loads(json.dumps({
+    "seed": _NETWORK_DEFAULTS["seed"], "horizons": [_NETWORK_DEFAULTS["horizon"]], "sim": None,
+    "split": dataclasses.asdict(SplitConfig()),
+    "model": {k: _NETWORK_DEFAULTS[k] for k in _CONFIG_TYPES["model"]},
+    "train": {k: _NETWORK_DEFAULTS[k] for k in _TRAIN_FIELDS},
+    "eval": dataclasses.asdict(EvalConfig()),
+    "analysis": dataclasses.asdict(AnalysisConfig()),
+}))
 
 
 def load_config(path: str) -> dict:
@@ -217,7 +174,7 @@ def load_config(path: str) -> dict:
             config[section].update(value)
         else:
             config[section] = value
-    _check(config, _CONFIG_TYPES, "")
+    check(config, _CONFIG_TYPES)
     return config
 
 
@@ -238,11 +195,9 @@ def sim_config_from_dict(payload: dict) -> workflow.SimConfig:
     if not payload:
         raise ConfigError("config has no 'sim' section")
     try:
-        config = _build(workflow.SimConfig, payload)
-        config.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+        return _build(workflow.SimConfig, payload)
+    except ValueError as exc:  # fields that do not fit each other
         raise ConfigError(f"invalid 'sim' section: {exc}") from None
-    return config
 
 
 def network_config(config: dict, input_dim: int, instruments: int, horizon: float) -> network.NetworkConfig:
@@ -413,11 +368,14 @@ def _instrument_subset(config: dict, names: tuple[str, ...]) -> list[int]:
         if isinstance(item, str):
             if item not in names:
                 raise ConfigError(f"eval.instruments names unknown instrument {item!r}")
-            subset.append(names.index(item))
+            j = names.index(item)
         else:
             if not 0 <= int(item) < len(names):
                 raise ConfigError(f"eval.instruments index {item} out of range")
-            subset.append(int(item))
+            j = int(item)
+        if j in subset:  # by its name and by its index
+            raise ConfigError(f"eval.instruments names instrument {names[j]!r} twice")
+        subset.append(j)
     return subset
 
 
@@ -791,7 +749,7 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
 
 def _dispatch(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    _check(config, _CONFIG_TYPES, "")  # flag values pass the same checks as file values
+    check(config, _CONFIG_TYPES)  # flag values pass the same checks as file values
     os.makedirs(args.out, exist_ok=True)
     run = _Run(args)
     try:

@@ -1,19 +1,22 @@
-"""Exception types and value ranges shared across the package.
+"""Exception types, value ranges and the one check of declared field types.
 
 The CLI maps the exceptions onto distinct exit codes; library code raises
 them directly so callers can tell a bad configuration from bad input data
 or a numerical failure.
 
 A field declares its range in its type, ``Annotated[X, text, test]``: an X
-that passes ``test``, as ``text`` says.  The CLI checks a config file against
-these types at load, and :func:`check_ranges` a dataclass built in Python.
+that passes ``test``, as ``text`` says.  :func:`check` reads these types,
+the same way for a JSON config file at load and for a config dataclass that
+checks itself when it is built (``NetworkConfig``, ``SimConfig``).
 Under postponed annotations a lambda inside a field's annotation looks up
 global names in the class namespace: build such a test at module level.
 """
 
 import dataclasses
 import functools
+import json
 import math
+import numbers
 import typing
 from typing import Annotated, Union
 
@@ -53,22 +56,70 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls, include_extras=True)
 
 
-def check_ranges(value, hint=None, key: str = "") -> None:
-    """Raise a ValueError naming the first field of dataclass ``value`` outside its range.
+def _required(hint) -> set:
+    """Keys a record of type ``hint`` must give: a dataclass's fields without a default."""
+    if not dataclasses.is_dataclass(hint):
+        return getattr(hint, "__required_keys__", set())
+    return {f.name for f in dataclasses.fields(hint)
+            if f.default is f.default_factory is dataclasses.MISSING}
 
-    Nested dataclasses, tuples of them and ``Optional`` fields are checked too;
-    below the top, ``hint`` and ``key`` are the declared type and the name of ``value``.
+
+# The name and the Python type of each scalar field type: an int field takes any
+# integer and a float field any real number, numpy's included.  Only a bool
+# field takes a bool, though Python counts it as an integer.
+_SCALARS = {bool: ("true or false", bool), int: ("an integer", numbers.Integral),
+            float: ("a number", numbers.Real), str: ("a string", str)}
+
+
+def _json(value) -> str:
+    return json.dumps(value, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
+
+
+def check(value, hint, key: str = "") -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is of type ``hint``.
+
+    A record type (a dict of key types, a dataclass or a TypedDict) takes an
+    instance of its dataclass, or a dict that holds no unknown key and every
+    key without a default; ``tuple[X, ...]`` takes a list or a tuple; a value
+    of type ``Annotated[X, text, test]`` is an X that passes ``test``.
+    Messages print values as JSON.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint is None or dataclasses.is_dataclass(hint):
-        for name, field_hint in _hints(type(value)).items():
-            check_ranges(getattr(value, name), field_hint, f"{key}.{name}" if key else name)
-    elif origin is Annotated:
-        check_ranges(value, args[0], key)
+    if origin is Annotated:
+        check(value, args[0], key)
         if not args[2](value):
-            raise ValueError(f"{key}: expected {args[1]}, got {value!r}")
-    elif origin is Union and value is not None:  # Optional[X]
-        check_ranges(value, args[0], key)
-    elif origin is tuple:
+            raise ConfigError(f"{key}: expected {args[1]}, got {_json(value)}")
+        return
+    if origin is Union and type(None) in args:  # Optional[X]
+        if value is not None:
+            check(value, args[0], key)
+        return
+    record = isinstance(hint, dict) or dataclasses.is_dataclass(hint) or typing.is_typeddict(hint)
+    if origin is tuple:
+        ok, expected = isinstance(value, (list, tuple)), "a list"
+    elif record:
+        ok = isinstance(value, dict) or (dataclasses.is_dataclass(hint) and isinstance(value, hint))
+        expected = "an object"
+    else:  # a scalar type, or a choice of them
+        choices = args or (hint,)
+        ok = any(isinstance(value, _SCALARS[a][1]) and isinstance(value, bool) == (a is bool)
+                 for a in choices)
+        expected = " or ".join(_SCALARS[a][0] for a in choices)
+    if not ok:
+        raise ConfigError(f"{key}: expected {expected}, got {_json(value)}")
+    if origin is tuple:
         for i, item in enumerate(value):
-            check_ranges(item, args[0], f"{key}[{i}]")
+            check(item, args[0], f"{key}[{i}]")
+    elif record:
+        fields = hint if isinstance(hint, dict) else _hints(hint)
+        if not isinstance(value, dict):  # an instance of its dataclass
+            value = {name: getattr(value, name) for name in fields}
+        unknown = set(value) - set(fields)
+        if unknown:
+            raise ConfigError(f"unknown config key(s) in {key or 'top level'}: "
+                              f"{', '.join(sorted(unknown))}")
+        missing = _required(hint) - set(value)
+        if missing:
+            raise ConfigError(f"{key}: missing key(s): {', '.join(sorted(missing))}")
+        for k, item in value.items():
+            check(item, fields[k], f"{key}.{k}" if key else k)

@@ -46,7 +46,7 @@ from typing import Annotated, Optional, Sequence
 import numpy as np
 
 from . import labels
-from .errors import NonNegative, NumericError, Positive, _at_least, check_ranges
+from .errors import NonNegative, NumericError, Positive, _at_least, check
 from .workflow import ProcedureSequence
 
 OUTPUT_MODES = ("linear_clamped", "scaled_sigmoid")
@@ -80,7 +80,7 @@ class NetworkConfig:
     seed: _at_least(0) = 0  # numpy seeds no generator from a negative number
 
     def __post_init__(self):
-        check_ranges(self)
+        check(self, type(self))
 
     @property
     def encoder_out(self) -> int:

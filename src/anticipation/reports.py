@@ -28,24 +28,14 @@ def write_metrics_table(reports: Mapping[str, MetricsReport], csv_path: str,
     """One row per method; per-instrument and mean wMAE/pMAE columns."""
     if not reports:
         raise ValueError("no reports to write")
-    first = next(iter(reports.values()))
-    names = first.names
-    header = ["method", "horizon"]
-    for name in names:
-        header += [f"wmae_{name}", f"pmae_{name}"]
-    header += ["wmae_mean", "pmae_mean", "wmae_instruments", "pmae_instruments"]
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for method, report in reports.items():
-            row = [method, f"{report.horizon:g}"]
-            for j in range(len(names)):
-                row += [_cell(float(report.wmae[j])), _cell(float(report.pmae[j]))]
-            row += [
-                _cell(report.mean_wmae), _cell(report.mean_pmae),
-                str(report.wmae_count), str(report.pmae_count),
-            ]
-            writer.writerow(row)
+    names = next(iter(reports.values())).names
+    header = ["method", "horizon", *(f"{m}_{name}" for name in names for m in ("wmae", "pmae")),
+              "wmae_mean", "pmae_mean", "wmae_instruments", "pmae_instruments"]
+    _write_csv(csv_path, header, (
+        [method, f"{report.horizon:g}",
+         *(_cell(float(v)) for pair in zip(report.wmae, report.pmae) for v in pair),
+         _cell(report.mean_wmae), _cell(report.mean_pmae), report.wmae_count, report.pmae_count]
+        for method, report in reports.items()))
     if json_path is not None:
         payload = {method: report.to_dict() for method, report in reports.items()}
         with open(json_path, "w", encoding="utf-8") as fh:

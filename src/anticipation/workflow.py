@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AnnotationParseError, NonNegative, Positive, Probability, _at_least, check_ranges
+from .errors import AnnotationParseError, NonNegative, Positive, Probability, _at_least, check
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,9 @@ class SimConfig:
     fps: Positive = 1.0
     instrument_names: Optional[tuple[str, ...]] = None
 
-    def validate(self) -> None:
-        """Check the declared ranges of every field, then the fields against each other."""
-        check_ranges(self)
+    def __post_init__(self):
+        """Check the declared type and range of every field, then the fields against each other."""
+        check(self, type(self))
         if len(self.phase_plan) != self.phases:
             raise ValueError(
                 f"phase_plan has {len(self.phase_plan)} entries for {self.phases} phases"
@@ -268,7 +268,6 @@ def generate_dataset(config: SimConfig, n: int, seed: int) -> list[ProcedureSequ
     """Generate ``n`` procedures, each from the derived seed ``seed ^ index``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    config.validate()
     return [generate_sequence(config, f"proc_{i:04d}", seed ^ i) for i in range(n)]
 
 

@@ -1351,14 +1351,14 @@ def full_config():
 
 CONSTRUCTED = {  # dataclass -> valid fields as JSON: how a Python caller could build it
     NetworkConfig: {"input_dim": 4, "instruments": 2, "encoder": [8]},
-    workflow.SimConfig: full_config()["sim"],  # its nested specs are checked by validate()
+    workflow.SimConfig: full_config()["sim"],  # its nested specs are checked when it is built
 }
 
 
 @pytest.mark.parametrize("key, values", [pytest.param(key, values, id=key)
                                          for key, values in range_cases(cli._CONFIG_TYPES)])
 def test_out_of_range_config_value_exits_2_at_load(tmp_path, capsys, key, values):
-    """Each range declared on a dataclass field or in ``cli._TYPES`` is checked at
+    """Each range declared on a dataclass field or in ``cli._CONFIG_TYPES`` is checked at
     load: no command gets to write anything."""
     assert values, f"no candidate value is out of the range of {key}"
     for value in values:
@@ -1385,6 +1385,64 @@ def test_out_of_range_field_is_a_value_error_naming_it(cls, key, values):
         fields = json.loads(json.dumps(CONSTRUCTED[cls]))
         set_key(fields, key, value)
         with pytest.raises(ValueError, match=rf"^{re.escape(key)}: expected "):
-            built = cli._build(cls, fields)
-            if cls is workflow.SimConfig:
-                built.validate()
+            cli._build(cls, fields)
+
+
+# Where ``full_config`` holds a record of each dataclass of the 'sim' section.
+SIM_RECORDS = {workflow.SimConfig: "sim", workflow.PhaseSpec: "sim.phase_plan[0]",
+               workflow.UsageRule: "sim.usage_rules[0]",
+               workflow.TriggerRule: "sim.trigger_rules[0]"}
+
+
+@pytest.mark.parametrize("key, name", [
+    pytest.param(key, f.name, id=f"{key}.{f.name}")
+    for cls, key in SIM_RECORDS.items() for f in dataclasses.fields(cls)
+    if f.default is f.default_factory is dataclasses.MISSING
+])
+def test_missing_required_key_names_its_dotted_path(tmp_path, capsys, key, name):
+    config = full_config()
+    record = config
+    for part in re.findall(r"[^.\[\]]+", key):
+        record = record[int(part) if part.isdigit() else part]
+    del record[name]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: missing key(s): {name}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("instruments", [["probe", "probe", 1], [1, 1], []])
+def test_instrument_list_with_repeats_or_none_exits_2_at_load(tmp_path, capsys, command,
+                                                              instruments):
+    config = tiny_config()
+    config["eval"]["instruments"] = instruments
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: eval.instruments: expected one or more distinct instrument names or "
+        f"indices, got {json.dumps(instruments)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("instruments", [["probe", 0], [1, "lifter"]])
+def test_instrument_named_and_indexed_stops_evaluate_before_it_draws(predicted_run, tmp_path,
+                                                                     capsys, instruments):
+    config_path, out = copy_run(predicted_run, tmp_path)
+    shutil.rmtree(os.path.join(out, "summaries"))  # else evaluate would only read them
+    manifest = read_manifest(out)
+    config = tiny_config()
+    config["eval"]["instruments"] = instruments
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["evaluate", "--config", str(path), "--out", out]) == 2
+    name = "probe" if 0 in instruments else "lifter"
+    assert capsys.readouterr().err == \
+        f"config error: eval.instruments names instrument {name!r} twice\n"
+    assert sorted(os.listdir(out)) == ["checkpoints", "dataset", "manifest.json", "reports"]
+    assert not list(Path(out, "reports").glob("metrics_*"))
+    assert read_manifest(out) == manifest

@@ -1,0 +1,70 @@
+"""The one check of declared field types: JSON values and Python values alike."""
+
+import math
+
+import numpy as np
+import pytest
+
+from anticipation import NetworkConfig, PhaseSpec, SimConfig, UsageRule
+from anticipation.errors import ConfigError, Positive, _at_least, check
+
+
+def sim_config(**overrides):
+    fields = dict(instruments=2, phases=1, duration_mean=100.0, phase_plan=(PhaseSpec(1.0),),
+                  usage_rules=(UsageRule(instrument=1, phase=0, probability=0.5),))
+    return SimConfig(**{**fields, **overrides})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NetworkConfig(input_dim=4, instruments=2, hidden=64.0),
+     "hidden: expected an integer, got 64.0"),
+    (lambda: sim_config(instruments="3"), 'instruments: expected an integer, got "3"'),
+    (lambda: NetworkConfig(input_dim=4, instruments=2, dropout=True),
+     "dropout: expected a number, got true"),
+    (lambda: NetworkConfig(input_dim=4, instruments=2, encoder=64),
+     "encoder: expected a list, got 64"),
+    (lambda: NetworkConfig(input_dim=4, instruments=2, hidden=np.int64(0)),
+     "hidden: expected an integer >= 1, got 0"),
+    (lambda: NetworkConfig(input_dim=4, instruments=2, learning_rate=math.inf),
+     "learning_rate: expected a finite number > 0, got Infinity"),
+    (lambda: sim_config(phase_plan=[PhaseSpec(-1.0)]),
+     "phase_plan[0].length_mean: expected a finite number > 0, got -1.0"),
+    (lambda: sim_config(usage_rules=(PhaseSpec(1.0),)),
+     'usage_rules[0]: expected an object, got "PhaseSpec(length_mean=1.0, length_std=0.0)"'),
+])
+def test_config_built_in_python_refuses_a_wrong_type_naming_the_field(build, message):
+    with pytest.raises(ConfigError) as caught:
+        build()
+    assert str(caught.value) == message
+    assert isinstance(caught.value, ValueError)
+
+
+def test_numpy_scalars_are_accepted():
+    config = NetworkConfig(input_dim=np.int64(4), instruments=np.int32(2), hidden=np.int64(8),
+                           encoder=(np.int64(8),), dropout=np.float64(0.1),
+                           horizon=np.float32(2.0), seed=np.uint8(3))
+    assert config.hidden == 8 and config.horizon == 2.0
+    sim = sim_config(instruments=np.int64(2), duration_mean=np.float64(100.0),
+                     usage_rules=(UsageRule(np.int64(1), np.int64(0), np.float64(0.5)),))
+    assert sim.instruments == 2
+
+
+def test_an_integer_is_a_number_but_a_bool_is_neither():
+    check(3, Positive)
+    check(np.int64(3), Positive)
+    check(True, bool)
+    for value, hint in ((True, _at_least(0)), (False, Positive), (1, bool), (3.0, int)):
+        with pytest.raises(ConfigError):
+            check(value, hint)
+
+
+def test_a_record_is_a_dict_or_an_instance_of_its_dataclass():
+    for value in ({"length_mean": 2.0}, PhaseSpec(2.0), {"length_mean": 2, "length_std": 0}):
+        check(value, PhaseSpec)
+    check([{"length_mean": 2.0}, PhaseSpec(2.0)], tuple[PhaseSpec, ...])
+    with pytest.raises(ConfigError, match=r"^plan\[0\]: missing key\(s\): length_mean$"):
+        check(({"length_std": 1.0},), tuple[PhaseSpec, ...], "plan")
+    with pytest.raises(ConfigError, match="^unknown config key\\(s\\) in plan: speed$"):
+        check({"length_mean": 2.0, "speed": 1}, PhaseSpec, "plan")
+    with pytest.raises(ConfigError, match="^plan: expected an object"):
+        check(UsageRule(0, 0, 1.0), PhaseSpec, "plan")

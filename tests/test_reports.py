@@ -6,6 +6,7 @@ import pytest
 
 from anticipation import reports
 from anticipation.analysis import FilterCurve, TriggerCondition, TriggerResult
+from anticipation.metrics import MetricsReport
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -101,3 +102,21 @@ def test_trigger_box_marks_quartiles_and_whiskers(tmp_path):
                   if w.get("x1") != w.get("x2"))
     # whiskers end at 1 and 4 (100 lies beyond 1.5 IQR), so the upper cap sits on the box edge
     assert caps[0] == pytest.approx(top) and caps[1] > bottom
+
+
+def test_metrics_table_bytes(tmp_path):
+    """One row per method; an absent value is an empty cell, and the counts
+    say how many instruments each mean is over."""
+    def report(wmae, pmae):
+        ones = np.ones(2, dtype=np.int64)
+        return MetricsReport(horizon=3.0, names=("probe", "lifter"), wmae=np.array(wmae),
+                             pmae=np.array(pmae), n_anticipating=ones, n_background=ones,
+                             n_selected=ones)
+    path = tmp_path / "m.csv"
+    reports.write_metrics_table({"meanhist": report([0.5, 0.25], [1.0, np.nan]),
+                                 "model": report([1 / 3, np.nan], [np.nan, np.nan])}, str(path))
+    assert path.read_bytes() == (
+        b"method,horizon,wmae_probe,pmae_probe,wmae_lifter,pmae_lifter,"
+        b"wmae_mean,pmae_mean,wmae_instruments,pmae_instruments\r\n"
+        b"meanhist,3,0.500000,1.000000,0.250000,,0.375000,1.000000,2,1\r\n"
+        b"model,3,0.333333,,,,0.333333,,1,0\r\n")

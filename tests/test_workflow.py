@@ -117,11 +117,11 @@ class TestGeneration:
 
     def test_rejects_invalid_config_naming_field(self):
         with pytest.raises(ValueError, match="probability"):
-            basic_config(usage_rules=(UsageRule(0, 0, 1.5),)).validate()
+            basic_config(usage_rules=(UsageRule(0, 0, 1.5),))
         with pytest.raises(ValueError, match="duration_mean"):
-            basic_config(duration_mean=-5.0).validate()
+            basic_config(duration_mean=-5.0)
         with pytest.raises(ValueError, match="delay"):
-            basic_config(trigger_rules=(TriggerRule(0, 1, delay_mean=-1.0),)).validate()
+            basic_config(trigger_rules=(TriggerRule(0, 1, delay_mean=-1.0),))
 
     def test_rejects_zero_sequences(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -279,7 +279,7 @@ class TestIngestion:
             save_annotations(seq, str(path))
         assert not path.exists()
         with pytest.raises(ValueError, match="instrument_names"):
-            basic_config(instrument_names=names).validate()
+            basic_config(instrument_names=names)
 
     @settings(deadline=None, max_examples=80,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
