@@ -3,7 +3,7 @@
 Subcommands cover the whole pipeline on one run directory::
 
     simulate   generate a synthetic train/test dataset
-    baseline   fit a histogram baseline (and score it on the test split)
+    baseline   fit a histogram baseline per horizon on the train split and save it
     train      train the recurrent models of all horizons in one lockstep pass
     predict    MC-dropout summaries for the test split
     evaluate   metric tables for baselines and model per horizon
@@ -19,13 +19,14 @@ refuses, makes directories and records them.  A command that fails after
 writing something still leaves a manifest entry: the files it wrote, with
 their checksums, and an ``error`` field holding the message.  Only
 ``baseline`` writes ``baselines/baseline_*.json``; ``evaluate`` fits the
-histogram baselines in memory.
+histogram baselines in memory and is the one command that scores them.
 
 A dataset split holds ``<id>.csv`` annotations and, for the network,
-``<id>.features.csv`` per-frame features.  Every command reads the
-annotations; only the commands that run the network read feature files:
-``train`` those of the train split, and ``predict``, ``evaluate`` and
-``analyze`` those of the test sequences whose summaries they compute.
+``<id>.features.csv`` per-frame features.  Every command reads annotations
+(``baseline`` only those of the train split); only the commands that run the
+network read feature files: ``train`` those of the train split, and
+``predict``, ``evaluate`` and ``analyze`` those of the test sequences whose
+summaries they compute.
 
 Checkpoints (``checkpoints/model_h<h>.bin``) and MC summaries
 (``summaries/summary_<id>_h<h>.bin``) share one binary container: a JSON
@@ -395,30 +396,11 @@ def cmd_simulate(config: dict, run: _Run, args: argparse.Namespace) -> None:
 
 
 def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
-    mode = args.mode
     train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
-    has_test = os.path.isdir(os.path.join(run.data_dir, "test"))
-    test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config)) if has_test else []
-    if mode == "oracle" and not has_test:
-        raise InputError(
-            "oracle mode requires per-video durations of an evaluation split; "
-            f"no test split found under {run.data_dir}"
-        )
-    if has_test:
-        _same_instruments(run.data_dir, "test", test_seqs[0], "train", train_seqs[0])
     for h in config["horizons"]:
-        model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=mode)
-        path, = run.claim(os.path.join("baselines", f"baseline_{mode}_h{h:g}.json"))
+        model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=args.mode)
+        path, = run.claim(os.path.join("baselines", f"baseline_{args.mode}_h{h:g}.json"))
         baselines.save_baseline(model, path)
-        if has_test:
-            preds = [baselines.predict_baseline(model, duration=s.n_frames) for s in test_seqs]
-            targets = [labels.compute_targets(s, h) for s in test_seqs]
-            report = metrics.evaluate_predictions(
-                preds, [t.remaining for t in targets], h,
-                names=test_seqs[0].names,
-            )
-            report_path, = run.claim(os.path.join("baselines", f"metrics_{mode}_h{h:g}.csv"))
-            reports.write_metrics_table({mode: report}, report_path)
 
 
 def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:

@@ -95,7 +95,6 @@ class NetworkConfig:
 class DropoutMasks:
     """Scaled keep masks, fixed for the lifetime of one sequence pass."""
 
-    rate: float
     encoder_input: np.ndarray
     recurrent_input: np.ndarray
     recurrent_hidden: np.ndarray
@@ -164,7 +163,6 @@ def sample_masks(config: NetworkConfig, seed: int) -> DropoutMasks:
         return (rng.random(size) >= p).astype(np.float64) * scale
 
     return DropoutMasks(
-        rate=p,
         encoder_input=draw(config.input_dim),
         recurrent_input=draw(config.encoder_out),
         recurrent_hidden=draw(config.hidden),
@@ -188,7 +186,6 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 def stack_masks(masks: Sequence[DropoutMasks]) -> DropoutMasks:
     """R mask sets as one whose arrays have a leading axis of R rows."""
     return DropoutMasks(
-        rate=masks[0].rate,
         encoder_input=np.stack([m.encoder_input for m in masks]),
         recurrent_input=np.stack([m.recurrent_input for m in masks]),
         recurrent_hidden=np.stack([m.recurrent_hidden for m in masks]),

@@ -181,17 +181,53 @@ class TestPipeline:
         manifest = read_manifest(out)
         assert manifest["runs"][0]["resolved_config"]["seed"] == 99
 
-    def test_baseline_command(self, config_path, tmp_path):
+    def test_baseline_command(self, tmp_path):
+        """The manifest entry of each mode lists its fitted models and nothing else."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(horizons=[2.0, 3.0])))
         out = str(tmp_path / "run")
-        run_chain(config_path, out, commands=("simulate",))
-        assert cli.main(["baseline", "--config", config_path, "--out", out,
-                         "--mode", "oracle"]) == 0
-        assert os.path.exists(os.path.join(out, "baselines", "baseline_oracle_h3.json"))
-        assert os.path.exists(os.path.join(out, "baselines", "metrics_oracle_h3.csv"))
+        run_chain(str(path), out, commands=("simulate",))
+        for mode in ("mean", "oracle"):
+            assert cli.main(["baseline", "--config", str(path), "--out", out, "--mode", mode]) == 0
+            run = read_manifest(out)["runs"][-1]
+            assert run["command"] == "baseline"
+            assert sorted(run["artifacts"]) == [
+                os.path.join("baselines", f"baseline_{mode}_h{h}.json") for h in (2, 3)]
+        assert sorted(os.listdir(os.path.join(out, "baselines"))) == [
+            f"baseline_{mode}_h{h}.json" for mode in ("mean", "oracle") for h in (2, 3)]
+
+    def test_evaluate_scores_the_saved_baselines(self, tmp_path):
+        """``evaluate``'s MeanHist and OracleHist rows are the scores of the files
+        ``baseline`` wrote, on the test split: no number is lost to scoring them once."""
+        from anticipation import baselines, metrics
+
+        config = tiny_config(horizons=[2.0, 3.0])
+        config["eval"]["methods"] = ["meanhist", "oraclehist"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        run_chain(str(path), out, commands=("simulate",))
+        for mode in ("mean", "oracle"):
+            assert cli.main(["baseline", "--config", str(path), "--out", out, "--mode", mode]) == 0
+        run_chain(str(path), out, commands=("evaluate",))
+        test_seqs = cli.load_dataset(os.path.join(out, "dataset"), "test")
+        for h in (2.0, 3.0):
+            table = json.loads(Path(out, "reports", f"metrics_h{h:g}.json").read_text())
+            remaining = [labels.compute_targets(s, h).remaining for s in test_seqs]
+            for mode in ("mean", "oracle"):
+                model = baselines.load_baseline(
+                    os.path.join(out, "baselines", f"baseline_{mode}_h{h:g}.json"))
+                preds = [baselines.predict_baseline(model, duration=s.n_frames)
+                         for s in test_seqs]
+                report = metrics.evaluate_predictions(preds, remaining, h,
+                                                      names=test_seqs[0].names)
+                expected = json.loads(json.dumps(report.to_dict()))
+                assert table[f"{mode}hist"] == expected
 
     def test_sim_fps_is_honoured(self, tmp_path, monkeypatch):
         config = tiny_config()
         config["sim"]["fps"] = 5
+        config["eval"]["methods"] = ["meanhist"]  # scored without a checkpoint
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = str(tmp_path / "run")
@@ -207,6 +243,7 @@ class TestPipeline:
         assert cli.main(["baseline", "--config", str(path), "--out", out]) == 0
         text = Path(out, "baselines", "baseline_mean_h3.json").read_text()
         assert '"fps": 5.0' in text
+        assert cli.main(["evaluate", "--config", str(path), "--out", out]) == 0
         generated = workflow.generate_dataset(cli.sim_config_from_dict(config["sim"]), 5, seed=5)
         for seq in generated[3:]:  # the test split
             expected = compute(seq, 3.0)
@@ -367,16 +404,20 @@ class TestExitCodes:
     def test_missing_dataset(self, config_path, tmp_path):
         assert cli.main(["train", "--config", config_path, "--out", str(tmp_path / "o")]) == 3
 
-    def test_oracle_baseline_without_durations(self, config_path, tmp_path):
-        out = str(tmp_path / "run")
-        run_chain(config_path, out, commands=("simulate",))
-        # Drop the test split: oracle mode has no per-video durations to use.
-        import shutil
-        shutil.rmtree(os.path.join(out, "dataset", "test"))
-        assert cli.main(["baseline", "--config", config_path, "--out", out,
-                         "--mode", "oracle"]) == 3
-        assert cli.main(["baseline", "--config", config_path, "--out", out,
-                         "--mode", "mean"]) == 0
+    @pytest.mark.parametrize("mode", ["mean", "oracle"])
+    def test_baseline_without_a_test_split(self, config_path, tmp_path, mode):
+        """A baseline is fitted on the train split alone: OracleHist takes the
+        durations of the videos it is applied to, not of a test split."""
+        outs = [str(tmp_path / name) for name in ("with_test", "without_test")]
+        run_chain(config_path, outs[0], commands=("simulate",))
+        shutil.copytree(outs[0], outs[1])
+        shutil.rmtree(os.path.join(outs[1], "dataset", "test"))
+        for out in outs:
+            assert cli.main(["baseline", "--config", config_path, "--out", out,
+                             "--mode", mode]) == 0
+        rel = os.path.join("baselines", f"baseline_{mode}_h3.json")
+        assert os.listdir(os.path.join(outs[1], "baselines")) == [os.path.basename(rel)]
+        assert Path(outs[1], rel).read_bytes() == Path(outs[0], rel).read_bytes()
 
     def test_rerun_requires_overwrite(self, config_path, tmp_path):
         out = str(tmp_path / "run")
@@ -805,7 +846,6 @@ class TestDamagedRunDirectory:
         ("baseline", "train", "proc_0002"),
         ("train", "train", "proc_0002"),
         ("evaluate", "train", "proc_0002"),
-        ("baseline", "test", "proc_0004"),
         ("predict", "test", "proc_0004"),
         ("evaluate", "test", "proc_0004"),
         ("analyze", "test", "proc_0004"),
@@ -825,15 +865,13 @@ class TestDamagedRunDirectory:
                               f"['probe', 'lifter'] of {first}.csv")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["baseline", "evaluate"])
-    def test_splits_with_other_instruments_are_refused(self, predicted_run, tmp_path, capsys,
-                                                       command):
+    def test_splits_with_other_instruments_are_refused(self, predicted_run, tmp_path, capsys):
         """Each split consistent, but the test split names another instrument."""
         config_path, out = copy_run(predicted_run, tmp_path)
         dataset = Path(out, "dataset")
         for path in (dataset / "test").glob("proc_????.csv"):
             path.write_text(path.read_text().replace("lifter", "hook", 1))
-        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
+        assert cli.main(["evaluate", "--config", config_path, "--out", out, "--overwrite"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(
             f"input error: {dataset / 'test' / 'proc_0003.csv'}: instruments "
