@@ -16,7 +16,8 @@ from .analysis import (
     tp_fp_uncertainty,
     trigger_conditional_uncertainty,
 )
-from .baselines import BaselineModel, fit_baseline, load_baseline, predict_baseline, save_baseline
+from .artifacts import load_baseline, load_params, save_baseline, save_params
+from .baselines import BaselineModel, fit_baseline, predict_baseline
 from .inference import PredictiveSummary, aggregate_samples, anticipating_mask, mc_predict
 from .labels import (
     ANTICIPATING,
@@ -35,9 +36,7 @@ from .network import (
     compute_loss,
     forward,
     init_params,
-    load_params,
     sample_masks,
-    save_params,
     stack_masks,
     train,
 )

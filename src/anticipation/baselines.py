@@ -17,7 +17,6 @@ expansion length, bit for bit as a pass per candidate would score them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -177,35 +176,4 @@ def fit_baseline(
         bins=bins, mode=mode, horizon=float(horizon), fps=fps,
         mean_duration=mean_duration, hist=hist, thresholds=thresholds,
         names=train[0].names,
-    )
-
-
-def save_baseline(model: BaselineModel, path: str) -> None:
-    payload = {
-        "bins": model.bins,
-        "mode": model.mode,
-        "horizon": model.horizon,
-        "fps": model.fps,
-        "mean_duration": model.mean_duration,
-        "thresholds": model.thresholds.tolist(),
-        "hist": model.hist.tolist(),
-        "names": list(model.names) if model.names else None,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_baseline(path: str) -> BaselineModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return BaselineModel(
-        bins=payload["bins"],
-        mode=payload["mode"],
-        horizon=payload["horizon"],
-        fps=payload["fps"],
-        mean_duration=payload["mean_duration"],
-        hist=np.array(payload["hist"], dtype=np.int64),
-        thresholds=np.array(payload["thresholds"], dtype=np.float64),
-        names=tuple(payload["names"]) if payload.get("names") else None,
     )

@@ -28,15 +28,16 @@ network read feature files: ``train`` those of the train split, and
 ``predict``, ``evaluate`` and ``analyze`` those of the test sequences whose
 summaries they compute.
 
-Checkpoints (``checkpoints/model_h<h>.bin``) and MC summaries
-(``summaries/summary_<id>_h<h>.bin``) share one binary container: a JSON
-header line, then raw little-endian float64 arrays.  ``predict`` writes the
-summaries; ``evaluate`` and ``analyze`` reuse them, and compute (and write)
-any that are missing from the checkpoint, on one process per available core
-(``workers`` in the manifest) if this process is single-threaded: pin the BLAS
-threads (``OPENBLAS_NUM_THREADS=1`` ...) for that.  Either way is bit-identical.
-A reused summary drawn for other instruments, of other shapes or in the v1
-format exits 3; ``predict --overwrite`` redraws it.
+Checkpoints (``checkpoints/model_h<h>.bin``), MC summaries
+(``summaries/summary_<id>_h<h>.bin``) and baseline files are read and
+written by ``artifacts``, which also decides whether a file may be reused.
+``predict`` writes the summaries; ``evaluate`` and ``analyze`` reuse them,
+and compute (and write) any that are missing from the checkpoint, on one
+process per available core (``workers`` in the manifest) if this process is
+single-threaded: pin the BLAS threads (``OPENBLAS_NUM_THREADS=1`` ...) for
+that.  Either way is bit-identical.  A reused summary drawn for other
+instruments, of other shapes or in the v1 format exits 3; ``predict
+--overwrite`` redraws it.
 
 Exit codes: 0 ok, 2 config error, 3 input error, 4 numeric failure,
 5 empty result.
@@ -48,7 +49,6 @@ import argparse
 import contextlib
 import dataclasses
 import glob
-import hashlib
 import json
 import os
 import pickle
@@ -58,7 +58,7 @@ from typing import Annotated, Optional, Union
 
 import numpy as np
 
-from . import analysis, baselines, inference, labels, metrics, network, reports, workflow
+from . import analysis, artifacts, baselines, inference, labels, metrics, network, reports, workflow
 from .errors import (
     AnnotationParseError,
     ConfigError,
@@ -213,21 +213,9 @@ def _dataset_fps(config: dict) -> float:
     return float(sim_config_from_dict(config["sim"]).fps) if config["sim"] else 1.0
 
 
-def resolved_config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # Run directory: the ledger of one command's outputs, datasets
 # ---------------------------------------------------------------------------
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
 
 class _Run:
     """The run directory of one command and the ledger of the outputs it claims."""
@@ -273,13 +261,13 @@ class _Run:
         A failed command's entry also carries its ``error``; one that wrote
         nothing adds no entry.
         """
-        artifacts = {os.path.relpath(p, self.dir): _sha256(p)
-                     for p in sorted(self.claimed) if os.path.exists(p)}
-        if error is not None and not artifacts:
+        written = {os.path.relpath(p, self.dir): artifacts.file_digest(p)
+                   for p in sorted(self.claimed) if os.path.exists(p)}
+        if error is not None and not written:
             return
         entry = {"command": command, "seed": config["seed"],
-                 "config_hash": resolved_config_hash(config), "resolved_config": config,
-                 "artifacts": artifacts}
+                 "config_hash": artifacts.digest(config), "resolved_config": config,
+                 "artifacts": written}
         if self.workers is not None:
             entry["workers"] = self.workers
         if error is not None:
@@ -400,7 +388,7 @@ def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
     for h in config["horizons"]:
         model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=args.mode)
         path, = run.claim(os.path.join("baselines", f"baseline_{args.mode}_h{h:g}.json"))
-        baselines.save_baseline(model, path)
+        artifacts.save_baseline(model, path)
 
 
 def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
@@ -418,35 +406,9 @@ def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
                for h in config["horizons"]]
     trained = network.train(train_seqs, net_configs[0], horizons=config["horizons"])
     for (params, log), net_config, (ckpt_path, log_path) in zip(trained, net_configs, outputs):
-        network.save_params(params, ckpt_path, net_config, names=train_seqs[0].names)
-        with open(log_path, "w", encoding="utf-8", newline="") as fh:
-            keys = list(log[0].keys()) if log else ["epoch"]
-            fh.write(",".join(keys) + "\n")
-            for row in log:
-                cells = (row.get(k, "") for k in keys)
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
-
-
-def _load_summary(path: str, seq: workflow.ProcedureSequence, h: float,
-                  seq_path: str) -> inference.PredictiveSummary:
-    """Read a reused summary file and check that it belongs to ``seq``, read from
-    ``seq_path``, at horizon ``h``: its instruments (if recorded) and array shapes."""
-    try:
-        summary = inference.load_summary(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"unreadable summary: {exc}") from None
-    if summary.horizon != h:
-        raise InputError(f"summary {path}: horizon {summary.horizon:g}, expected {h:g}")
-    if summary.names is not None and summary.names != list(seq.names):
-        raise InputError(f"summary {path}: drawn for instruments {summary.names}, but "
-                         f"{seq_path} names {list(seq.names)}")
-    for name, trailing in inference.SUMMARY_ARRAYS.items():
-        found, shape = getattr(summary, name).shape, (seq.n_frames, seq.n_instruments) + trailing
-        if found != shape:
-            raise InputError(
-                f"summary {path}: {name} has shape {found}, expected {shape} for sequence {seq.id}"
-            )
-    return summary
+        artifacts.save_params(params, ckpt_path, net_config, names=train_seqs[0].names)
+        reports._write_csv(log_path, list(log[0]) if log else ["epoch"],
+                           (row.values() for row in log))
 
 
 def _fork_map(fn, items: list) -> tuple[list, int]:
@@ -524,34 +486,23 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
     for seq in test_seqs:
         for h in horizons:
             path = os.path.join(run.dir, paths[seq.id, h])
-            if reuse and os.path.exists(path):
-                summary = _load_summary(path, seq, h,
-                                        os.path.join(run.data_dir, "test", f"{seq.id}.csv"))
-                if summary.samples == samples:
-                    found[seq.id, h] = summary
-                    continue
-                if not run.overwrite:
-                    raise InputError(f"summary {path}: drawn with {summary.samples} MC samples, "
-                                     f"eval.samples is {samples} (use --overwrite to recompute it)")
-            missing.setdefault(seq.id, []).append(h)
+            seq_path = os.path.join(run.data_dir, "test", f"{seq.id}.csv")
+            summary = (artifacts.reusable_summary(path, seq, seq_path, h, samples, run.overwrite)
+                       if reuse else None)
+            if summary is None:
+                missing.setdefault(seq.id, []).append(h)
+            else:
+                found[seq.id, h] = summary
     models = {}
     for h in (h for h in horizons if any(h in hs for hs in missing.values())):
         ckpt_path = os.path.join(run.dir, "checkpoints", f"model_h{h:g}.bin")
-        if not os.path.exists(ckpt_path):
-            raise InputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
-        try:
-            width, names = network.checkpoint_inputs(ckpt_path)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        models[h] = artifacts.load_checkpoint(
+            ckpt_path, lambda width: network_config(config, width, test_seqs[0].n_instruments, h))
+        names = models[h][2]
         if names is not None and names != list(test_seqs[0].names):
             test_path = os.path.join(run.data_dir, "test", f"{test_seqs[0].id}.csv")
             raise InputError(f"{ckpt_path}: trained on instruments {names}, but "
                              f"{test_path} names {list(test_seqs[0].names)}")
-        net_config = network_config(config, width, test_seqs[0].n_instruments, h)
-        try:
-            models[h] = network.load_params(ckpt_path, net_config), net_config, names
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
     run.claim(*(paths[seq_id, h] for seq_id, hs in missing.items() for h in hs))
     position = {seq.id: idx for idx, seq in enumerate(test_seqs)}
 
@@ -573,7 +524,7 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
             seed=[_summary_seed(config["seed"], h, position[seq_id]) for h in hs])
         for h, summary in zip(hs, drawn):
             summary.names = models[h][2]
-            inference.save_summary(summary, os.path.join(run.dir, paths[seq_id, h]))
+            artifacts.save_summary(summary, os.path.join(run.dir, paths[seq_id, h]))
         return drawn if reuse else []
 
     if missing:

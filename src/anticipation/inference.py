@@ -20,11 +20,10 @@ scan works in blocks of ``network.BLOCK`` row-frames whatever T is, the
 softmax runs in place on the logits, and both per-class variance terms share
 one buffer.
 
-A summary is stored in the binary container of the checkpoints
-(``network.save_container``) under its own format tag: a JSON header line
-holding ``samples``, ``horizon`` and the instrument ``names``, then the five
-arrays of ``SUMMARY_ARRAYS`` as raw little-endian float64, so a reloaded
-summary equals the written one bit for bit.  Only this module names them.
+A summary holds five arrays: the regression mean and epistemic variance,
+and the class means with their per-class epistemic and aleatoric
+variances; the class-averaged variances are derived on access.
+``artifacts`` writes and reads summary files.
 """
 
 from __future__ import annotations
@@ -36,17 +35,7 @@ import numpy as np
 
 from .labels import ANTICIPATING
 from .metrics import anticipating_selection
-from .network import (
-    NetworkConfig,
-    Params,
-    _stacked,
-    forward,
-    load_container,
-    sample_masks,
-    save_container,
-    softmax,
-    stack_masks,
-)
+from .network import NetworkConfig, Params, _stacked, forward, sample_masks, softmax, stack_masks
 
 
 @dataclass
@@ -162,34 +151,3 @@ def anticipating_mask(summary: PredictiveSummary) -> tuple[np.ndarray, np.ndarra
     reg_mask = anticipating_selection(summary.reg_mean, summary.horizon)
     cls_mask = summary.class_mean.argmax(axis=2) == ANTICIPATING
     return reg_mask, cls_mask
-
-
-# ---------------------------------------------------------------------------
-# Serialization: one summary per file, in the checkpoints' binary container
-# ---------------------------------------------------------------------------
-
-SUMMARY_FORMAT = "anticipation-summary-v2"
-# The stored arrays, in file order, each with its shape after the (n, K) axes.
-SUMMARY_ARRAYS = {
-    "reg_mean": (), "reg_epistemic_var": (), "class_mean": (3,),
-    "class_epistemic_per_class": (3,), "class_aleatoric_per_class": (3,),
-}
-
-
-def save_summary(summary: PredictiveSummary, path: str) -> None:
-    """Write the aggregates of ``summary`` (not its raw samples), exact to the bit."""
-    save_container(path, SUMMARY_FORMAT, {name: getattr(summary, name) for name in SUMMARY_ARRAYS},
-                   samples=int(summary.samples), horizon=float(summary.horizon), names=summary.names)
-
-
-def load_summary(path: str) -> PredictiveSummary:
-    """Read a :func:`save_summary` file; ``ValueError`` names the path on any defect."""
-    header, arrays = load_container(path, SUMMARY_FORMAT, required=("samples", "horizon", "names"))
-    samples, horizon, names = header["samples"], header["horizon"], header["names"]
-    names_ok = names is None or isinstance(names, list) and all(type(n) is str for n in names)
-    if type(samples) is not int or samples < 1 or type(horizon) not in (int, float) or not names_ok:
-        raise ValueError(f"{path}: malformed header: samples {samples!r}, horizon {horizon!r}, "
-                         f"names {names!r}")
-    if sorted(arrays) != sorted(SUMMARY_ARRAYS):
-        raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(SUMMARY_ARRAYS)}")
-    return PredictiveSummary(samples=samples, horizon=float(horizon), names=names, **arrays)

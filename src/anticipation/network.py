@@ -30,17 +30,13 @@ Everything runs on float64 numpy.  Gradients are computed by hand with
 backpropagation through time, truncated at window boundaries during
 training (state is carried forward, gradients are not).
 
-Checkpoints are written in a binary container (``save_container``) that
-MC-dropout summaries share under their own format tag: one JSON header
-line, then raw little-endian float64 arrays.
+This module holds the model only: ``artifacts`` writes and reads its
+checkpoints.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Annotated, Optional, Sequence
 
 import numpy as np
@@ -114,11 +110,6 @@ class RawOutputs:
         return self.regression.shape[-2]
 
 
-def config_hash(config: NetworkConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def init_params(config: NetworkConfig, seed: int) -> Params:
     """Uniform fan-in initialization; forget-gate bias starts at 1."""
     rng = np.random.default_rng(seed)
@@ -147,10 +138,6 @@ def init_params(config: NetworkConfig, seed: int) -> Params:
         params["phase_W"] = uniform(h, (h, config.phase_classes))
         params["phase_b"] = np.zeros(config.phase_classes)
     return params
-
-
-def n_params(params: Params) -> int:
-    return sum(v.size for v in params.values())
 
 
 def sample_masks(config: NetworkConfig, seed: int) -> DropoutMasks:
@@ -731,119 +718,3 @@ def train(
     pairs = [({name: value[m] for name, value in params.items()}, log)
              for m, log in enumerate(logs)]
     return pairs[0] if horizons is None else pairs
-
-
-# ---------------------------------------------------------------------------
-# Binary container of checkpoints and summaries: one JSON header line, then
-# raw float64 little-endian arrays in header order
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_FORMAT = "anticipation-params-v1"
-
-
-def save_container(path: str, tag: str, arrays: dict[str, np.ndarray], **meta) -> None:
-    """Write ``arrays`` under a header of format ``tag`` that also holds ``meta``."""
-    header = {
-        "format": tag,
-        "dtype": "<f8",
-        # The array list keeps the key of the first format, checkpoints.
-        "params": [[name, list(value.shape)] for name, value in arrays.items()],
-        **meta,
-    }
-    chunks = [json.dumps(header, sort_keys=True).encode() + b"\n"]
-    chunks += [np.ascontiguousarray(value, dtype="<f8").tobytes() for value in arrays.values()]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))  # one write call: measurably faster than one per array
-
-
-def _is_entry(entry) -> bool:
-    """``[name, shape]`` with a string name and a list of non-negative ints."""
-    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-            and isinstance(entry[1], list)
-            and all(type(d) is int and d >= 0 for d in entry[1]))
-
-
-def _read_header(fh, path: str, tag: str, required: tuple[str, ...]) -> dict:
-    """The checked header line of the container file open as ``fh``."""
-    try:
-        header = json.loads(fh.readline().decode())
-    except (ValueError, RecursionError):  # binary garbage or a broken header line
-        header = None
-    if not isinstance(header, dict) or header.get("format") != tag:
-        raise ValueError(f"{path}: not an {tag} file")
-    missing = [key for key in ("dtype", "params", *required) if key not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
-    entries = header["params"]
-    if header["dtype"] != "<f8" or not isinstance(entries, list) \
-            or not all(_is_entry(e) for e in entries) \
-            or len({name for name, _ in entries}) != len(entries):
-        raise ValueError(f"{path}: malformed header: expected dtype '<f8' and a list of "
-                         "distinct [name, [non-negative ints]] arrays")
-    return header
-
-
-def load_container(path: str, tag: str, required: tuple[str, ...] = ()) -> tuple[dict, Params]:
-    """Read a :func:`save_container` file of format ``tag``: its header and its arrays.
-
-    ``required`` names header keys the caller needs besides the array list.
-    ``ValueError`` names the path on any defect: a foreign or malformed
-    header, an array cut short, or bytes beyond the declared arrays.  The
-    arrays are writable views of one buffer read in a single call.
-    """
-    with open(path, "rb") as fh:
-        header = _read_header(fh, path, tag, required)
-        payload = bytearray(fh.read())
-    entries = header["params"]
-    arrays: Params = {}
-    offset = 0
-    for name, shape in entries:
-        count = math.prod(shape)
-        if offset + 8 * count > len(payload):
-            raise ValueError(f"{path}: truncated file: array {name!r} needs {8 * count} bytes, "
-                             f"found {len(payload) - offset}")
-        try:
-            arrays[name] = np.frombuffer(payload, "<f8", count, offset).reshape(shape)
-        except ValueError as exc:  # a dimension numpy cannot index
-            raise ValueError(f"{path}: array {name!r} of shape {shape}: {exc}") from None
-        offset += 8 * count
-    if offset != len(payload):
-        raise ValueError(f"{path}: {len(payload) - offset} bytes beyond the declared arrays")
-    return header, arrays
-
-
-def save_params(params: Params, path: str, config: NetworkConfig,
-                names: Optional[Sequence[str]] = None) -> None:
-    """Write a checkpoint of ``params`` stamped with the hash of ``config`` and ``names``,
-    the instruments of the data it was trained on."""
-    save_container(path, CHECKPOINT_FORMAT, params, config_hash=config_hash(config), names=names)
-
-
-def checkpoint_inputs(path: str) -> tuple[int, Optional[list]]:
-    """Input width and instrument names (or None) of a :func:`save_params` checkpoint,
-    read from its header alone.
-
-    The width is the row count of the first weight array (``enc0_W``, or
-    ``lstm_Wx`` without an encoder); ``ValueError`` names the path if that
-    is not a matrix with at least one row.
-    """
-    with open(path, "rb") as fh:
-        header = _read_header(fh, path, CHECKPOINT_FORMAT, ())
-    entries = header["params"]
-    if not entries or len(entries[0][1]) != 2 or entries[0][1][0] < 1:
-        raise ValueError(f"{path}: checkpoint has no input weight matrix")
-    return entries[0][1][0], header.get("names")
-
-
-def load_params(path: str, config: NetworkConfig) -> Params:
-    """Read a :func:`save_params` checkpoint written for ``config``.
-
-    ``ValueError`` names the path on any defect, including a config hash
-    that is missing or belongs to another configuration.
-    """
-    header, params = load_container(path, CHECKPOINT_FORMAT)
-    found, expected = header.get("config_hash"), config_hash(config)
-    if found != expected:
-        raise ValueError(f"{path}: checkpoint was written for a different configuration "
-                         f"(config hash {found!r}, expected {expected!r})")
-    return params

@@ -24,7 +24,7 @@ from anticipation.analysis import (
 )
 from anticipation.inference import aggregate_samples, mc_predict
 from anticipation.metrics import pmae, wmae
-from anticipation.network import forward, loss_and_gradients, n_params
+from anticipation.network import forward, loss_and_gradients
 from anticipation.workflow import FeatureSpec, PhaseSpec, SimConfig, TriggerRule, UsageRule
 
 from oracles import exhaustive_baseline_search, scan_forward_targets
@@ -167,7 +167,7 @@ def test_criterion_02_gradient_correctness():
             weight_decay=float(rng.choice([0.0, 1e-3])),
         )
         params = ant.init_params(config, seed=trial)
-        assert n_params(params) <= 1000
+        assert sum(v.size for v in params.values()) <= 1000
         masks = ant.sample_masks(config, seed=trial + 77)
         n = int(rng.integers(5, 31))
         feats = rng.normal(size=(n, config.input_dim))

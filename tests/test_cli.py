@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import anticipation
-from anticipation import NetworkConfig, cli, labels, network, workflow
+from anticipation import NetworkConfig, artifacts, cli, labels, network, workflow
 
 
 def tiny_config(**overrides):
@@ -127,6 +127,32 @@ class TestPipeline:
             for rel in (f"checkpoints/model_h{h}.bin", f"reports/train_log_h{h}.csv"):
                 assert checksum(os.path.join(together, rel)) == checksum(os.path.join(alone, rel))
 
+    def test_train_log_is_the_loss_log_of_each_horizon(self, tmp_path, monkeypatch):
+        """Header ``epoch,<loss terms>,total``, then one row per epoch: the log
+        ``network.train`` returned, written with the other report CSVs' line ends."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(horizons=[2.0, 3.0])))
+        out = str(tmp_path / "run")
+        logs = []
+        train = network.train
+
+        def recording_train(*args, **kwargs):
+            trained = train(*args, **kwargs)
+            logs.extend(log for _, log in trained)
+            return trained
+
+        monkeypatch.setattr(network, "train", recording_train)
+        run_chain(str(path), out, commands=("simulate", "train"))
+        for h, log in zip((2, 3), logs):
+            lines = Path(out, "reports", f"train_log_h{h}.csv").read_bytes().decode().split("\r\n")
+            assert lines.pop() == ""
+            header, *rows = (line.split(",") for line in lines)
+            assert header == ["epoch", "regression", "classification", "l2", "total"]
+            assert header == list(log[0])
+            assert len(rows) == len(log) == 2
+            for row, entry in zip(rows, log):
+                assert [float(cell) for cell in row] == [float(v) for v in entry.values()]
+
     def test_predict_draws_each_sequence_in_one_call_as_per_horizon_calls_would(
             self, tmp_path, monkeypatch):
         """One ``mc_predict`` call per test sequence covers all three horizons, and
@@ -155,13 +181,13 @@ class TestPipeline:
             feats = workflow.load_features(os.path.join(test_dir, f"{seq.id}.features.csv"))
             for h in config["horizons"]:
                 net_config = cli.network_config(config, feats.shape[1], seq.n_instruments, h)
-                params = network.load_params(os.path.join(out, "checkpoints", f"model_h{h:g}.bin"),
-                                             net_config)
+                params = artifacts.load_params(
+                    os.path.join(out, "checkpoints", f"model_h{h:g}.bin"), net_config)
                 ref = mc_predict(params, net_config, feats, samples=config["eval"]["samples"],
                                  seed=cli._summary_seed(config["seed"], h, index))
-                summary = inference.load_summary(
+                summary = artifacts.load_summary(
                     os.path.join(out, "summaries", f"summary_{seq.id}_h{h:g}.bin"))
-                for name in inference.SUMMARY_ARRAYS:
+                for name in artifacts.SUMMARY_ARRAYS:
                     assert getattr(summary, name).tobytes() == getattr(ref, name).tobytes(), \
                         (seq.id, h, name)
 
@@ -215,7 +241,7 @@ class TestPipeline:
             table = json.loads(Path(out, "reports", f"metrics_h{h:g}.json").read_text())
             remaining = [labels.compute_targets(s, h).remaining for s in test_seqs]
             for mode in ("mean", "oracle"):
-                model = baselines.load_baseline(
+                model = artifacts.load_baseline(
                     os.path.join(out, "baselines", f"baseline_{mode}_h{h:g}.json"))
                 preds = [baselines.predict_baseline(model, duration=s.n_frames)
                          for s in test_seqs]
@@ -433,7 +459,8 @@ class TestExitCodes:
 
     def test_empty_analysis(self, config_path, tmp_path):
         """Hand-written summaries with no anticipating predictions anywhere."""
-        from anticipation.inference import PredictiveSummary, save_summary
+        from anticipation.artifacts import save_summary
+        from anticipation.inference import PredictiveSummary
 
         out = str(tmp_path / "run")
         run_chain(config_path, out, commands=("simulate",))
@@ -513,7 +540,7 @@ class TestDamagedRunDirectory:
             assert path in capsys.readouterr().err
 
     def test_summary_of_wrong_length(self, predicted_run, tmp_path, capsys):
-        from anticipation.inference import SUMMARY_ARRAYS, load_summary, save_summary
+        from anticipation.artifacts import SUMMARY_ARRAYS, load_summary, save_summary
 
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
@@ -530,7 +557,7 @@ class TestDamagedRunDirectory:
 
     def test_summary_of_other_sample_count_recomputed_with_overwrite(self, predicted_run,
                                                                       tmp_path):
-        from anticipation.inference import load_summary
+        from anticipation.artifacts import load_summary
 
         config_path, out = copy_run(predicted_run, tmp_path)
         assert cli.main(["evaluate", "--config", config_path, "--out", out,
@@ -565,7 +592,7 @@ class TestDamagedRunDirectory:
 
     def test_truncation_sweep(self, predicted_run, tmp_path, capsys):
         """Every proper prefix of a summary is an input error naming the file."""
-        from anticipation.inference import SUMMARY_ARRAYS, load_summary, save_summary
+        from anticipation.artifacts import SUMMARY_ARRAYS, load_summary, save_summary
 
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
@@ -594,7 +621,7 @@ class TestDamagedRunDirectory:
             with open(path, "wb") as fh:
                 fh.write(data[:cut])
             with pytest.raises(cli.InputError) as info:
-                cli._load_summary(path, seq, 3.0, seq_path)
+                artifacts.reusable_summary(path, seq, seq_path, 3.0, 3, False)
             assert path in str(info.value), cut
 
     def test_old_npz_summaries_are_recomputed(self, predicted_run, tmp_path):
@@ -613,7 +640,7 @@ class TestDamagedRunDirectory:
                                                            capsys):
         """A summary in the older format, which also stored the class-averaged
         variances, exits 3 naming it; ``predict --overwrite`` redraws it."""
-        from anticipation.inference import load_summary
+        from anticipation.artifacts import load_summary
 
         config_path, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
@@ -621,8 +648,8 @@ class TestDamagedRunDirectory:
         arrays = {name: getattr(summary, name) for name in (
             "reg_mean", "reg_epistemic_var", "class_mean", "class_epistemic_var",
             "class_aleatoric_var", "class_epistemic_per_class", "class_aleatoric_per_class")}
-        network.save_container(path, "anticipation-summary-v1", arrays,
-                               samples=summary.samples, horizon=summary.horizon)
+        artifacts.save_container(path, "anticipation-summary-v1", arrays,
+                                 samples=summary.samples, horizon=summary.horizon)
         for command in ("evaluate", "analyze"):
             capsys.readouterr()
             assert cli.main([command, "--config", config_path, "--out", out]) == 3
@@ -635,7 +662,7 @@ class TestDamagedRunDirectory:
         run_chain(config_path, out, commands=("evaluate", "analyze"))
 
     def test_summaries_record_the_checkpoint_instruments(self, predicted_run):
-        from anticipation.inference import load_summary
+        from anticipation.artifacts import load_summary
 
         _, out = predicted_run
         for name in os.listdir(os.path.join(out, "summaries")):
@@ -657,7 +684,7 @@ class TestDamagedRunDirectory:
         assert not list(Path(out, "reports").glob("analysis_*"))
 
     def test_summary_without_names_is_not_compared(self, predicted_run, tmp_path):
-        from anticipation.inference import load_summary, save_summary
+        from anticipation.artifacts import load_summary, save_summary
 
         config_path, out = copy_run(predicted_run, tmp_path)
         for name in os.listdir(os.path.join(out, "summaries")):
@@ -741,6 +768,22 @@ class TestDamagedRunDirectory:
         assert sorted(p for p in loaded if p.startswith(os.path.join("dataset", "test"))) \
             == test_files
         assert len(loaded) == len(set(loaded)) == 5
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "analyze"])
+    def test_each_checkpoint_is_opened_once_per_horizon(self, trained_run, tmp_path,
+                                                         monkeypatch, command):
+        config_path, out = copy_run(trained_run, tmp_path)
+        opened = []
+        load = artifacts.load_container
+
+        def counting_load(path, *args, **kwargs):
+            opened.append(os.path.relpath(path, out))
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "load_container", counting_load)
+        assert cli.main([command, "--config", config_path, "--out", out]) == 0
+        assert sorted(p for p in opened if p.startswith("checkpoints")) == [
+            os.path.join("checkpoints", f"model_h{h}.bin") for h in (2, 3)]
 
     @pytest.mark.parametrize("command, split, seq_id", [
         ("train", "train", "proc_0001"),
@@ -940,8 +983,8 @@ class TestDamagedRunDirectory:
         config_path, out = copy_run(predicted_run, tmp_path)
         ckpt = os.path.join(out, "checkpoints", "model_h3.bin")
         other = NetworkConfig(input_dim=4, instruments=2, horizon=3.0, hidden=5, encoder=(8,))
-        network.save_container(ckpt, network.CHECKPOINT_FORMAT,
-                               network.init_params(other, seed=0), config_hash=None)
+        artifacts.save_container(ckpt, artifacts.CHECKPOINT_FORMAT,
+                                 network.init_params(other, seed=0), config_hash=None)
         assert cli.main(["predict", "--config", config_path, "--out", out, "--overwrite"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {ckpt}: checkpoint was written for a different "
@@ -980,7 +1023,8 @@ class TestRunLedger:
 
     @staticmethod
     def write_summaries(out, h, anticipating):
-        from anticipation.inference import PredictiveSummary, save_summary
+        from anticipation.artifacts import save_summary
+        from anticipation.inference import PredictiveSummary
 
         rng = np.random.default_rng(int(h))
         for seq in cli.load_dataset(os.path.join(out, "dataset"), "test"):

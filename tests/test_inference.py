@@ -17,7 +17,7 @@ from anticipation import (
     init_params,
     mc_predict,
 )
-from anticipation.inference import SUMMARY_ARRAYS, load_summary, save_summary
+from anticipation.artifacts import SUMMARY_ARRAYS, load_summary, save_summary
 from anticipation.network import block_frames
 
 

@@ -20,17 +20,18 @@ from anticipation import (
     save_params,
     train,
 )
-from anticipation.errors import NumericError
+from anticipation.artifacts import (
+    CHECKPOINT_FORMAT,
+    load_checkpoint,
+    load_container,
+    save_container,
+)
+from anticipation.errors import InputError, NumericError
 from anticipation.network import (
     BLOCK,
-    CHECKPOINT_FORMAT,
     Adam,
     block_frames,
-    checkpoint_inputs,
-    load_container,
     loss_and_gradients,
-    n_params,
-    save_container,
     sigmoid,
     smooth_l1,
     stack_masks,
@@ -657,17 +658,26 @@ class TestCheckpoints:
     def test_input_dim_from_the_header(self, tmp_path, encoder):
         config = tiny_config(input_dim=7, encoder=encoder)
         path = str(tmp_path / "model.bin")
-        save_params(init_params(config, seed=0), path, config)
-        assert checkpoint_inputs(path) == (7, None)
-        save_params(init_params(config, seed=0), path, config, names=("probe", "lifter"))
-        assert checkpoint_inputs(path) == (7, ["probe", "lifter"])
+        params = init_params(config, seed=0)
+        widths = []
+
+        def config_for(width):
+            widths.append(width)
+            return dataclasses.replace(config, input_dim=width)
+
+        save_params(params, path, config)
+        again, built, names = load_checkpoint(path, config_for)
+        assert (widths, built, names) == ([7], config, None)
+        assert all(again[k].tobytes() == params[k].tobytes() for k in params)
+        save_params(params, path, config, names=("probe", "lifter"))
+        assert load_checkpoint(path, config_for)[2] == ["probe", "lifter"]
 
     @pytest.mark.parametrize("arrays", [{}, {"enc0_W": np.zeros(3)}, {"enc0_W": np.zeros((0, 3))}])
     def test_input_dim_needs_a_weight_matrix(self, tmp_path, arrays):
         path = str(tmp_path / "model.bin")
         save_container(path, CHECKPOINT_FORMAT, arrays, config_hash="x")
-        with pytest.raises(ValueError, match="has no input weight matrix") as info:
-            checkpoint_inputs(path)
+        with pytest.raises(InputError, match="has no input weight matrix") as info:
+            load_checkpoint(path, lambda width: pytest.fail("no width to build a config for"))
         assert str(info.value).startswith(path)
 
     def test_unparsable_header_is_a_value_error(self, tmp_path):
@@ -699,7 +709,7 @@ class TestCheckpoints:
 
     def test_param_count(self):
         config = tiny_config(input_dim=2, instruments=1, hidden=2, encoder=())
-        assert n_params(init_params(config, seed=0)) == (
+        assert sum(v.size for v in init_params(config, seed=0).values()) == (
             2 * 8 + 2 * 8 + 8   # lstm Wx, Wh, b
             + 2 * 1 + 1         # regression head
             + 2 * 3 + 3         # class head
