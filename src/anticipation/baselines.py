@@ -11,8 +11,9 @@ true duration of the evaluated video, which is only available offline.
 Thresholds are chosen per instrument by exhaustive search over the distinct
 bin counts (plus a sentinel that marks nothing present), minimizing
 training-set wMAE; ties go to the larger threshold.  All candidates are
-scored in one pass, as the columns of one remaining-time call per distinct
-expansion length, bit for bit as a pass per candidate would score them.
+scored in one pass, as the columns of one remaining-time call over the
+concatenated expansions to every distinct length, bit for bit as a pass per
+candidate would score them.
 """
 
 from __future__ import annotations
@@ -73,10 +74,14 @@ def expand_to_frames(bin_presence: np.ndarray, n_frames: int) -> np.ndarray:
     return bin_presence[_bin_index(n_frames, bin_presence.shape[0])]
 
 
-def _remaining_track(bin_presence: np.ndarray, expand_len: int, horizon: float,
-                     fps: float) -> np.ndarray:
-    """Remaining times of (B, ...) estimated timelines over ``expand_len`` frames."""
-    return labels.remaining_time(expand_to_frames(bin_presence, expand_len), fps, horizon)
+def _remaining_tracks(bin_presence: np.ndarray, expand_lens: Sequence[int], horizon: float,
+                      fps: float) -> list[np.ndarray]:
+    """Remaining times of (B, ...) estimated timelines expanded to each of
+    ``expand_lens`` frames, from one remaining-time call over them all."""
+    ends = np.cumsum(expand_lens)
+    presence = np.concatenate([expand_to_frames(bin_presence, n) for n in expand_lens])
+    track = labels.remaining_time(presence, fps, horizon, ends=np.repeat(ends, expand_lens))
+    return np.split(track, ends[:-1])
 
 
 def _fit_length(track: np.ndarray, out_len: int, horizon: float) -> np.ndarray:
@@ -95,7 +100,7 @@ def predict_baseline(model: BaselineModel, duration: int) -> np.ndarray:
     """
     out_len = int(duration)
     expand_len = out_len if model.mode == "oracle" else model.mean_duration
-    track = _remaining_track(model.bin_presence().T, expand_len, model.horizon, model.fps)
+    track, = _remaining_tracks(model.bin_presence().T, [expand_len], model.horizon, model.fps)
     return _fit_length(track, out_len, model.horizon)
 
 
@@ -127,7 +132,8 @@ def _candidate_scores(
         bin_presence = counts[:, None] > cands[first:first + step]  # (B, C)
         # The tracks depend on the expansion length alone, which mean mode
         # shares across videos: compute them once per distinct length.
-        tracks = {n: _remaining_track(bin_presence, n, horizon, fps) for n in set(expand_lens)}
+        lens = sorted(set(expand_lens))
+        tracks = dict(zip(lens, _remaining_tracks(bin_presence, lens, horizon, fps)))
         preds = np.empty((bin_presence.shape[1], target.shape[0]))
         start = 0
         for r_true, n in zip(train_targets, expand_lens):
@@ -145,8 +151,14 @@ def fit_baseline(
     horizon: float,
     bins: int = 1000,
     mode: str = "mean",
+    *,
+    targets: Optional[Sequence[labels.AnticipationTargets]] = None,
 ) -> BaselineModel:
-    """Fit the histogram and per-instrument thresholds on a train set."""
+    """Fit the histogram and per-instrument thresholds on a train set.
+
+    ``targets`` are the train sequences' targets at ``horizon``, for a caller
+    that fits several modes from one set; by default they are computed here.
+    """
     if not train:
         raise ValueError("train set must be nonempty")
     if bins < 1:
@@ -158,7 +170,12 @@ def fit_baseline(
     hist = occurrence_histogram(train, bins)
     mean_duration = int(round(np.mean([seq.n_frames for seq in train])))
 
-    targets = [labels.compute_targets(seq, horizon) for seq in train]
+    if targets is None:
+        targets = [labels.compute_targets(seq, horizon) for seq in train]
+    elif len(targets) != len(train) or any(t.horizon != horizon or t.n_frames != seq.n_frames
+                                           for t, seq in zip(targets, train)):
+        raise ValueError(f"targets must be those of the {len(train)} train sequences "
+                         f"at horizon {horizon:g}")
     if mode == "oracle":
         expand_lens = [seq.n_frames for seq in train]
     else:

@@ -19,7 +19,8 @@ refuses, makes directories and records them.  A command that fails after
 writing something still leaves a manifest entry: the files it wrote, with
 their checksums, and an ``error`` field holding the message.  Only
 ``baseline`` writes ``baselines/baseline_*.json``; ``evaluate`` fits the
-histogram baselines in memory and is the one command that scores them.
+histogram baselines in memory, both modes from one set of train targets
+per horizon, and is the one command that scores them.
 
 A dataset split holds ``<id>.csv`` annotations and, for the network,
 ``<id>.features.csv`` per-frame features.  Every command reads annotations
@@ -39,6 +40,11 @@ that.  Either way is bit-identical.  A reused summary drawn for other
 instruments, of other shapes or in the v1 format exits 3; ``predict
 --overwrite`` redraws it.
 
+``main`` first sets the process's allocator policy: under glibc, freed
+heap memory stays mapped (``_keep_freed_memory``), so training does not
+fault every window's buffers back in.  Importing the package leaves the
+allocator alone.
+
 Exit codes: 0 ok, 2 config error, 3 input error, 4 numeric failure,
 5 empty result.
 """
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import glob
 import json
@@ -548,19 +555,21 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     subset = _instrument_subset(config, names)
     sub_names = tuple(names[j] for j in subset)
     summaries = _summaries(config, run, test_seqs, config["horizons"]) if "model" in methods else {}
+    modes = [mode for mode in baselines.MODES if f"{mode}hist" in methods]
     for h in config["horizons"]:
         targets = [labels.compute_targets(s, h) for s in test_seqs]
         remaining = [t.remaining[:, subset] for t in targets]
         table: dict[str, metrics.MetricsReport] = {}
-        for mode in ("mean", "oracle"):
-            method = f"{mode}hist"
-            if method not in methods:
-                continue
-            # Fitted in memory only: baseline files are the 'baseline' command's.
-            model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=mode)
+        # Both modes fit from one set of train targets, in memory only:
+        # baseline files are the 'baseline' command's.
+        train_targets = [labels.compute_targets(s, h) for s in train_seqs] if modes else None
+        for mode in modes:
+            model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=mode,
+                                           targets=train_targets)
             preds = [baselines.predict_baseline(model, duration=s.n_frames)[:, subset]
                      for s in test_seqs]
-            table[method] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
+            table[f"{mode}hist"] = metrics.evaluate_predictions(preds, remaining, h,
+                                                                names=sub_names)
         if "model" in methods:
             preds = [s.reg_mean[:, subset] for s in summaries.pop(h)]
             table["model"] = metrics.evaluate_predictions(preds, remaining, h, names=sub_names)
@@ -698,7 +707,35 @@ def _dispatch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# glibc's mallopt(3) parameters, and the values the CLI sets.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 32 << 20  # glibc's ceiling on 64-bit hosts
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory mapped for the rest of the process.
+
+    By default glibc returns the top of the heap to the OS once more than a
+    dynamic threshold of it is free, and maps each large block afresh, so
+    every training window faults its freed temporaries back in.  Fixing
+    both thresholds keeps those pages mapped; setting only one would still
+    switch off the dynamic mmap threshold and map every large block anew.
+    Nothing computed changes.  Where ``mallopt`` is missing (macOS,
+    Windows) or ignored (musl), this does nothing.
+    """
+    with contextlib.suppress(OSError, AttributeError, TypeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    # Allocator policy belongs to the process's owner, so the entry point
+    # sets it and importing the package leaves it alone.
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)

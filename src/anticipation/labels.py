@@ -15,6 +15,7 @@ predicted class probabilities back into a label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -49,20 +50,28 @@ class AnticipationTargets:
         return self.remaining.shape[1]
 
 
-def remaining_time(presence: np.ndarray, fps: float, horizon: float) -> np.ndarray:
+def remaining_time(presence: np.ndarray, fps: float, horizon: float,
+                   ends: Optional[np.ndarray] = None) -> np.ndarray:
     """Remaining minutes until the next occurrence, truncated at ``horizon``.
 
     ``presence`` is a boolean array of shape (n,) or (n, K).  A frame where
     the instrument is present has remaining time 0; frames after the last
     occurrence saturate at ``horizon``.  The gap to the next occurrence is
     counted in frames and converted with ``fps * 60`` frames per minute.
+
+    ``ends`` (n,), if given, holds for each frame the end of the segment it
+    belongs to, so that one call scores a concatenation of tracks, each as
+    a call of its own would.  By default the whole array is one segment.
     """
     presence = np.asarray(presence, dtype=bool)
     n = presence.shape[0]
-    frames = np.arange(n).reshape((n,) + (1,) * (presence.ndim - 1))
-    # Frame of the next occurrence at or after each frame; n where none follows.
+    shape = (n,) + (1,) * (presence.ndim - 1)
+    frames = np.arange(n).reshape(shape)
+    end = n if ends is None else np.asarray(ends).reshape(shape)
+    # Frame of the next occurrence at or after each frame; n where none
+    # follows.  One at or beyond the frame's segment end is not in its segment.
     nxt = np.minimum.accumulate(np.where(presence, frames, n)[::-1], axis=0)[::-1]
-    gap = np.where(nxt < n, nxt - frames, np.inf)
+    gap = np.where(nxt < end, nxt - frames, np.inf)
     return np.minimum(gap / (fps * 60.0), horizon)
 
 

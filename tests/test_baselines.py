@@ -1,10 +1,12 @@
+import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,7 +24,7 @@ from anticipation import (
     predict_baseline,
     save_baseline,
 )
-from anticipation import baselines
+from anticipation import baselines, labels
 from anticipation.baselines import (
     _candidate_scores,
     _candidate_thresholds,
@@ -236,6 +238,73 @@ class TestCandidateScores:
         model = fit_baseline(train, horizon=2.0, bins=25, mode=mode)
         assert model.thresholds[1] == 1.0
         assert not model.bin_presence()[1].any()
+
+
+@st.composite
+def ragged_train_sets(draw):
+    """Train sets of unequal lengths, some of them shared, with a bin count,
+    a horizon, a frame rate and a candidate chunk size."""
+    k = draw(st.integers(1, 2))
+    lengths = draw(st.lists(st.sampled_from([1, 7, 20, 31, 45, 60]), min_size=1, max_size=5))
+    fps = draw(st.sampled_from([1.0, 25.0]))
+    train = [ProcedureSequence(id=str(i), presence=draw(hnp.arrays(bool, (n, k))), fps=fps)
+             for i, n in enumerate(lengths)]
+    bins = draw(st.sampled_from([1, 3, 7, 25]))
+    horizon = draw(st.sampled_from([0.05, 0.5, 2.0]))
+    # Candidate-frames per chunk: every candidate in one chunk, or one or
+    # two train sets' worth.
+    block = draw(st.sampled_from([baselines.SCORE_BLOCK, sum(lengths), 2 * sum(lengths)]))
+    return train, bins, horizon, fps, block
+
+
+class TestRaggedTrainSets:
+    """Oracle mode expands to every train length: one remaining-time call per
+    candidate chunk still scores each length as a call of its own would."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(ragged_train_sets())
+    def test_one_call_per_chunk_equals_the_exhaustive_search(self, case):
+        train, bins, horizon, fps, block = case
+        hist = occurrence_histogram(train, bins)
+        targets = [compute_targets(s, horizon) for s in train]
+        mean_duration = int(round(np.mean([s.n_frames for s in train])))
+        frames = sum(s.n_frames for s in train)
+        with mock.patch.object(baselines, "SCORE_BLOCK", block):
+            for mode in baselines.MODES:
+                expand = ([s.n_frames for s in train] if mode == "oracle"
+                          else [mean_duration] * len(train))
+                model = fit_baseline(train, horizon, bins=bins, mode=mode)
+                for j in range(hist.shape[0]):
+                    remaining = [t.remaining[:, j] for t in targets]
+                    cands = _candidate_thresholds(hist[j])
+                    with mock.patch.object(labels, "remaining_time",
+                                           wraps=labels.remaining_time) as calls:
+                        scores = _candidate_scores(hist[j], cands, remaining, expand, horizon, fps)
+                    chunk = max(1, block // frames)
+                    assert calls.call_count == math.ceil(cands.shape[0] / chunk)
+                    _, values = exhaustive_baseline_scores(hist[j], remaining, expand, horizon,
+                                                           fps)
+                    assert scores.tobytes() == np.nan_to_num(values, nan=0.0).tobytes()
+                    thr, _ = exhaustive_baseline_search(hist[j], remaining, expand, horizon, fps)
+                    assert model.thresholds[j] == thr
+
+
+class TestSharedTargets:
+    @pytest.mark.parametrize("mode", baselines.MODES)
+    def test_fit_from_given_targets_saves_the_same_file(self, tmp_path, mode):
+        train = random_train_set(np.random.default_rng(11), n_videos=3, k=2)
+        targets = [compute_targets(s, 2.0) for s in train]
+        for name, kwargs in (("own", {}), ("shared", {"targets": targets})):
+            save_baseline(fit_baseline(train, horizon=2.0, bins=25, mode=mode, **kwargs),
+                          str(tmp_path / name))
+        assert (tmp_path / "shared").read_bytes() == (tmp_path / "own").read_bytes()
+
+    def test_targets_of_another_horizon_or_train_set_are_refused(self):
+        train = random_train_set(np.random.default_rng(12), n_videos=3, k=2)
+        with pytest.raises(ValueError, match="horizon 2"):
+            fit_baseline(train, horizon=2.0, targets=[compute_targets(s, 3.0) for s in train])
+        with pytest.raises(ValueError, match="3 train sequences"):
+            fit_baseline(train, horizon=2.0, targets=[compute_targets(train[0], 2.0)])
 
 
 class TestSerialization:

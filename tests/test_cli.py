@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
 import sys
+import types
 import typing
 from pathlib import Path
 from xml.etree import ElementTree
@@ -769,6 +771,26 @@ class TestDamagedRunDirectory:
             == test_files
         assert len(loaded) == len(set(loaded)) == 5
 
+    def test_evaluate_builds_each_sequences_targets_once_per_horizon(self, tmp_path,
+                                                                     monkeypatch):
+        """Both baseline modes fit from one set of train targets per horizon."""
+        config = tiny_config(horizons=[2.0, 3.0])
+        config["eval"]["methods"] = ["meanhist", "oraclehist"]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        run_chain(str(config_path), out, commands=("simulate",))
+        built = []
+        compute = labels.compute_targets
+
+        def counting_compute(seq, horizon):
+            built.append((seq.id, horizon))
+            return compute(seq, horizon)
+
+        monkeypatch.setattr(labels, "compute_targets", counting_compute)
+        assert cli.main(["evaluate", "--config", str(config_path), "--out", out]) == 0
+        assert sorted(built) == [(f"proc_{i:04d}", h) for i in range(5) for h in (2.0, 3.0)]
+
     @pytest.mark.parametrize("command", ["predict", "evaluate", "analyze"])
     def test_each_checkpoint_is_opened_once_per_horizon(self, trained_run, tmp_path,
                                                          monkeypatch, command):
@@ -1269,6 +1291,89 @@ except ChildProcessError:
             assert sorted(entry["artifacts"]) == files
         else:
             assert entry["command"] == "train"
+
+
+# Runs commands in-process through cli.main, then allocates and frees the
+# kind of arrays a training window leaves behind (eight of 48-256 KB) and
+# prints the minor page faults that costs per repeat, after a warm-up.
+WINDOW_FAULTS = """
+import resource, sys
+import numpy as np
+from anticipation import cli
+config_path, out = sys.argv[1:3]
+for command in sys.argv[3:]:
+    assert cli.main([command, "--config", config_path, "--out", out]) == 0
+sizes = [(48 + 208 * i // 7) << 10 for i in range(8)]
+
+def window():
+    arrays = [np.ones(size // 8) for size in sizes]
+    del arrays
+
+for _ in range(5):
+    window()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    window()
+print("faults per repeat", (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+class TestMemoryPolicy:
+    """The CLI keeps freed heap memory mapped; nothing it writes changes."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt(3) is glibc's")
+    @pytest.mark.parametrize("commands", [("simulate",), ("simulate", "train", "predict")])
+    def test_freed_window_buffers_are_not_faulted_in_again(self, config_path, tmp_path,
+                                                            commands):
+        result = subprocess.run(
+            [sys.executable, "-c", WINDOW_FAULTS, config_path, str(tmp_path / "run"), *commands],
+            capture_output=True, text=True, env=PINNED_ENV, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout.split()[-1]) < 1.0
+
+    def test_both_thresholds_are_set(self, config_path, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        run_chain(config_path, str(tmp_path / "run"), commands=("simulate",))
+        # M_TRIM_THRESHOLD and M_MMAP_THRESHOLD: setting either one alone
+        # would leave large blocks mapped and unmapped afresh.
+        assert calls == [(-1, 64 << 20), (-3, 32 << 20)]
+
+    @staticmethod
+    def raise_os_error(name):
+        raise OSError("no C library")
+
+    @staticmethod
+    def raise_type_error(name):
+        raise TypeError("expected a path")
+
+    @pytest.mark.parametrize("cdll", [raise_os_error, raise_type_error, lambda name: object()],
+                             ids=["OSError", "TypeError", "no mallopt"])
+    def test_runs_where_mallopt_is_missing(self, config_path, tmp_path, monkeypatch, cdll):
+        commands = ("simulate", "baseline", "train", "evaluate")
+        reference = str(tmp_path / "reference")
+        run_chain(config_path, reference, commands=commands)
+        opened = []
+
+        def cdll_recorded(name):
+            opened.append(name)
+            return cdll(name)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll_recorded)
+        out = str(tmp_path / "run")
+        run_chain(config_path, out, commands=commands)
+        assert opened == [None] * len(commands)
+        written = [e["artifacts"] for e in read_manifest(out)["runs"]]
+        assert written == [e["artifacts"] for e in read_manifest(reference)["runs"]]
+        for artifacts_of in written:
+            for rel, digest in artifacts_of.items():
+                assert checksum(os.path.join(out, rel)) == digest
 
 
 class TestConfigHandling:

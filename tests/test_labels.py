@@ -97,6 +97,32 @@ class TestRemainingTime:
             assert remaining_time(presence[:, j], fps, h).tobytes() == r[:, j].tobytes()
 
 
+@st.composite
+def segmented_presence(draw):
+    """(n, C) presence cut into segments of unequal lengths, with the end of
+    each frame's segment, at a few frame rates and horizons."""
+    k = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    parts = [draw(hnp.arrays(bool, (n, k))) for n in lengths]
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    fps = draw(st.sampled_from([0.5, 1.0, 25.0]))
+    return parts, ends, fps, draw(st.sampled_from([0.05, 1.0, 3.0]))
+
+
+class TestRemainingTimeOverSegments:
+    @given(segmented_presence())
+    def test_each_segment_scores_as_alone_and_as_the_forward_scan(self, case):
+        parts, ends, fps, h = case
+        r = remaining_time(np.concatenate(parts), fps, h, ends=ends)
+        start = 0
+        for part in parts:
+            stop = start + part.shape[0]
+            r_ref, _ = scan_forward_targets(part, fps, h)
+            assert r[start:stop].tobytes() == r_ref.tobytes()
+            assert r[start:stop].tobytes() == remaining_time(part, fps, h).tobytes()
+            start = stop
+
+
 class TestInvariants:
     def test_truncation_and_monotonicity_in_horizon(self):
         rng = np.random.default_rng(7)
