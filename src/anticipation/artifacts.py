@@ -7,7 +7,8 @@ summaries share one binary container: a JSON header line (format tag, dtype,
 every array's ``[name, shape]`` and the format's own keys), then the arrays
 as raw little-endian float64, so a reloaded array is the written one bit for
 bit.  :func:`load_checkpoint` and :func:`reusable_summary` decide reuse, and
-raise ``InputError`` naming the file when it may not be reused.
+raise ``InputError`` naming the file when it may not be reused.  Every
+loader checks what it builds, and a ``ValueError`` names the file.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import json
 import math
 import os
 from dataclasses import asdict
-from typing import Callable, Optional, Sequence
+from typing import Annotated, Callable, Optional, Sequence, TypedDict
 
 import numpy as np
 
-from .baselines import BaselineModel
-from .errors import InputError
+from .baselines import MODES, BaselineModel
+from .errors import InputError, Positive, _at_least, check
 from .inference import PredictiveSummary
 from .network import NetworkConfig, Params
 from .workflow import ProcedureSequence
@@ -35,6 +36,15 @@ SUMMARY_ARRAYS = {
     "class_epistemic_per_class": (3,), "class_aleatoric_per_class": (3,),
 }
 _BASELINE_SCALARS = ("bins", "mode", "horizon", "fps", "mean_duration")
+# Every key of a baseline file; the lengths of its lists are checked against each other.
+_BASELINE_FILE = TypedDict("_BASELINE_FILE", {
+    "bins": _at_least(1), "mean_duration": _at_least(1), "horizon": Positive, "fps": Positive,
+    "mode": Annotated[str, f"one of {', '.join(MODES)}", lambda v: v in MODES],
+    "hist": tuple[tuple[Annotated[int, "an integer in [0, 2**63)", lambda v: 0 <= v < 2**63],
+                        ...], ...],
+    "thresholds": tuple[Annotated[float, "a finite number", math.isfinite], ...],
+    "names": Optional[tuple[str, ...]],
+})
 
 
 def digest(value) -> str:
@@ -244,9 +254,19 @@ def save_baseline(model: BaselineModel, path: str) -> None:
 
 
 def load_baseline(path: str) -> BaselineModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a :func:`save_baseline` file; ``ValueError`` names the path on any defect."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        check(payload, _BASELINE_FILE)
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, or a wrong value
+        raise ValueError(f"{path}: {exc}") from None
+    hist, thresholds, names = payload["hist"], payload["thresholds"], payload["names"]
+    if not hist or {len(row) for row in hist} != {payload["bins"]} or len(thresholds) != len(hist) \
+            or names is not None and len(names) != len(hist):
+        raise ValueError(f"{path}: expected a hist of K > 0 rows of {payload['bins']} counts, "
+                         "K thresholds and K names (or null)")
     return BaselineModel(**{key: payload[key] for key in _BASELINE_SCALARS},
-                         hist=np.array(payload["hist"], dtype=np.int64),
-                         thresholds=np.array(payload["thresholds"], dtype=np.float64),
-                         names=tuple(payload["names"]) if payload.get("names") else None)
+                         hist=np.array(hist, dtype=np.int64),
+                         thresholds=np.array(thresholds, dtype=np.float64),
+                         names=tuple(names) if names else None)

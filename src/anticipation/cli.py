@@ -9,9 +9,10 @@ Subcommands cover the whole pipeline on one run directory::
     evaluate   metric tables for baselines and model per horizon
     analyze    uncertainty analyses (PCC, filtering, TP/FP, trigger)
 
-Every command reads one JSON config file; flags override file values and
-the fully resolved config lands in the run manifest together with the
-seed, a config hash, and SHA-256 checksums of the artifacts written.
+Every setting comes from one JSON config file, over ``DEFAULT_CONFIG``; the
+options name files, the write policy and the outputs to produce.  The resolved
+config lands in the run manifest with the seed, a config hash, and SHA-256
+checksums of the artifacts written.
 Artifacts are append-only per run directory: rerunning a command that
 would overwrite its own outputs fails unless ``--overwrite`` is given.
 Each command claims its outputs through one ledger (``_Run``), which
@@ -170,7 +171,7 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to parse
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
@@ -241,7 +242,7 @@ class _Run:
             try:
                 with open(self.manifest_path, "r", encoding="utf-8") as fh:
                     self.manifest = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or not JSON
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
                 raise InputError(f"damaged run manifest {self.manifest_path}: {exc}") from None
             runs = self.manifest.get("runs") if isinstance(self.manifest, dict) else None
             if not isinstance(runs, list):
@@ -655,9 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="run directory for artifacts")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--horizon", type=float, default=None,
-                       help="override the horizons list with a single value")
         p.add_argument("--overwrite", action="store_true",
                        help="allow replacing artifacts in an existing run directory")
         if name != "simulate":
@@ -665,33 +663,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dataset directory (default: <out>/dataset)")
         if name == "baseline":
             p.add_argument("--mode", choices=baselines.MODES, default="mean")
-        if name in ("predict", "evaluate"):
-            p.add_argument("--samples", type=int, default=None, help="MC sample count")
         if name == "analyze":
-            p.add_argument("--percentiles", default=None,
-                           help="comma-separated percentile grid, e.g. 10,20,...,100")
             p.add_argument("--plots", action="store_true", help="emit SVG plots")
     return parser
 
 
-def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.horizon is not None:
-        config["horizons"] = [args.horizon]
-    if getattr(args, "samples", None) is not None:
-        config["eval"]["samples"] = args.samples
-    if getattr(args, "percentiles", None):
-        try:
-            config["analysis"]["percentiles"] = [float(q) for q in args.percentiles.split(",")]
-        except ValueError:
-            raise ConfigError(f"--percentiles must be comma-separated numbers, got {args.percentiles!r}")
-    return config
-
-
 def _dispatch(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    check(config, _CONFIG_TYPES)  # flag values pass the same checks as file values
+    config = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     run = _Run(args)
     try:

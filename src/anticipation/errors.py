@@ -85,10 +85,11 @@ def check(value, hint, key: str = "") -> None:
     Messages print values as JSON.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    where = key or "top level"
     if origin is Annotated:
         check(value, args[0], key)
         if not args[2](value):
-            raise ConfigError(f"{key}: expected {args[1]}, got {_json(value)}")
+            raise ConfigError(f"{where}: expected {args[1]}, got {_json(value)}")
         return
     if origin is Union and type(None) in args:  # Optional[X]
         if value is not None:
@@ -106,7 +107,7 @@ def check(value, hint, key: str = "") -> None:
                  for a in choices)
         expected = " or ".join(_SCALARS[a][0] for a in choices)
     if not ok:
-        raise ConfigError(f"{key}: expected {expected}, got {_json(value)}")
+        raise ConfigError(f"{where}: expected {expected}, got {_json(value)}")
     if origin is tuple:
         for i, item in enumerate(value):
             check(item, args[0], f"{key}[{i}]")
@@ -116,10 +117,9 @@ def check(value, hint, key: str = "") -> None:
             value = {name: getattr(value, name) for name in fields}
         unknown = set(value) - set(fields)
         if unknown:
-            raise ConfigError(f"unknown config key(s) in {key or 'top level'}: "
-                              f"{', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
         missing = _required(hint) - set(value)
         if missing:
-            raise ConfigError(f"{key}: missing key(s): {', '.join(sorted(missing))}")
+            raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
         for k, item in value.items():
             check(item, fields[k], f"{key}.{k}" if key else k)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -307,6 +308,10 @@ class TestSharedTargets:
             fit_baseline(train, horizon=2.0, targets=[compute_targets(train[0], 2.0)])
 
 
+# What a baseline file whose lists do not fit each other is refused with.
+SHAPE = "expected a hist of K > 0 rows of 12 counts, K thresholds and K names (or null)"
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -322,6 +327,67 @@ class TestSerialization:
         np.testing.assert_array_equal(
             predict_baseline(again, duration=100), predict_baseline(model, duration=100)
         )
+
+    @staticmethod
+    def saved(tmp_path):
+        """A fitted baseline with instrument names, its file, and the file's JSON."""
+        model = fit_baseline(random_train_set(np.random.default_rng(3)), horizon=3.0, bins=12)
+        model.names = ("probe", "lifter")
+        path = tmp_path / "baseline.json"
+        save_baseline(model, str(path))
+        return model, path, json.loads(path.read_text())
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        model, path, _ = self.saved(tmp_path)
+        again = load_baseline(str(path))
+        for key in ("bins", "mode", "horizon", "fps", "mean_duration", "names"):
+            assert getattr(again, key) == getattr(model, key), key
+        assert again.hist.dtype == np.int64 and again.hist.tobytes() == model.hist.tobytes()
+        assert again.thresholds.tobytes() == model.thresholds.tobytes()
+        save_baseline(again, str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda b: b.pop("hist"), "top level: missing key(s): hist"),
+        (lambda b: b.pop("names"), "top level: missing key(s): names"),
+        (lambda b: b.update(extra=1), "unknown config key(s) in top level: extra"),
+        (lambda b: b["hist"][1].__setitem__(0, 1.5), "hist[1][0]: expected an integer, got 1.5"),
+        (lambda b: b["hist"][0].__setitem__(2, -1), "hist[0][2]: expected an integer in [0, 2**6"),
+        (lambda b: b["hist"][0].__setitem__(2, 2 ** 63), "hist[0][2]: expected an integer in"),
+        (lambda b: b.update(hist=b["hist"][0]), "hist[0]: expected a list"),
+        (lambda b: b["hist"][1].pop(), SHAPE),
+        (lambda b: b.update(hist=[], thresholds=[], names=None), SHAPE),
+        (lambda b: b["thresholds"].__setitem__(0, math.nan), "thresholds[0]: expected a finite"),
+        (lambda b: b["thresholds"].__setitem__(1, math.inf), "thresholds[1]: expected a finite"),
+        (lambda b: b["thresholds"].__setitem__(1, "2"), "thresholds[1]: expected a number"),
+        (lambda b: b["thresholds"].pop(), SHAPE),
+        (lambda b: b["names"].pop(), SHAPE),
+        (lambda b: b.update(mode="median"), 'mode: expected one of mean, oracle, got "median"'),
+        (lambda b: b.update(bins="12"), 'bins: expected an integer, got "12"'),
+        (lambda b: b.update(bins=0), "bins: expected an integer >= 1"),
+        (lambda b: b.update(horizon=-3.0), "horizon: expected a finite number > 0"),
+        (lambda b: b.update(mean_duration=None), "mean_duration: expected an integer"),
+    ])
+    def test_load_rejects_a_damaged_file_naming_it(self, tmp_path, damage, message):
+        _, path, payload = self.saved(tmp_path)
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as exc:
+            load_baseline(str(path))
+        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+    @pytest.mark.parametrize("text, message", [
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"bins": ', "Expecting value"),
+        (b"[]", "top level: expected an object"),
+        (b'{"mode": "\xff"}', "can't decode byte 0xff"),
+    ], ids=["nested-too-deep", "not-json", "not-an-object", "not-utf8"])
+    def test_load_rejects_a_file_that_is_not_a_baseline_object(self, tmp_path, text, message):
+        path = tmp_path / "baseline.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as exc:
+            load_baseline(str(path))
+        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
 
     def test_fit_rejects_empty_or_bad_args(self):
         with pytest.raises(ValueError):

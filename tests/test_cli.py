@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import types
 import typing
 from pathlib import Path
@@ -15,9 +19,11 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anticipation
-from anticipation import NetworkConfig, artifacts, cli, labels, network, workflow
+from anticipation import NetworkConfig, artifacts, cli, errors, labels, network, workflow
 
 
 def tiny_config(**overrides):
@@ -122,11 +128,13 @@ class TestPipeline:
         path.write_text(json.dumps(config))
         together = str(tmp_path / "together")
         run_chain(str(path), together, commands=("simulate", "train"))
-        for h in ("2", "3"):
-            alone = str(tmp_path / f"alone{h}")
+        for h in (2.0, 3.0):
+            alone = str(tmp_path / f"alone{h:g}")
             shutil.copytree(os.path.join(together, "dataset"), os.path.join(alone, "dataset"))
-            assert cli.main(["train", "--config", str(path), "--out", alone, "--horizon", h]) == 0
-            for rel in (f"checkpoints/model_h{h}.bin", f"reports/train_log_h{h}.csv"):
+            alone_path = tmp_path / f"c{h:g}.json"
+            alone_path.write_text(json.dumps({**config, "horizons": [h]}))
+            assert cli.main(["train", "--config", str(alone_path), "--out", alone]) == 0
+            for rel in (f"checkpoints/model_h{h:g}.bin", f"reports/train_log_h{h:g}.csv"):
                 assert checksum(os.path.join(together, rel)) == checksum(os.path.join(alone, rel))
 
     def test_train_log_is_the_loss_log_of_each_horizon(self, tmp_path, monkeypatch):
@@ -201,13 +209,6 @@ class TestPipeline:
         assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 0
         after = [checksum(os.path.join(out, "summaries", f)) for f in summaries]
         assert digests == after
-
-    def test_flag_overrides_recorded_in_manifest(self, config_path, tmp_path):
-        out = str(tmp_path / "run")
-        code = cli.main(["simulate", "--config", config_path, "--out", out, "--seed", "99"])
-        assert code == 0
-        manifest = read_manifest(out)
-        assert manifest["runs"][0]["resolved_config"]["seed"] == 99
 
     def test_baseline_command(self, tmp_path):
         """The manifest entry of each mode lists its fitted models and nothing else."""
@@ -363,19 +364,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command, flag, value, key", [
-        ("predict", "--samples", "0", "eval.samples"),
-        ("evaluate", "--horizon", "-1", "horizons[0]"),
-        ("analyze", "--percentiles", "50,150", "analysis.percentiles[1]"),
-    ])
-    def test_out_of_range_flag_names_its_key(self, predicted_run, tmp_path, capsys,
-                                             command, flag, value, key):
-        config_path, out = copy_run(predicted_run, tmp_path)
-        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite",
-                         flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key}: expected") and "Traceback" not in err
-
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     @pytest.mark.parametrize("horizons", [[1.0, 1.0000001], [3, 3.0], []])
     def test_horizons_without_distinct_file_tags_rejected(self, tmp_path, capsys, command, horizons):
@@ -401,6 +389,14 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: not UTF-8 text") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_nested_too_deep(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"sim": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: invalid JSON") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_invalid_sim_values(self, tmp_path):
@@ -557,13 +553,22 @@ class TestDamagedRunDirectory:
             err = capsys.readouterr().err
             assert path in err and f"({n - 7}, 2)" in err and f"({n}, 2)" in err
 
+    @staticmethod
+    def seven_samples_config(tmp_path):
+        """``tiny_config`` with ``eval.samples`` 7, where the predicted run drew 3."""
+        config = tiny_config()
+        config["eval"]["samples"] = 7
+        path = tmp_path / "c7.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
     def test_summary_of_other_sample_count_recomputed_with_overwrite(self, predicted_run,
                                                                       tmp_path):
         from anticipation.artifacts import load_summary
 
-        config_path, out = copy_run(predicted_run, tmp_path)
-        assert cli.main(["evaluate", "--config", config_path, "--out", out,
-                         "--samples", "7", "--overwrite"]) == 0
+        _, out = copy_run(predicted_run, tmp_path)
+        assert cli.main(["evaluate", "--config", self.seven_samples_config(tmp_path),
+                         "--out", out, "--overwrite"]) == 0
         run = read_manifest(out)["runs"][-1]
         assert run["resolved_config"]["eval"]["samples"] == 7
         files = sorted(os.listdir(os.path.join(out, "summaries")))
@@ -573,11 +578,11 @@ class TestDamagedRunDirectory:
             assert run["artifacts"][rel] == checksum(os.path.join(out, rel))
 
     def test_summary_of_other_sample_count_refused(self, predicted_run, tmp_path, capsys):
-        config_path, out = copy_run(predicted_run, tmp_path)
+        _, out = copy_run(predicted_run, tmp_path)
         path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
         before = checksum(path)
-        assert cli.main(["evaluate", "--config", config_path, "--out", out,
-                         "--samples", "7"]) == 3
+        assert cli.main(["evaluate", "--config", self.seven_samples_config(tmp_path),
+                         "--out", out]) == 3
         err = capsys.readouterr().err
         assert path in err and "3 MC samples" in err and "eval.samples is 7" in err
         assert checksum(path) == before
@@ -1087,8 +1092,8 @@ class TestRunLedger:
         assert captured.err == f"empty result: {runs[1]['error']}\n"
         assert "error" not in runs[0]
         # The overwrite policy is unchanged: the listed outputs are still refused.
-        assert cli.main(["analyze", "--config", str(config_path), "--out", out,
-                         "--horizon", "3"]) == 3
+        config_path.write_text(json.dumps(tiny_config(horizons=[3.0])))
+        assert cli.main(["analyze", "--config", str(config_path), "--out", out]) == 3
 
     def test_failure_before_writing_adds_no_entry(self, config_path, tmp_path):
         out = str(tmp_path / "run")
@@ -1098,7 +1103,10 @@ class TestRunLedger:
         assert Path(os.path.join(out, "manifest.json")).read_bytes() == before
         assert sorted(os.listdir(out)) == ["dataset", "manifest.json"]
 
-    @pytest.mark.parametrize("damage", [b"garbage", b"[]", b'{"runs": 5}', b"\xff\xfe"])
+    @pytest.mark.parametrize("damage", [
+        b"garbage", b"[]", b'{"runs": 5}', b"\xff\xfe",
+        pytest.param(b'{"runs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="nested-too-deep"),
+    ])
     def test_damaged_manifest_stops_the_command_before_it_writes(self, config_path, tmp_path,
                                                                 capsys, damage):
         out = str(tmp_path / "run")
@@ -1376,6 +1384,49 @@ class TestMemoryPolicy:
                 assert checksum(os.path.join(out, rel)) == digest
 
 
+# The options that once set a config key, each with a value and the commands that took it.
+REMOVED_FLAGS = {"--seed": ("99", list(cli.COMMANDS)), "--horizon": ("3", list(cli.COMMANDS)),
+                 "--samples": ("7", ["predict", "evaluate"]),
+                 "--percentiles": ("50,100", ["analyze"])}
+
+
+class TestSettingsFromTheConfigFileAlone:
+    @pytest.mark.parametrize("command, flag", [(command, flag)
+                                               for flag, (_, commands) in REMOVED_FLAGS.items()
+                                               for command in commands])
+    def test_removed_flag_is_an_unrecognized_argument(self, config_path, tmp_path, capsys,
+                                                      command, flag):
+        out = tmp_path / "run"
+        out.mkdir()
+        manifest = out / "manifest.json"
+        manifest.write_text('{"runs": []}\n')
+        value = REMOVED_FLAGS[flag][0]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", config_path, "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+        assert os.listdir(out) == ["manifest.json"]
+        assert manifest.read_text() == '{"runs": []}\n'
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_config_is_checked_once_per_command(self, predicted_run, tmp_path, monkeypatch,
+                                                command):
+        config_path, out = copy_run(predicted_run, tmp_path)
+        hints = []
+        check = errors.check
+
+        def counted(value, hint, key=""):
+            hints.append(hint)
+            check(value, hint, key)
+
+        monkeypatch.setattr(errors, "check", counted)
+        monkeypatch.setattr(cli, "check", counted)
+        assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 0
+        assert sum(hint is cli._CONFIG_TYPES for hint in hints) == 1
+
+
 class TestConfigHandling:
     def test_type_hints_are_evaluated_once_per_class(self, tmp_path, monkeypatch):
         """Walking and building the config reuse each record type's field types."""
@@ -1633,3 +1684,123 @@ def test_instrument_named_and_indexed_stops_evaluate_before_it_draws(predicted_r
     assert sorted(os.listdir(out)) == ["checkpoints", "dataset", "manifest.json", "reports"]
     assert not list(Path(out, "reports").glob("metrics_*"))
     assert read_manifest(out) == manifest
+
+
+# ---------------------------------------------------------------------------
+# The error contract of the two JSON files every command reads first
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Node:
+    path: tuple
+    value: object
+    nullable: bool  # its declared type takes null
+    required: bool  # its record has no default for it
+
+
+def nodes(value, hint=None, path=(), required=False):
+    """Every node of a JSON document of declared type ``hint`` (None: undeclared), root first."""
+    nullable = False
+    while True:  # strip ranges and Optional down to the type that shapes the value
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if origin is typing.Annotated:
+            hint = args[0]
+        elif origin is typing.Union and type(None) in args:
+            nullable, hint = True, args[0]
+        else:
+            break
+    yield Node(path, value, nullable, required)
+    if isinstance(value, dict):
+        fields = ({} if hint is None else hint if isinstance(hint, dict)
+                  else typing.get_type_hints(hint, include_extras=True))
+        for key, item in value.items():
+            yield from nodes(item, fields.get(key), path + (key,), key in errors._required(hint))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from nodes(item, args[0] if args else None, path + (i,))
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+MANIFEST = {"runs": [{"command": "simulate", "seed": 5, "config_hash": "0" * 16,
+                      "resolved_config": tiny_config(), "artifacts": {}}]}
+FILES = {  # a valid document, its nodes, and the damages that make it invalid
+    "config": (tiny_config(), list(nodes(tiny_config(), cli._CONFIG_TYPES)),
+               ("drop", "add", "retype", "non-finite", "truncate", "non-utf8", "nest")),
+    # A command asks only for an object with a 'runs' list of a manifest.
+    "manifest": (MANIFEST, [dataclasses.replace(n, required=n.path == ("runs",))
+                            for n in nodes(MANIFEST)],
+                 ("drop", "retype", "truncate", "non-utf8", "nest")),
+}
+SENTINEL = "__damage__"
+
+
+def damaged(data, name: str) -> bytes:
+    """The file ``name`` as JSON bytes with one damage drawn from ``data``."""
+    doc, doc_nodes, kinds = FILES[name]
+    kind = data.draw(st.sampled_from(kinds), label="damage")
+    text = json.dumps(doc)
+    if kind == "truncate":  # no proper prefix of a JSON object is JSON
+        return text[:data.draw(st.integers(0, len(text) - 1), label="cut at")].encode()
+    if kind == "non-utf8":  # the text is ASCII, so a lone high byte is not UTF-8
+        at = data.draw(st.integers(0, len(text)), label="insert at")
+        return text[:at].encode() + bytes([data.draw(st.integers(0x80, 0xFF))]) + text[at:].encode()
+    candidates = {
+        "drop": [n for n in doc_nodes if n.required],
+        "add": [n for n in doc_nodes if isinstance(n.value, dict)],
+        "retype": [n for n in doc_nodes if name == "config" or n.path in ((), ("runs",))],
+        "non-finite": [n for n in doc_nodes if json_type(n.value) == "number"],
+        "nest": doc_nodes,
+    }[kind]
+    node = data.draw(st.sampled_from(candidates), label="node")
+    box = [copy.deepcopy(doc)]
+    *parents, last = (0,) + node.path
+    parent = box
+    for part in parents:
+        parent = parent[part]
+    token = None
+    if kind == "drop":
+        del parent[last]
+    elif kind == "add":
+        parent[last]["mystery"] = 1
+    elif kind == "retype":
+        parent[last] = data.draw(st.sampled_from(
+            [v for v in (None, True, 1.5, "x", [], {})
+             if json_type(v) != json_type(node.value) and not (v is None and node.nullable)]),
+            label="as")
+    else:
+        parent[last] = SENTINEL
+        token = ("[" * 100_000 + "]" * 100_000 if kind == "nest" else
+                 data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])))
+    text = json.dumps(box[0])
+    return (text.replace(json.dumps(SENTINEL), token) if token else text).encode()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_config_or_manifest_exits_with_its_code_and_writes_nothing(data):
+    """A damaged config exits 2 and a damaged manifest 3, on every command: one line on
+    stderr, no traceback, no manifest entry, and the manifest keeps its bytes.  Every
+    case fails at load, so no dataset is needed."""
+    name = data.draw(st.sampled_from(sorted(FILES)), label="file")
+    command = data.draw(st.sampled_from(list(cli.COMMANDS)), label="command")
+    files = {other: json.dumps(doc).encode() for other, (doc, _, _) in FILES.items()}
+    files[name] = damaged(data, name)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "run")
+        os.mkdir(out)
+        Path(config_path).write_bytes(files["config"])
+        Path(out, "manifest.json").write_bytes(files["manifest"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", config_path, "--out", out])
+        err = err.getvalue()
+        expected = (2, "config error: ") if name == "config" else (3, "input error: ")
+        assert (code, err[:len(expected[1])]) == expected, err
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+        assert os.listdir(out) == ["manifest.json"]
+        assert Path(out, "manifest.json").read_bytes() == files["manifest"]
