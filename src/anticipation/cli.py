@@ -10,9 +10,10 @@ Subcommands cover the whole pipeline on one run directory::
     analyze    uncertainty analyses (PCC, filtering, TP/FP, trigger)
 
 Every setting comes from one JSON config file, over ``DEFAULT_CONFIG``; the
-options name files, the write policy and the outputs to produce.  The resolved
-config lands in the run manifest with the seed, a config hash, and SHA-256
-checksums of the artifacts written.
+options name files, the write policy and the outputs to produce.
+``load_config`` checks the file and builds the config the commands read.  That
+config, every default and float field included, lands in the run manifest with
+the seed, its hash, and SHA-256 checksums of the artifacts written.
 Artifacts are append-only per run directory: rerunning a command that
 would overwrite its own outputs fails unless ``--overwrite`` is given.
 Each command claims its outputs through one ledger (``_Run``), which
@@ -166,15 +167,18 @@ DEFAULT_CONFIG = json.loads(json.dumps({
 
 
 def load_config(path: str) -> dict:
+    """The config file at ``path`` over ``DEFAULT_CONFIG``, checked and built: each
+    section an instance of its dataclass (``sim`` may be None; ``model`` and
+    ``train`` stay dicts), lists as tuples and float fields as floats."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"config file not found: {path}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to parse
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep to parse
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
@@ -183,42 +187,17 @@ def load_config(path: str) -> dict:
             config[section].update(value)
         else:
             config[section] = value
-    check(config, _CONFIG_TYPES)
-    return config
-
-
-def _build(hint, value):
-    """``value`` as type ``hint``: dataclasses built from their fields, lists as tuples."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is Annotated or (origin is Union and value is not None):  # or Optional[X]
-        return _build(args[0], value)
-    if origin is tuple:
-        return tuple(_build(args[0], v) for v in value)
-    if dataclasses.is_dataclass(hint):
-        types = _hints(hint)
-        return hint(**{k: _build(types[k], v) for k, v in value.items()})
-    return value
-
-
-def sim_config_from_dict(payload: dict) -> workflow.SimConfig:
-    if not payload:
-        raise ConfigError("config has no 'sim' section")
-    try:
-        return _build(workflow.SimConfig, payload)
-    except ValueError as exc:  # fields that do not fit each other
-        raise ConfigError(f"invalid 'sim' section: {exc}") from None
+    return check(config, _CONFIG_TYPES)
 
 
 def network_config(config: dict, input_dim: int, instruments: int, horizon: float) -> network.NetworkConfig:
-    return network.NetworkConfig(
-        input_dim=input_dim, instruments=instruments, horizon=horizon, seed=config["seed"],
-        **{**config["model"], **config["train"], "encoder": tuple(config["model"]["encoder"])},
-    )
+    return network.NetworkConfig(input_dim=input_dim, instruments=instruments, horizon=horizon,
+                                 seed=config["seed"], **config["model"], **config["train"])
 
 
 def _dataset_fps(config: dict) -> float:
     """Frame rate the dataset is read at: the simulated one, or 1.0 for ingested data."""
-    return float(sim_config_from_dict(config["sim"]).fps) if config["sim"] else 1.0
+    return 1.0 if config["sim"] is None else config["sim"].fps
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +243,8 @@ class _Run:
         return paths
 
     def record(self, command: str, config: dict, error: Optional[str] = None) -> None:
-        """Append the manifest entry: every claimed file that exists, with its SHA-256.
+        """Append the manifest entry: the built config as JSON with its hash, and
+        every claimed file that exists, with its SHA-256.
 
         A failed command's entry also carries its ``error``; one that wrote
         nothing adds no entry.
@@ -273,8 +253,9 @@ class _Run:
                    for p in sorted(self.claimed) if os.path.exists(p)}
         if error is not None and not written:
             return
+        resolved = json.loads(json.dumps(config, default=dataclasses.asdict))
         entry = {"command": command, "seed": config["seed"],
-                 "config_hash": artifacts.digest(config), "resolved_config": config,
+                 "config_hash": artifacts.digest(resolved), "resolved_config": resolved,
                  "artifacts": written}
         if self.workers is not None:
             entry["workers"] = self.workers
@@ -357,7 +338,7 @@ def _summary_seed(seed: int, horizon: float, index: int) -> int:
 
 
 def _instrument_subset(config: dict, names: tuple[str, ...]) -> list[int]:
-    wanted = config["eval"].get("instruments")
+    wanted = config["eval"].instruments
     if wanted is None:
         return list(range(len(names)))
     subset = []
@@ -381,9 +362,10 @@ def _instrument_subset(config: dict, names: tuple[str, ...]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(config: dict, run: _Run, args: argparse.Namespace) -> None:
-    sim = sim_config_from_dict(config["sim"])
-    n_train, n_test = config["split"]["n_train"], config["split"]["n_test"]
-    data = workflow.generate_dataset(sim, n_train + n_test, seed=config["seed"])
+    if config["sim"] is None:
+        raise ConfigError("config has no 'sim' section")
+    n_train, n_test = config["split"].n_train, config["split"].n_test
+    data = workflow.generate_dataset(config["sim"], n_train + n_test, seed=config["seed"])
     for i, seq in enumerate(data):
         base = os.path.join("dataset", "train" if i < n_train else "test", seq.id)
         csv_path, features_path = run.claim(base + ".csv", base + ".features.csv")
@@ -394,7 +376,7 @@ def cmd_simulate(config: dict, run: _Run, args: argparse.Namespace) -> None:
 def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
     train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
     for h in config["horizons"]:
-        model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=args.mode)
+        model = baselines.fit_baseline(train_seqs, h, bins=config["eval"].bins, mode=args.mode)
         path, = run.claim(os.path.join("baselines", f"baseline_{args.mode}_h{h:g}.json"))
         artifacts.save_baseline(model, path)
 
@@ -477,7 +459,7 @@ def _fork_map(fn, items: list) -> tuple[list, int]:
 
 
 def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequence],
-               horizons: list[float], reuse: bool = True) -> dict[float, list]:
+               horizons: tuple[float, ...], reuse: bool = True) -> dict[float, list]:
     """MC summaries of every test sequence at every horizon, reusing files when present.
 
     This process decides reuse, reads the checkpoints and claims the outputs;
@@ -487,7 +469,7 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
     own seed, so neither the split nor the grouping changes a summary.
     ``predict`` (``reuse=False``) keeps none in memory and gets an empty dict.
     """
-    samples = config["eval"]["samples"]
+    samples = config["eval"].samples
     paths = {(seq.id, h): os.path.join("summaries", f"summary_{seq.id}_h{h:g}.bin")
              for seq in test_seqs for h in horizons}
     found, missing = {}, {}  # (id, h) -> summary; id -> horizons to draw
@@ -551,7 +533,7 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
     test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
     _same_instruments(run.data_dir, "test", test_seqs[0], "train", train_seqs[0])
-    methods = [m.lower() for m in config["eval"]["methods"]]
+    methods = [m.lower() for m in config["eval"].methods]
     names = test_seqs[0].names
     subset = _instrument_subset(config, names)
     sub_names = tuple(names[j] for j in subset)
@@ -565,7 +547,7 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
         # baseline files are the 'baseline' command's.
         train_targets = [labels.compute_targets(s, h) for s in train_seqs] if modes else None
         for mode in modes:
-            model = baselines.fit_baseline(train_seqs, h, bins=config["eval"]["bins"], mode=mode,
+            model = baselines.fit_baseline(train_seqs, h, bins=config["eval"].bins, mode=mode,
                                            targets=train_targets)
             preds = [baselines.predict_baseline(model, duration=s.n_frames)[:, subset]
                      for s in test_seqs]
@@ -580,9 +562,9 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
 
 
 def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
-    percentiles = config["analysis"]["percentiles"]
-    use_std = config["analysis"]["use_std"]
-    trigger_cfg = config["analysis"]["trigger"]
+    percentiles = config["analysis"].percentiles
+    use_std = config["analysis"].use_std
+    trigger_cfg = config["analysis"].trigger
     test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
     k = test_seqs[0].n_instruments
     for key, j in (trigger_cfg or {}).items():
@@ -616,7 +598,7 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
         if trigger_cfg:
             trigger_result = analysis.trigger_conditional_uncertainty(
                 pool, target=trigger_cfg["target"], trigger=trigger_cfg["trigger"],
-                memory_frames=config["analysis"]["memory_frames"],
+                memory_frames=config["analysis"].memory_frames,
             )
             trig_path, = run.claim(os.path.join("reports", f"analysis_trigger_h{h:g}.csv"))
             reports.write_trigger_csv(trigger_result, trig_path, names)

@@ -6,8 +6,9 @@ or a numerical failure.
 
 A field declares its range in its type, ``Annotated[X, text, test]``: an X
 that passes ``test``, as ``text`` says.  :func:`check` reads these types,
-the same way for a JSON config file at load and for a config dataclass that
-checks itself when it is built (``NetworkConfig``, ``SimConfig``).
+the same way for a JSON config file at load, which it builds into those
+types, and for a config dataclass that checks itself when it is built
+(``NetworkConfig``, ``SimConfig``).
 Under postponed annotations a lambda inside a field's annotation looks up
 global names in the class namespace: build such a test at module level.
 """
@@ -75,26 +76,28 @@ def _json(value) -> str:
     return json.dumps(value, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
 
 
-def check(value, hint, key: str = "") -> None:
-    """Raise a ConfigError naming ``key`` unless ``value`` is of type ``hint``.
+def check(value, hint, key: str = ""):
+    """``value`` built as type ``hint``; a ConfigError naming ``key`` unless it is one.
 
-    A record type (a dict of key types, a dataclass or a TypedDict) takes an
-    instance of its dataclass, or a dict that holds no unknown key and every
-    key without a default; ``tuple[X, ...]`` takes a list or a tuple; a value
-    of type ``Annotated[X, text, test]`` is an X that passes ``test``.
-    Messages print values as JSON.
+    A record type (a dict of key types, a dataclass or a TypedDict) takes a
+    dict that holds no unknown key and every key without a default, and
+    gives a dict, or an instance of its dataclass built from it: a
+    ValueError its fields raise against each other becomes a ConfigError.
+    An instance of the dataclass is checked and comes back as it is.
+    ``tuple[X, ...]`` takes a list or a tuple and gives a tuple; a float
+    field takes any real number that a float can hold and gives a float; a
+    value of type ``Annotated[X, text, test]`` is an X whose built value
+    passes ``test``.  Messages print values as JSON.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     where = key or "top level"
     if origin is Annotated:
-        check(value, args[0], key)
-        if not args[2](value):
+        built = check(value, args[0], key)
+        if not args[2](built):
             raise ConfigError(f"{where}: expected {args[1]}, got {_json(value)}")
-        return
+        return built
     if origin is Union and type(None) in args:  # Optional[X]
-        if value is not None:
-            check(value, args[0], key)
-        return
+        return None if value is None else check(value, args[0], key)
     record = isinstance(hint, dict) or dataclasses.is_dataclass(hint) or typing.is_typeddict(hint)
     if origin is tuple:
         ok, expected = isinstance(value, (list, tuple)), "a list"
@@ -109,17 +112,28 @@ def check(value, hint, key: str = "") -> None:
     if not ok:
         raise ConfigError(f"{where}: expected {expected}, got {_json(value)}")
     if origin is tuple:
-        for i, item in enumerate(value):
-            check(item, args[0], f"{key}[{i}]")
-    elif record:
-        fields = hint if isinstance(hint, dict) else _hints(hint)
-        if not isinstance(value, dict):  # an instance of its dataclass
-            value = {name: getattr(value, name) for name in fields}
-        unknown = set(value) - set(fields)
-        if unknown:
-            raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
-        missing = _required(hint) - set(value)
-        if missing:
-            raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
-        for k, item in value.items():
-            check(item, fields[k], f"{key}.{k}" if key else k)
+        return tuple(check(item, args[0], f"{key}[{i}]") for i, item in enumerate(value))
+    if not record:
+        try:
+            return float(value) if hint is float else value
+        except OverflowError:  # an integer beyond the largest float
+            raise ConfigError(f"{where}: expected {expected}, got an integer too large "
+                              "for a float") from None
+    fields = hint if isinstance(hint, dict) else _hints(hint)
+    instance = not isinstance(value, dict)
+    items = {name: getattr(value, name) for name in fields} if instance else value
+    unknown = set(items) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
+    missing = _required(hint) - set(items)
+    if missing:
+        raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
+    built = {k: check(item, fields[k], f"{key}.{k}" if key else k) for k, item in items.items()}
+    if instance:
+        return value
+    if not dataclasses.is_dataclass(hint):
+        return built
+    try:
+        return hint(**built)
+    except ValueError as exc:  # fields that do not fit each other
+        raise ConfigError(f"{where}: {exc}") from None

@@ -137,6 +137,21 @@ class TestPipeline:
             for rel in (f"checkpoints/model_h{h:g}.bin", f"reports/train_log_h{h:g}.csv"):
                 assert checksum(os.path.join(together, rel)) == checksum(os.path.join(alone, rel))
 
+    @pytest.mark.parametrize("trained, predicted", [([3], [3.0]), ([3.0], [3])])
+    def test_horizon_written_as_integer_or_float_is_one_checkpoint(self, tmp_path, trained,
+                                                                   predicted):
+        """``predict`` reads the checkpoint ``train`` wrote with the horizon spelled the
+        other way: both are one config, with one hash."""
+        paths = [tmp_path / "train.json", tmp_path / "predict.json"]
+        for path, horizons in zip(paths, (trained, predicted)):
+            path.write_text(json.dumps(tiny_config(horizons=horizons)))
+        out = str(tmp_path / "run")
+        run_chain(str(paths[0]), out, commands=("simulate", "train"))
+        run_chain(str(paths[1]), out, commands=("predict",))
+        assert sorted(os.listdir(os.path.join(out, "summaries"))) == [
+            "summary_proc_0003_h3.bin", "summary_proc_0004_h3.bin"]
+        assert len({run["config_hash"] for run in read_manifest(out)["runs"]}) == 1
+
     def test_train_log_is_the_loss_log_of_each_horizon(self, tmp_path, monkeypatch):
         """Header ``epoch,<loss terms>,total``, then one row per epoch: the log
         ``network.train`` returned, written with the other report CSVs' line ends."""
@@ -193,7 +208,7 @@ class TestPipeline:
                 net_config = cli.network_config(config, feats.shape[1], seq.n_instruments, h)
                 params = artifacts.load_params(
                     os.path.join(out, "checkpoints", f"model_h{h:g}.bin"), net_config)
-                ref = mc_predict(params, net_config, feats, samples=config["eval"]["samples"],
+                ref = mc_predict(params, net_config, feats, samples=config["eval"].samples,
                                  seed=cli._summary_seed(config["seed"], h, index))
                 summary = artifacts.load_summary(
                     os.path.join(out, "summaries", f"summary_{seq.id}_h{h:g}.bin"))
@@ -273,7 +288,7 @@ class TestPipeline:
         text = Path(out, "baselines", "baseline_mean_h3.json").read_text()
         assert '"fps": 5.0' in text
         assert cli.main(["evaluate", "--config", str(path), "--out", out]) == 0
-        generated = workflow.generate_dataset(cli.sim_config_from_dict(config["sim"]), 5, seed=5)
+        generated = workflow.generate_dataset(cli.load_config(str(path))["sim"], 5, seed=5)
         for seq in generated[3:]:  # the test split
             expected = compute(seq, 3.0)
             assert targets[seq.id].fps == 5.0
@@ -1419,7 +1434,7 @@ class TestSettingsFromTheConfigFileAlone:
 
         def counted(value, hint, key=""):
             hints.append(hint)
-            check(value, hint, key)
+            return check(value, hint, key)
 
         monkeypatch.setattr(errors, "check", counted)
         monkeypatch.setattr(cli, "check", counted)
@@ -1441,7 +1456,7 @@ class TestConfigHandling:
                             lambda cls, **kw: evaluated.append(cls) or get_type_hints(cls, **kw))
         cli._hints.cache_clear()
         for _ in range(2):
-            cli._dataset_fps(cli.load_config(str(path)))
+            cli.load_config(str(path))
         assert workflow.SimConfig in evaluated and workflow.TriggerRule in evaluated
         assert len(evaluated) == len(set(evaluated))
 
@@ -1456,8 +1471,8 @@ class TestConfigHandling:
         assert config["model"]["dropout"] == 0.2
         assert config["model"]["lambda_cls"] == 1e-2
         assert config["model"]["weight_decay"] == 1e-5
-        assert config["eval"]["samples"] == 10
-        assert config["eval"]["bins"] == 1000
+        assert config["eval"].samples == 10
+        assert config["eval"].bins == 1000
 
     def test_nested_unknown_keys_rejected(self, tmp_path):
         levels = [
@@ -1543,6 +1558,42 @@ class TestConfigHandling:
         with pytest.raises(cli.ConfigError, match="speed"):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_sim_fields_that_do_not_fit_each_other_exit_2_at_load(self, tmp_path, capsys,
+                                                                  command):
+        config = tiny_config()
+        config["sim"]["phases"] = 3
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: sim: phase_plan has 2 entries for 3 phases\n"
+        assert not out.exists()
+
+    def test_manifest_records_the_built_config_and_hashes_it(self, tmp_path):
+        """``resolved_config`` holds every default, ``sim``'s too, and floats as floats, so
+        spelling an integral float as an integer, or writing a default in, keeps the hash."""
+        variant = tiny_config(horizons=[3])
+        variant["sim"].update(duration_mean=150.0, fps=1)
+        variant["sim"]["usage_rules"][1]["segments"] = 1
+        variant["analysis"]["percentiles"] = [50.0, 100]
+        entries = []
+        for i, config in enumerate((tiny_config(), variant)):
+            path, out = tmp_path / f"c{i}.json", str(tmp_path / f"run{i}")
+            path.write_text(json.dumps(config))
+            assert cli.main(["simulate", "--config", str(path), "--out", out]) == 0
+            entries.append(read_manifest(out)["runs"][0])
+        resolved = entries[0]["resolved_config"]
+        assert entries[1]["resolved_config"] == resolved
+        assert entries[0]["config_hash"] == entries[1]["config_hash"] == artifacts.digest(resolved)
+        sim = resolved["sim"]
+        assert set(sim) == {f.name for f in dataclasses.fields(workflow.SimConfig)}
+        assert [rule["segments"] for rule in sim["usage_rules"]] == [1, 1]
+        for value in (sim["fps"], sim["duration_mean"], sim["usage_rules"][0]["length_std"],
+                      *resolved["horizons"], *resolved["analysis"]["percentiles"]):
+            assert type(value) is float
+
 
 # ---------------------------------------------------------------------------
 # Declared ranges: one case per range, generated from the field types
@@ -1623,7 +1674,7 @@ def test_out_of_range_field_is_a_value_error_naming_it(cls, key, values):
         fields = json.loads(json.dumps(CONSTRUCTED[cls]))
         set_key(fields, key, value)
         with pytest.raises(ValueError, match=rf"^{re.escape(key)}: expected "):
-            cli._build(cls, fields)
+            cls(**fields)
 
 
 # Where ``full_config`` holds a record of each dataclass of the 'sim' section.
@@ -1696,6 +1747,7 @@ class Node:
     value: object
     nullable: bool  # its declared type takes null
     required: bool  # its record has no default for it
+    shape: object  # its declared type without range or Optional (None: undeclared)
 
 
 def nodes(value, hint=None, path=(), required=False):
@@ -1709,7 +1761,7 @@ def nodes(value, hint=None, path=(), required=False):
             nullable, hint = True, args[0]
         else:
             break
-    yield Node(path, value, nullable, required)
+    yield Node(path, value, nullable, required, hint)
     if isinstance(value, dict):
         fields = ({} if hint is None else hint if isinstance(hint, dict)
                   else typing.get_type_hints(hint, include_extras=True))
@@ -1726,11 +1778,25 @@ def json_type(value) -> str:
     return "number" if isinstance(value, (int, float)) else type(value).__name__
 
 
+def dotted(path: tuple) -> str:
+    """The key of a node as error messages name it, e.g. ``sim.usage_rules[0].probability``."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+# An integer no float can hold: float() of it raises an OverflowError.
+OVERSIZED = "1" + "0" * 400
+
+
+def oversized_message(node: Node) -> str:
+    return f"{dotted(node.path)}: expected a number, got an integer too large for a float"
+
+
 MANIFEST = {"runs": [{"command": "simulate", "seed": 5, "config_hash": "0" * 16,
                       "resolved_config": tiny_config(), "artifacts": {}}]}
 FILES = {  # a valid document, its nodes, and the damages that make it invalid
     "config": (tiny_config(), list(nodes(tiny_config(), cli._CONFIG_TYPES)),
-               ("drop", "add", "retype", "non-finite", "truncate", "non-utf8", "nest")),
+               ("drop", "add", "retype", "non-finite", "oversized", "truncate", "non-utf8",
+                "nest")),
     # A command asks only for an object with a 'runs' list of a manifest.
     "manifest": (MANIFEST, [dataclasses.replace(n, required=n.path == ("runs",))
                             for n in nodes(MANIFEST)],
@@ -1739,21 +1805,24 @@ FILES = {  # a valid document, its nodes, and the damages that make it invalid
 SENTINEL = "__damage__"
 
 
-def damaged(data, name: str) -> bytes:
-    """The file ``name`` as JSON bytes with one damage drawn from ``data``."""
+def damaged(data, name: str) -> tuple[bytes, str]:
+    """The file ``name`` as JSON bytes with one damage drawn from ``data``, and the text
+    its error line must hold ("" if only its exit code and prefix are pinned)."""
     doc, doc_nodes, kinds = FILES[name]
     kind = data.draw(st.sampled_from(kinds), label="damage")
     text = json.dumps(doc)
     if kind == "truncate":  # no proper prefix of a JSON object is JSON
-        return text[:data.draw(st.integers(0, len(text) - 1), label="cut at")].encode()
+        return text[:data.draw(st.integers(0, len(text) - 1), label="cut at")].encode(), ""
     if kind == "non-utf8":  # the text is ASCII, so a lone high byte is not UTF-8
         at = data.draw(st.integers(0, len(text)), label="insert at")
-        return text[:at].encode() + bytes([data.draw(st.integers(0x80, 0xFF))]) + text[at:].encode()
+        return (text[:at].encode() + bytes([data.draw(st.integers(0x80, 0xFF))])
+                + text[at:].encode(), "")
     candidates = {
         "drop": [n for n in doc_nodes if n.required],
         "add": [n for n in doc_nodes if isinstance(n.value, dict)],
         "retype": [n for n in doc_nodes if name == "config" or n.path in ((), ("runs",))],
         "non-finite": [n for n in doc_nodes if json_type(n.value) == "number"],
+        "oversized": [n for n in doc_nodes if json_type(n.value) == "number" and n.shape is float],
         "nest": doc_nodes,
     }[kind]
     node = data.draw(st.sampled_from(candidates), label="node")
@@ -1767,17 +1836,23 @@ def damaged(data, name: str) -> bytes:
         del parent[last]
     elif kind == "add":
         parent[last]["mystery"] = 1
-    elif kind == "retype":
+    elif kind == "retype":  # to a JSON type its declared type refuses
+        taken = {json_type(node.value)} | ({"number"} if node.shape is float else set())
         parent[last] = data.draw(st.sampled_from(
             [v for v in (None, True, 1.5, "x", [], {})
-             if json_type(v) != json_type(node.value) and not (v is None and node.nullable)]),
+             if json_type(v) not in taken and not (v is None and node.nullable)]),
             label="as")
     else:
         parent[last] = SENTINEL
-        token = ("[" * 100_000 + "]" * 100_000 if kind == "nest" else
-                 data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])))
+        if kind == "nest":
+            token = "[" * 100_000 + "]" * 100_000
+        elif kind == "oversized":
+            token = OVERSIZED
+        else:
+            token = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"]))
     text = json.dumps(box[0])
-    return (text.replace(json.dumps(SENTINEL), token) if token else text).encode()
+    return ((text.replace(json.dumps(SENTINEL), token) if token else text).encode(),
+            oversized_message(node) if kind == "oversized" else "")
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -1789,7 +1864,7 @@ def test_damaged_config_or_manifest_exits_with_its_code_and_writes_nothing(data)
     name = data.draw(st.sampled_from(sorted(FILES)), label="file")
     command = data.draw(st.sampled_from(list(cli.COMMANDS)), label="command")
     files = {other: json.dumps(doc).encode() for other, (doc, _, _) in FILES.items()}
-    files[name] = damaged(data, name)
+    files[name], said = damaged(data, name)
     with tempfile.TemporaryDirectory() as tmp:
         config_path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "run")
         os.mkdir(out)
@@ -1802,5 +1877,23 @@ def test_damaged_config_or_manifest_exits_with_its_code_and_writes_nothing(data)
         expected = (2, "config error: ") if name == "config" else (3, "input error: ")
         assert (code, err[:len(expected[1])]) == expected, err
         assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+        assert said in err
         assert os.listdir(out) == ["manifest.json"]
         assert Path(out, "manifest.json").read_bytes() == files["manifest"]
+
+
+@pytest.mark.parametrize("node", [n for n in nodes(full_config(), cli._CONFIG_TYPES)
+                                  if json_type(n.value) == "number" and n.shape is float],
+                         ids=lambda n: dotted(n.path))
+def test_integer_too_large_for_a_float_field_exits_2_at_load(tmp_path, capsys, node):
+    """Every float field of the config, on every command: one line naming the key, and
+    no run directory."""
+    config = full_config()
+    set_key(config, dotted(node.path), SENTINEL)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config).replace(json.dumps(SENTINEL), OVERSIZED))
+    out = tmp_path / "run"
+    for command in cli.COMMANDS:
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {oversized_message(node)}\n"
+        assert not out.exists()

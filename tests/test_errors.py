@@ -1,6 +1,7 @@
 """The one check of declared field types: JSON values and Python values alike."""
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ def sim_config(**overrides):
      "hidden: expected an integer >= 1, got 0"),
     (lambda: NetworkConfig(input_dim=4, instruments=2, learning_rate=math.inf),
      "learning_rate: expected a finite number > 0, got Infinity"),
+    (lambda: NetworkConfig(input_dim=4, instruments=2, learning_rate=10**400),
+     "learning_rate: expected a number, got an integer too large for a float"),
     (lambda: sim_config(phase_plan=[PhaseSpec(-1.0)]),
      "phase_plan[0].length_mean: expected a finite number > 0, got -1.0"),
     (lambda: sim_config(usage_rules=(PhaseSpec(1.0),)),
@@ -68,3 +71,27 @@ def test_a_record_is_a_dict_or_an_instance_of_its_dataclass():
         check({"length_mean": 2.0, "speed": 1}, PhaseSpec, "plan")
     with pytest.raises(ConfigError, match="^plan: expected an object"):
         check(UsageRule(0, 0, 1.0), PhaseSpec, "plan")
+
+
+def test_check_returns_the_value_built_as_its_type():
+    """Records of a dataclass come back as instances, lists as tuples, float fields as
+    floats; an instance of the dataclass comes back as it is."""
+    for value in (3, np.int64(3), np.float32(3.0)):
+        assert type(check(value, Positive)) is float and check(value, Positive) == 3.0
+    assert check(np.int64(3), _at_least(0)) == 3 and check(None, Optional[Positive]) is None
+    spec = check({"length_mean": 2}, PhaseSpec)
+    assert spec == PhaseSpec(2.0) and type(spec.length_mean) is float
+    assert check([{"length_mean": 2}, spec], tuple[PhaseSpec, ...]) == (spec, spec)
+    assert check(spec, PhaseSpec) is spec
+    assert check({"a": [1, 2]}, {"a": tuple[Positive, ...]}) == {"a": (1.0, 2.0)}
+    sim = check({"instruments": 1, "phases": 1, "duration_mean": 9,
+                 "phase_plan": [{"length_mean": 1}]}, SimConfig, "sim")
+    assert sim == SimConfig(1, 1, 9.0, phase_plan=(PhaseSpec(1.0),))
+
+
+def test_check_refuses_an_integer_no_float_can_hold_and_fields_that_do_not_fit():
+    with pytest.raises(ConfigError, match=r"^plan\.length_mean: expected a number, "
+                                          "got an integer too large for a float$"):
+        check({"length_mean": 10**400}, PhaseSpec, "plan")
+    with pytest.raises(ConfigError, match="^sim: phase_plan has 0 entries for 1 phases$"):
+        check({"instruments": 1, "phases": 1, "duration_mean": 9.0}, SimConfig, "sim")
