@@ -5,8 +5,13 @@ The regression target for every (frame, instrument) is the time in minutes
 until the instrument next appears, truncated at a horizon h; each frame
 also gets one of three classes (anticipating / present / background).
 MeanHist and OracleHist threshold a temporal occurrence histogram and
-expand it to the mean or the true video duration.
+expand it to the mean or the true video duration.  Each fitted baseline is
+saved as a container file in a temporary directory and loaded back bit for
+bit.
 """
+
+import os
+import tempfile
 
 import numpy as np
 
@@ -41,14 +46,21 @@ for i in range(*window.indices(seq.n_frames)):
 # Fit both baselines and compare on the held-out videos.
 print(f"\nhistogram baselines (horizon {H:g} min, 1000 bins):")
 reports = {}
-for mode in ("mean", "oracle"):
-    model = ant.fit_baseline(train, horizon=H, bins=1000, mode=mode)
-    preds = [ant.predict_baseline(model, duration=s.n_frames) for s in test]
-    remaining = [ant.compute_targets(s, H).remaining for s in test]
-    reports[mode] = ant.evaluate_predictions(preds, remaining, H, names=seq.names)
-    occupied = model.bin_presence().sum(axis=1)
-    print(f"  {mode:6s}: thresholds {model.thresholds.tolist()}, "
-          f"estimated-present bins per instrument {occupied.tolist()}")
+with tempfile.TemporaryDirectory() as tmp:
+    for mode in ("mean", "oracle"):
+        model = ant.fit_baseline(train, horizon=H, bins=1000, mode=mode)
+        path = os.path.join(tmp, f"baseline_{mode}_h{H:g}.bin")
+        ant.save_baseline(model, path)
+        again = ant.load_baseline(path)
+        assert again.hist.tobytes() == model.hist.tobytes()
+        assert again.thresholds.tobytes() == model.thresholds.tobytes()
+        preds = [ant.predict_baseline(model, duration=s.n_frames) for s in test]
+        remaining = [ant.compute_targets(s, H).remaining for s in test]
+        reports[mode] = ant.evaluate_predictions(preds, remaining, H, names=seq.names)
+        occupied = model.bin_presence().sum(axis=1)
+        print(f"  {mode:6s}: thresholds {model.thresholds.tolist()}, "
+              f"estimated-present bins per instrument {occupied.tolist()}")
+        print(f"          saved and reloaded bit for bit ({os.path.getsize(path)} bytes)")
 
 print(f"\n{'method':10s} {'wMAE':>8s} {'pMAE':>8s}   (mean over instruments, minutes)")
 for mode, report in reports.items():

@@ -2,13 +2,13 @@
 
 A checkpoint holds one horizon's trained model, a summary the MC-dropout
 aggregates of one test sequence at one horizon, a baseline file a fitted
-histogram baseline; only this module knows their formats.  Checkpoints and
-summaries share one binary container: a JSON header line (format tag, dtype,
-every array's ``[name, shape]`` and the format's own keys), then the arrays
-as raw little-endian float64, so a reloaded array is the written one bit for
-bit.  :func:`load_checkpoint` and :func:`reusable_summary` decide reuse, and
-raise ``InputError`` naming the file when it may not be reused.  Every
-loader checks what it builds, and a ``ValueError`` names the file.
+histogram baseline; only this module knows their formats.  All three share
+one binary container: a JSON header line (format tag, dtype, every array's
+``[name, shape]`` and the keys each format declares beside its tag), then
+the arrays as raw little-endian float64, so a reloaded array is the written
+one bit for bit.  :func:`load_checkpoint` and :func:`reusable_summary`
+decide reuse, and raise ``InputError`` naming the file when it may not be
+reused.  Every loader checks what it reads, and a ``ValueError`` names the file.
 """
 
 from __future__ import annotations
@@ -17,34 +17,48 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Annotated, Callable, Optional, Sequence, TypedDict
 
 import numpy as np
 
 from .baselines import MODES, BaselineModel
-from .errors import InputError, Positive, _at_least, check
+from .errors import ConfigError, InputError, Positive, _at_least, check
 from .inference import PredictiveSummary
-from .network import NetworkConfig, Params
+from .network import NetworkConfig, Params, init_params
 from .workflow import ProcedureSequence
 
+# Every header holds its format tag, the dtype and each array's [name, shape],
+# under the key of the first format, checkpoints.
+_Container = TypedDict("_Container", {
+    "format": str, "dtype": Annotated[str, '"<f8"', lambda v: v == "<f8"],
+    "params": Annotated[tuple[tuple[str, tuple[_at_least(0), ...]], ...],
+                        "[name, shape] pairs of distinct names", lambda v: len(dict(v)) == len(v)]})
+_NAMES = Optional[tuple[str, ...]]
+
 CHECKPOINT_FORMAT = "anticipation-params-v1"
+
+
+class CheckpointHeader(_Container, total=False):  # files of older writers lack these keys
+    config_hash: Optional[str]
+    names: _NAMES
+
+
 SUMMARY_FORMAT = "anticipation-summary-v2"
+SummaryHeader = TypedDict("SummaryHeader", {**_Container.__annotations__, "samples": _at_least(1),
+                                            "horizon": float, "names": _NAMES})
 # The stored arrays of a summary, in file order, each with its shape after the (n, K) axes.
-SUMMARY_ARRAYS = {
-    "reg_mean": (), "reg_epistemic_var": (), "class_mean": (3,),
-    "class_epistemic_per_class": (3,), "class_aleatoric_per_class": (3,),
-}
-_BASELINE_SCALARS = ("bins", "mode", "horizon", "fps", "mean_duration")
-# Every key of a baseline file; the lengths of its lists are checked against each other.
-_BASELINE_FILE = TypedDict("_BASELINE_FILE", {
-    "bins": _at_least(1), "mean_duration": _at_least(1), "horizon": Positive, "fps": Positive,
+SUMMARY_ARRAYS = {"reg_mean": (), "reg_epistemic_var": (), "class_mean": (3,),
+                  "class_epistemic_per_class": (3,), "class_aleatoric_per_class": (3,)}
+BASELINE_FORMAT = "anticipation-baseline-v1"
+BaselineHeader = TypedDict("BaselineHeader", {
+    **_Container.__annotations__, "bins": _at_least(1), "horizon": Positive, "fps": Positive,
     "mode": Annotated[str, f"one of {', '.join(MODES)}", lambda v: v in MODES],
-    "hist": tuple[tuple[Annotated[int, "an integer in [0, 2**63)", lambda v: 0 <= v < 2**63],
-                        ...], ...],
-    "thresholds": tuple[Annotated[float, "a finite number", math.isfinite], ...],
-    "names": Optional[tuple[str, ...]],
-})
+    "mean_duration": _at_least(1), "names": _NAMES})
+# The stored arrays of a baseline: (K, bins) counts, exact as float64 below 2**53, and (K,).
+BASELINE_ARRAYS = ("hist", "thresholds")
+_HEADERS = {CHECKPOINT_FORMAT: CheckpointHeader, SUMMARY_FORMAT: SummaryHeader,
+            BASELINE_FORMAT: BaselineHeader}
 
 
 def digest(value) -> str:
@@ -62,59 +76,44 @@ def file_digest(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The binary container of checkpoints and summaries
+# The binary container of every derived file
 # ---------------------------------------------------------------------------
 
 def save_container(path: str, tag: str, arrays: dict[str, np.ndarray], **meta) -> None:
     """Write ``arrays`` under a header of format ``tag`` that also holds ``meta``."""
-    header = {
-        "format": tag,
-        "dtype": "<f8",
-        # The array list keeps the key of the first format, checkpoints.
-        "params": [[name, list(value.shape)] for name, value in arrays.items()],
-        **meta,
-    }
+    header = {"format": tag, "dtype": "<f8", **meta,
+              "params": [[name, list(value.shape)] for name, value in arrays.items()]}
     chunks = [json.dumps(header, sort_keys=True).encode() + b"\n"]
     chunks += [np.ascontiguousarray(value, dtype="<f8").tobytes() for value in arrays.values()]
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))  # one write call: measurably faster than one per array
 
 
-def _is_entry(entry) -> bool:
-    """``[name, shape]`` with a string name and a list of non-negative ints."""
-    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-            and isinstance(entry[1], list)
-            and all(type(d) is int and d >= 0 for d in entry[1]))
+def load_container(path: str, tag: str) -> tuple[dict, Params]:
+    """Read a :func:`save_container` file of format ``tag``: its header, as read and
+    checked against the format's declaration, and its arrays.
 
-
-def load_container(path: str, tag: str, required: tuple[str, ...] = ()) -> tuple[dict, Params]:
-    """Read a :func:`save_container` file of format ``tag``: its header and its arrays.
-
-    ``required`` names header keys the caller needs besides the array list.
-    ``ValueError`` names the path on any defect: a foreign or malformed
-    header, an array cut short, or bytes beyond the declared arrays.  The
-    arrays are writable views of one buffer read in a single call.
+    ``ValueError`` names the path on any defect: a file that cannot be read,
+    a foreign or malformed header, an array cut short, or bytes beyond the
+    declared arrays.  The arrays are writable views of one buffer read in a
+    single call.
     """
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode())
-        except (ValueError, RecursionError):  # binary garbage or a broken header line
-            header = None
-        if not isinstance(header, dict) or header.get("format") != tag:
-            raise ValueError(f"{path}: not an {tag} file")
-        missing = [key for key in ("dtype", "params", *required) if key not in header]
-        if missing:
-            raise ValueError(f"{path}: header lacks {', '.join(missing)}")
-        entries = header["params"]
-        if header["dtype"] != "<f8" or not isinstance(entries, list) \
-                or not all(_is_entry(e) for e in entries) \
-                or len({name for name, _ in entries}) != len(entries):
-            raise ValueError(f"{path}: malformed header: expected dtype '<f8' and a list of "
-                             "distinct [name, [non-negative ints]] arrays")
-        payload = bytearray(fh.read())
-    arrays: Params = {}
-    offset = 0
-    for name, shape in entries:
+    try:
+        with open(path, "rb") as fh:
+            line, payload = fh.readline(), bytearray(fh.read())
+        header = json.loads(line.decode())
+    except OSError as exc:  # missing or unreadable
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError):  # binary garbage or a broken header line
+        header = None
+    if not isinstance(header, dict) or header.get("format") != tag:
+        raise ValueError(f"{path}: not an {tag} file")
+    try:
+        check(header, _HEADERS[tag], "header")
+    except ConfigError as exc:  # a defect of this file, not of the run's config
+        raise ValueError(f"{path}: {exc}") from None
+    arrays, offset = {}, 0
+    for name, shape in header["params"]:
         count = math.prod(shape)
         if offset + 8 * count > len(payload):
             raise ValueError(f"{path}: truncated file: array {name!r} needs {8 * count} bytes, "
@@ -150,11 +149,8 @@ def _stamped(path: str, header: dict, params: Params, config: NetworkConfig) -> 
 
 
 def load_params(path: str, config: NetworkConfig) -> Params:
-    """Read a :func:`save_params` checkpoint written for ``config``.
-
-    ``ValueError`` names the path on any defect, including a config hash
-    that is missing or belongs to another configuration.
-    """
+    """Read a :func:`save_params` checkpoint written for ``config``; ``ValueError`` names
+    the path on any defect, a config hash that is missing or another's included."""
     return _stamped(path, *load_container(path, CHECKPOINT_FORMAT), config)
 
 
@@ -165,8 +161,8 @@ def load_checkpoint(path: str, config_for: Callable[[int], NetworkConfig]
 
     The input width is the row count of the first weight array (``enc0_W``,
     or ``lstm_Wx`` without an encoder).  ``InputError`` names the path if the
-    file is missing or damaged, has no such matrix, or was stamped for
-    another config than the one built.
+    file is missing or damaged, has no such matrix, was stamped for another
+    config than the one built, or holds other arrays than its model's.
     """
     if not os.path.exists(path):
         raise InputError(f"checkpoint not found: {path} (run 'train' first)")
@@ -176,7 +172,10 @@ def load_checkpoint(path: str, config_for: Callable[[int], NetworkConfig]
         if first is None or first.ndim != 2 or first.shape[0] < 1:
             raise ValueError(f"{path}: checkpoint has no input weight matrix")
         config = config_for(first.shape[0])
-        return _stamped(path, header, params, config), config, header.get("names")
+        shapes = {name: value.shape for name, value in init_params(config, 0).items()}
+        if {n: v.shape for n, v in _stamped(path, header, params, config).items()} != shapes:
+            raise ValueError(f"{path}: checkpoint arrays are not those of its config's model")
+        return params, config, header.get("names")
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -193,15 +192,11 @@ def save_summary(summary: PredictiveSummary, path: str) -> None:
 
 def load_summary(path: str) -> PredictiveSummary:
     """Read a :func:`save_summary` file; ``ValueError`` names the path on any defect."""
-    header, arrays = load_container(path, SUMMARY_FORMAT, required=("samples", "horizon", "names"))
-    samples, horizon, names = header["samples"], header["horizon"], header["names"]
-    names_ok = names is None or isinstance(names, list) and all(type(n) is str for n in names)
-    if type(samples) is not int or samples < 1 or type(horizon) not in (int, float) or not names_ok:
-        raise ValueError(f"{path}: malformed header: samples {samples!r}, horizon {horizon!r}, "
-                         f"names {names!r}")
+    header, arrays = load_container(path, SUMMARY_FORMAT)
     if sorted(arrays) != sorted(SUMMARY_ARRAYS):
         raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(SUMMARY_ARRAYS)}")
-    return PredictiveSummary(samples=samples, horizon=float(horizon), names=names, **arrays)
+    return PredictiveSummary(samples=header["samples"], horizon=float(header["horizon"]),
+                             names=header["names"], **arrays)
 
 
 def reusable_summary(path: str, seq: ProcedureSequence, seq_path: str, horizon: float,
@@ -219,7 +214,7 @@ def reusable_summary(path: str, seq: ProcedureSequence, seq_path: str, horizon: 
         return None
     try:
         summary = load_summary(path)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"unreadable summary: {exc}") from None
     if summary.horizon != horizon:
         raise InputError(f"summary {path}: horizon {summary.horizon:g}, expected {horizon:g}")
@@ -245,28 +240,25 @@ def reusable_summary(path: str, seq: ProcedureSequence, seq_path: str, horizon: 
 # ---------------------------------------------------------------------------
 
 def save_baseline(model: BaselineModel, path: str) -> None:
-    payload = {key: getattr(model, key) for key in _BASELINE_SCALARS}
-    payload.update(thresholds=model.thresholds.tolist(), hist=model.hist.tolist(),
-                   names=list(model.names) if model.names else None)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    """Write ``model``: its arrays, and its other fields in the header."""
+    meta = dict(vars(model), names=list(model.names) if model.names else None)
+    arrays = {name: meta.pop(name) for name in BASELINE_ARRAYS}
+    save_container(path, BASELINE_FORMAT, arrays, **meta)
 
 
 def load_baseline(path: str) -> BaselineModel:
     """Read a :func:`save_baseline` file; ``ValueError`` names the path on any defect."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        check(payload, _BASELINE_FILE)
-    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, or a wrong value
-        raise ValueError(f"{path}: {exc}") from None
-    hist, thresholds, names = payload["hist"], payload["thresholds"], payload["names"]
-    if not hist or {len(row) for row in hist} != {payload["bins"]} or len(thresholds) != len(hist) \
-            or names is not None and len(names) != len(hist):
-        raise ValueError(f"{path}: expected a hist of K > 0 rows of {payload['bins']} counts, "
-                         "K thresholds and K names (or null)")
-    return BaselineModel(**{key: payload[key] for key in _BASELINE_SCALARS},
-                         hist=np.array(hist, dtype=np.int64),
-                         thresholds=np.array(thresholds, dtype=np.float64),
-                         names=tuple(names) if names else None)
+    header, arrays = load_container(path, BASELINE_FORMAT)
+    if sorted(arrays) != sorted(BASELINE_ARRAYS):
+        raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(BASELINE_ARRAYS)}")
+    hist, thresholds, names = arrays["hist"], arrays["thresholds"], header["names"]
+    k = hist.shape[0] if hist.ndim == 2 else 0
+    if not k or hist.shape[1] != header["bins"] or thresholds.shape != (k,) \
+            or names is not None and len(names) != k \
+            or not np.all((hist >= 0) & (hist < 2.0**63) & (np.floor(hist) == hist)) \
+            or not np.isfinite(thresholds).all():
+        raise ValueError(f"{path}: expected a hist of K > 0 rows of {header['bins']} integer "
+                         "counts in [0, 2**63), K finite thresholds and K names (or null)")
+    header.update(hist=hist.astype(np.int64), thresholds=thresholds,
+                  names=tuple(names) if names else None)
+    return BaselineModel(**{f.name: header[f.name] for f in fields(BaselineModel)})

@@ -20,9 +20,9 @@ Each command claims its outputs through one ledger (``_Run``), which
 refuses, makes directories and records them.  A command that fails after
 writing something still leaves a manifest entry: the files it wrote, with
 their checksums, and an ``error`` field holding the message.  Only
-``baseline`` writes ``baselines/baseline_*.json``; ``evaluate`` fits the
-histogram baselines in memory, both modes from one set of train targets
-per horizon, and is the one command that scores them.
+``baseline`` writes ``baselines/baseline_<mode>_h<h>.bin``, and no command
+reads them; ``evaluate`` fits the baselines in memory, both modes from one
+set of train targets per horizon, and is the one command that scores them.
 
 A dataset split holds ``<id>.csv`` annotations and, for the network,
 ``<id>.features.csv`` per-frame features.  Every command reads annotations
@@ -32,8 +32,8 @@ network read feature files: ``train`` those of the train split, and
 summaries they compute.
 
 Checkpoints (``checkpoints/model_h<h>.bin``), MC summaries
-(``summaries/summary_<id>_h<h>.bin``) and baseline files are read and
-written by ``artifacts``, which also decides whether a file may be reused.
+(``summaries/summary_<id>_h<h>.bin``) and baseline files share one container
+format, read and written by ``artifacts``, which decides whether one is reused.
 ``predict`` writes the summaries; ``evaluate`` and ``analyze`` reuse them,
 and compute (and write) any that are missing from the checkpoint, on one
 process per available core (``workers`` in the manifest) if this process is
@@ -377,7 +377,7 @@ def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
     train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
     for h in config["horizons"]:
         model = baselines.fit_baseline(train_seqs, h, bins=config["eval"].bins, mode=args.mode)
-        path, = run.claim(os.path.join("baselines", f"baseline_{args.mode}_h{h:g}.json"))
+        path, = run.claim(os.path.join("baselines", f"baseline_{args.mode}_h{h:g}.bin"))
         artifacts.save_baseline(model, path)
 
 

@@ -84,10 +84,11 @@ def check(value, hint, key: str = ""):
     gives a dict, or an instance of its dataclass built from it: a
     ValueError its fields raise against each other becomes a ConfigError.
     An instance of the dataclass is checked and comes back as it is.
-    ``tuple[X, ...]`` takes a list or a tuple and gives a tuple; a float
-    field takes any real number that a float can hold and gives a float; a
-    value of type ``Annotated[X, text, test]`` is an X whose built value
-    passes ``test``.  Messages print values as JSON.
+    ``tuple[X, ...]`` (or ``tuple[X, Y]``, of one X and one Y) takes a list
+    or a tuple and gives a tuple; an int field takes an integer that int64
+    can hold, and a float field a real number that a float can hold, as a
+    float; a value of type ``Annotated[X, text, test]`` is an X whose built
+    value passes ``test``.  Messages print values as JSON.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     where = key or "top level"
@@ -100,7 +101,9 @@ def check(value, hint, key: str = ""):
         return None if value is None else check(value, args[0], key)
     record = isinstance(hint, dict) or dataclasses.is_dataclass(hint) or typing.is_typeddict(hint)
     if origin is tuple:
-        ok, expected = isinstance(value, (list, tuple)), "a list"
+        fixed = args[-1] is not Ellipsis
+        ok = isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args))
+        expected = f"a list of {len(args)}" if fixed else "a list"
     elif record:
         ok = isinstance(value, dict) or (dataclasses.is_dataclass(hint) and isinstance(value, hint))
         expected = "an object"
@@ -112,8 +115,11 @@ def check(value, hint, key: str = ""):
     if not ok:
         raise ConfigError(f"{where}: expected {expected}, got {_json(value)}")
     if origin is tuple:
-        return tuple(check(item, args[0], f"{key}[{i}]") for i, item in enumerate(value))
+        return tuple(check(item, args[i if fixed else 0], f"{key}[{i}]")
+                     for i, item in enumerate(value))
     if not record:
+        if int in choices and isinstance(value, numbers.Integral) and not -2**63 <= value < 2**63:
+            raise ConfigError(f"{where}: expected {expected}, got an integer too large for int64")
         try:
             return float(value) if hint is float else value
         except OverflowError:  # an integer beyond the largest float

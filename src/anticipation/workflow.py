@@ -373,6 +373,7 @@ def load_annotations(path: str, format: str = "generic_csv", fps: float = 1.0) -
          lambda i: f"presence value {cells[i, 1 + _first(bad_presence[i])]!r} is not 0 or 1"),
         (n_phase, lambda i: f"phase index {cells[i, -1]!r} is not an integer"),
         (_first(phase < 0), lambda i: f"phase index {phase[i]} is negative"),
+        (_first(phase >= 2**63), lambda i: f"phase index {phase[i]} is too large for int64"),
     ), key=lambda failure: failure[0])
     if r < len(rows):
         line_no = [no for no, line in enumerate(lines[1:], start=2) if line.strip()][r]

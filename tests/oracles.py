@@ -205,6 +205,9 @@ def scan_annotations(path: str, format: str = "generic_csv", fps: float = 1.0) -
             phase = _parse_int(cells[1 + k].strip(), line_no, path, "phase index")
             if phase < 0:
                 raise AnnotationParseError(f"{path}: line {line_no}: phase index {phase} is negative")
+            if phase >= 2**63:
+                raise AnnotationParseError(
+                    f"{path}: line {line_no}: phase index {phase} is too large for int64")
             phase_rows.append(phase)
     if not presence_rows:
         raise AnnotationParseError(f"{path}: no data rows")

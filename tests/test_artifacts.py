@@ -7,7 +7,7 @@ import anticipation
 from anticipation import artifacts
 
 FORMAT_NAMES = re.compile(r"anticipation-\w+-v\d+|\b(?:SUMMARY_ARRAYS|CHECKPOINT_FORMAT|"
-                          r"SUMMARY_FORMAT)\b")
+                          r"SUMMARY_FORMAT|BASELINE_ARRAYS|BASELINE_FORMAT)\b")
 
 
 def test_no_other_module_names_a_format():
@@ -15,8 +15,9 @@ def test_no_other_module_names_a_format():
     named = {path.name: sorted(set(FORMAT_NAMES.findall(path.read_text(encoding="utf-8"))))
              for path in sources}
     assert named.pop("artifacts.py") == sorted([
-        artifacts.CHECKPOINT_FORMAT, artifacts.SUMMARY_FORMAT,
-        "CHECKPOINT_FORMAT", "SUMMARY_ARRAYS", "SUMMARY_FORMAT"])
+        artifacts.CHECKPOINT_FORMAT, artifacts.SUMMARY_FORMAT, artifacts.BASELINE_FORMAT,
+        "BASELINE_ARRAYS", "BASELINE_FORMAT", "CHECKPOINT_FORMAT", "SUMMARY_ARRAYS",
+        "SUMMARY_FORMAT"])
     assert {name: found for name, found in named.items() if found} == {}
 
 

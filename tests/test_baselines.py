@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -25,7 +26,7 @@ from anticipation import (
     predict_baseline,
     save_baseline,
 )
-from anticipation import baselines, labels
+from anticipation import artifacts, baselines, errors, labels
 from anticipation.baselines import (
     _candidate_scores,
     _candidate_thresholds,
@@ -308,8 +309,16 @@ class TestSharedTargets:
             fit_baseline(train, horizon=2.0, targets=[compute_targets(train[0], 2.0)])
 
 
-# What a baseline file whose lists do not fit each other is refused with.
-SHAPE = "expected a hist of K > 0 rows of 12 counts, K thresholds and K names (or null)"
+# What a baseline file whose arrays do not fit each other or hold a bad value is refused with.
+SHAPE = ("expected a hist of K > 0 rows of 12 integer counts in [0, 2**63), K finite thresholds "
+         "and K names (or null)")
+
+
+def write_container(path, header, arrays):
+    """A container file of ``header`` over ``arrays``, its array list taken from them."""
+    header["params"] = [[name, list(value.shape)] for name, value in arrays.items()]
+    path.write_bytes(json.dumps(header).encode() + b"\n"
+                     + b"".join(np.asarray(value, "<f8").tobytes() for value in arrays.values()))
 
 
 class TestSerialization:
@@ -317,7 +326,7 @@ class TestSerialization:
         rng = np.random.default_rng(2)
         train = random_train_set(rng)
         model = fit_baseline(train, horizon=3.0, bins=30, mode="oracle")
-        path = str(tmp_path / "baseline.json")
+        path = str(tmp_path / "baseline.bin")
         save_baseline(model, path)
         again = load_baseline(path)
         assert again.mode == model.mode
@@ -329,65 +338,100 @@ class TestSerialization:
         )
 
     @staticmethod
-    def saved(tmp_path):
-        """A fitted baseline with instrument names, its file, and the file's JSON."""
-        model = fit_baseline(random_train_set(np.random.default_rng(3)), horizon=3.0, bins=12)
+    def saved(tmp_path, mode="mean"):
+        """A fitted baseline with instrument names, its file, and the file's header and
+        arrays (writable copies)."""
+        model = fit_baseline(random_train_set(np.random.default_rng(3)), horizon=3.0, bins=12,
+                             mode=mode)
         model.names = ("probe", "lifter")
-        path = tmp_path / "baseline.json"
+        path = tmp_path / "baseline.bin"
         save_baseline(model, str(path))
-        return model, path, json.loads(path.read_text())
+        header, arrays = artifacts.load_container(str(path), artifacts.BASELINE_FORMAT)
+        return model, path, header, {name: value.copy() for name, value in arrays.items()}
 
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        model, path, _ = self.saved(tmp_path)
+    @pytest.mark.parametrize("mode", baselines.MODES)
+    def test_round_trip_is_bit_exact(self, tmp_path, mode):
+        model, path, header, _ = self.saved(tmp_path, mode)
+        assert header["format"] == "anticipation-baseline-v1"
+        assert header["params"] == [["hist", [2, 12]], ["thresholds", [2]]]
         again = load_baseline(str(path))
         for key in ("bins", "mode", "horizon", "fps", "mean_duration", "names"):
             assert getattr(again, key) == getattr(model, key), key
         assert again.hist.dtype == np.int64 and again.hist.tobytes() == model.hist.tobytes()
         assert again.thresholds.tobytes() == model.thresholds.tobytes()
-        save_baseline(again, str(tmp_path / "again.json"))
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        save_baseline(again, str(tmp_path / "again.bin"))
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda b: b.pop("hist"), "top level: missing key(s): hist"),
-        (lambda b: b.pop("names"), "top level: missing key(s): names"),
-        (lambda b: b.update(extra=1), "unknown config key(s) in top level: extra"),
-        (lambda b: b["hist"][1].__setitem__(0, 1.5), "hist[1][0]: expected an integer, got 1.5"),
-        (lambda b: b["hist"][0].__setitem__(2, -1), "hist[0][2]: expected an integer in [0, 2**6"),
-        (lambda b: b["hist"][0].__setitem__(2, 2 ** 63), "hist[0][2]: expected an integer in"),
-        (lambda b: b.update(hist=b["hist"][0]), "hist[0]: expected a list"),
-        (lambda b: b["hist"][1].pop(), SHAPE),
-        (lambda b: b.update(hist=[], thresholds=[], names=None), SHAPE),
-        (lambda b: b["thresholds"].__setitem__(0, math.nan), "thresholds[0]: expected a finite"),
-        (lambda b: b["thresholds"].__setitem__(1, math.inf), "thresholds[1]: expected a finite"),
-        (lambda b: b["thresholds"].__setitem__(1, "2"), "thresholds[1]: expected a number"),
-        (lambda b: b["thresholds"].pop(), SHAPE),
-        (lambda b: b["names"].pop(), SHAPE),
-        (lambda b: b.update(mode="median"), 'mode: expected one of mean, oracle, got "median"'),
-        (lambda b: b.update(bins="12"), 'bins: expected an integer, got "12"'),
-        (lambda b: b.update(bins=0), "bins: expected an integer >= 1"),
-        (lambda b: b.update(horizon=-3.0), "horizon: expected a finite number > 0"),
-        (lambda b: b.update(mean_duration=None), "mean_duration: expected an integer"),
+        (lambda h, a: a.pop("hist"), "holds arrays ['thresholds'], expected ['hist', 'thresholds']"),
+        (lambda h, a: a.update(extra=np.zeros(2)), "holds arrays ['extra', 'hist', 'thresholds']"),
+        (lambda h, a: h.pop("names"), "header: missing key(s): names"),
+        (lambda h, a: h.update(extra=1), "unknown config key(s) in header: extra"),
+        (lambda h, a: a["hist"].__setitem__((1, 0), 1.5), SHAPE),
+        (lambda h, a: a["hist"].__setitem__((0, 2), -1), SHAPE),
+        (lambda h, a: a["hist"].__setitem__((0, 2), 2.0 ** 63), SHAPE),
+        (lambda h, a: a["hist"].__setitem__((0, 2), math.nan), SHAPE),
+        (lambda h, a: a.update(hist=a["hist"][0]), SHAPE),
+        (lambda h, a: a.update(hist=a["hist"][:, 1:]), SHAPE),
+        (lambda h, a: a.update(hist=a["hist"][:0], thresholds=a["thresholds"][:0]), SHAPE),
+        (lambda h, a: a["thresholds"].__setitem__(0, math.nan), SHAPE),
+        (lambda h, a: a["thresholds"].__setitem__(1, math.inf), SHAPE),
+        (lambda h, a: h.update(dtype="<U1"), 'header.dtype: expected "<f8", got "<U1"'),
+        (lambda h, a: a.update(thresholds=a["thresholds"][1:]), SHAPE),
+        (lambda h, a: h["names"].pop(), SHAPE),
+        (lambda h, a: h.update(mode="median"), 'header.mode: expected one of mean, oracle, got '
+                                               '"median"'),
+        (lambda h, a: h.update(bins="12"), 'header.bins: expected an integer, got "12"'),
+        (lambda h, a: h.update(bins=0), "header.bins: expected an integer >= 1"),
+        (lambda h, a: h.update(bins=10 ** 400), "header.bins: expected an integer, got an "
+                                                "integer too large for int64"),
+        (lambda h, a: h.update(horizon=-3.0), "header.horizon: expected a finite number > 0"),
+        (lambda h, a: h.update(mean_duration=None), "header.mean_duration: expected an integer"),
+        (lambda h, a: h.update(names=["probe", 2]), "header.names[1]: expected a string"),
     ])
     def test_load_rejects_a_damaged_file_naming_it(self, tmp_path, damage, message):
-        _, path, payload = self.saved(tmp_path)
-        damage(payload)
-        path.write_text(json.dumps(payload))
+        _, path, header, arrays = self.saved(tmp_path)
+        damage(header, arrays)
+        write_container(path, header, arrays)
         with pytest.raises(ValueError) as exc:
             load_baseline(str(path))
         assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+        assert not isinstance(exc.value, errors.ConfigError)
 
-    @pytest.mark.parametrize("text, message", [
-        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
-        (b'{"bins": ', "Expecting value"),
-        (b"[]", "top level: expected an object"),
-        (b'{"mode": "\xff"}', "can't decode byte 0xff"),
-    ], ids=["nested-too-deep", "not-json", "not-an-object", "not-utf8"])
-    def test_load_rejects_a_file_that_is_not_a_baseline_object(self, tmp_path, text, message):
-        path = tmp_path / "baseline.json"
+    @pytest.mark.parametrize("text", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"bins": ',
+        b"[]\n",
+        b'{"format": "anticipation-baseline-v1\xff"}\n',
+        b"",
+    ], ids=["nested-too-deep", "not-json", "not-an-object", "not-utf8", "empty"])
+    def test_load_rejects_a_file_that_is_not_a_baseline_container(self, tmp_path, text):
+        path = tmp_path / "baseline.bin"
         path.write_bytes(text)
-        with pytest.raises(ValueError) as exc:
+        message = f"{path}: not an anticipation-baseline-v1 file"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_baseline(str(path))
-        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+    def test_load_refuses_the_json_format_and_other_containers(self, tmp_path):
+        """A baseline in the JSON format of earlier versions, or a container of another
+        format, is not a baseline container; a missing file is a ValueError too."""
+        model, path, _, _ = self.saved(tmp_path)
+        old = tmp_path / "baseline_mean_h3.json"
+        payload = {key: getattr(model, key) for key in ("bins", "mode", "horizon", "fps",
+                                                        "mean_duration")}
+        payload.update(thresholds=model.thresholds.tolist(), hist=model.hist.tolist(),
+                       names=list(model.names))
+        old.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        other = tmp_path / "summary.bin"
+        artifacts.save_container(str(other), artifacts.SUMMARY_FORMAT, {"reg_mean": np.zeros(3)},
+                                 samples=1, horizon=3.0, names=None)
+        for wrong in (old, other):
+            with pytest.raises(ValueError, match=re.escape(f"{wrong}: not an anticipation-"
+                                                           "baseline-v1 file")):
+                load_baseline(str(wrong))
+        path.unlink()
+        with pytest.raises(ValueError, match=re.escape(f"{path}: No such file")):
+            load_baseline(str(path))
 
     def test_fit_rejects_empty_or_bad_args(self):
         with pytest.raises(ValueError):

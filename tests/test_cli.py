@@ -236,9 +236,9 @@ class TestPipeline:
             run = read_manifest(out)["runs"][-1]
             assert run["command"] == "baseline"
             assert sorted(run["artifacts"]) == [
-                os.path.join("baselines", f"baseline_{mode}_h{h}.json") for h in (2, 3)]
+                os.path.join("baselines", f"baseline_{mode}_h{h}.bin") for h in (2, 3)]
         assert sorted(os.listdir(os.path.join(out, "baselines"))) == [
-            f"baseline_{mode}_h{h}.json" for mode in ("mean", "oracle") for h in (2, 3)]
+            f"baseline_{mode}_h{h}.bin" for mode in ("mean", "oracle") for h in (2, 3)]
 
     def test_evaluate_scores_the_saved_baselines(self, tmp_path):
         """``evaluate``'s MeanHist and OracleHist rows are the scores of the files
@@ -260,7 +260,7 @@ class TestPipeline:
             remaining = [labels.compute_targets(s, h).remaining for s in test_seqs]
             for mode in ("mean", "oracle"):
                 model = artifacts.load_baseline(
-                    os.path.join(out, "baselines", f"baseline_{mode}_h{h:g}.json"))
+                    os.path.join(out, "baselines", f"baseline_{mode}_h{h:g}.bin"))
                 preds = [baselines.predict_baseline(model, duration=s.n_frames)
                          for s in test_seqs]
                 report = metrics.evaluate_predictions(preds, remaining, h,
@@ -285,8 +285,8 @@ class TestPipeline:
 
         monkeypatch.setattr(cli.labels, "compute_targets", recording)
         assert cli.main(["baseline", "--config", str(path), "--out", out]) == 0
-        text = Path(out, "baselines", "baseline_mean_h3.json").read_text()
-        assert '"fps": 5.0' in text
+        saved = artifacts.load_baseline(os.path.join(out, "baselines", "baseline_mean_h3.bin"))
+        assert saved.fps == 5.0
         assert cli.main(["evaluate", "--config", str(path), "--out", out]) == 0
         generated = workflow.generate_dataset(cli.load_config(str(path))["sim"], 5, seed=5)
         for seq in generated[3:]:  # the test split
@@ -454,7 +454,7 @@ class TestExitCodes:
         for out in outs:
             assert cli.main(["baseline", "--config", config_path, "--out", out,
                              "--mode", mode]) == 0
-        rel = os.path.join("baselines", f"baseline_{mode}_h3.json")
+        rel = os.path.join("baselines", f"baseline_{mode}_h3.bin")
         assert os.listdir(os.path.join(outs[1], "baselines")) == [os.path.basename(rel)]
         assert Path(outs[1], rel).read_bytes() == Path(outs[0], rel).read_bytes()
 
@@ -1032,6 +1032,21 @@ class TestDamagedRunDirectory:
         assert err.startswith(f"input error: {ckpt}: checkpoint was written for a different "
                               "configuration (config hash None")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new", [(b'"cls_b"', b'"cls_c"'),
+                                          (b'["reg_b", [2]]', b'["reg_b", [1, 2]]')])
+    def test_checkpoint_of_other_arrays_than_its_model(self, predicted_run, tmp_path, capsys,
+                                                       old, new):
+        """A checkpoint stamped for the run's config whose arrays are renamed or reshaped
+        (its byte count kept, so only its model can tell) exits 3 naming it."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        ckpt = os.path.join(out, "checkpoints", "model_h3.bin")
+        raw = Path(ckpt).read_bytes()
+        assert raw.count(old) == 1
+        Path(ckpt).write_bytes(raw.replace(old, new))
+        assert cli.main(["predict", "--config", config_path, "--out", out, "--overwrite"]) == 3
+        assert capsys.readouterr().err == (f"input error: {ckpt}: checkpoint arrays are not "
+                                           "those of its config's model\n")
 
     @pytest.mark.parametrize("phase_classes, strip_phase_column, found", [
         (1, False, "it has phase index 1"),
@@ -1897,3 +1912,105 @@ def test_integer_too_large_for_a_float_field_exits_2_at_load(tmp_path, capsys, n
         assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {oversized_message(node)}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("node", [n for n in nodes(full_config(), cli._CONFIG_TYPES)
+                                  if json_type(n.value) == "number" and n.shape is int],
+                         ids=lambda n: dotted(n.path))
+def test_integer_too_large_for_an_integer_field_exits_2_at_load(tmp_path, capsys, node):
+    """Every integer field of the config, on every command, takes only what int64 can
+    hold: one line naming the key, and no run directory."""
+    config = full_config()
+    set_key(config, dotted(node.path), SENTINEL)
+    path = tmp_path / "c.json"
+    out = tmp_path / "run"
+    for value in (2 ** 63, -2 ** 63 - 1, OVERSIZED):
+        path.write_text(json.dumps(config).replace(json.dumps(SENTINEL), str(value)))
+        for command in cli.COMMANDS:
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (f"config error: {dotted(node.path)}: expected an "
+                                               "integer, got an integer too large for int64\n")
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_phase_index_beyond_int64_exits_3_naming_the_line(config_path, tmp_path, capsys,
+                                                          command):
+    out = str(tmp_path / "run")
+    run_chain(config_path, out, commands=("simulate",))
+    path = os.path.join(out, "dataset", "train", "proc_0000.csv")
+    lines = Path(path).read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + "9" * 30
+    Path(path).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main([command, "--config", config_path, "--out", out]) == 3
+    assert capsys.readouterr().err == (f"input error: {path}: line 3: phase index {'9' * 30} "
+                                       "is too large for int64\n")
+
+
+# ---------------------------------------------------------------------------
+# The error contract of the derived files: checkpoints, summaries, manifests, baselines
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def derived_run(predicted_run, tmp_path_factory):
+    """The predicted tiny run with a mean baseline file beside its checkpoint and summaries."""
+    config_path, out = predicted_run
+    copy = str(tmp_path_factory.mktemp("derived") / "run")
+    shutil.copytree(out, copy)
+    assert cli.main(["baseline", "--config", config_path, "--out", copy]) == 0
+    return config_path, copy
+
+
+DERIVED = {  # what a damaged file is, and a file of another format that may replace it
+    "checkpoint": ("checkpoints/model_h3.bin", "summaries/summary_proc_0003_h3.bin"),
+    "summary": ("summaries/summary_proc_0003_h3.bin", "checkpoints/model_h3.bin"),
+    "manifest": ("manifest.json", "checkpoints/model_h3.bin"),
+    "baseline": ("baselines/baseline_mean_h3.bin", "summaries/summary_proc_0004_h3.bin"),
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_derived_file_exits_0_or_3_or_is_a_value_error_naming_it(derived_run, data):
+    """One derived file of a predicted run is truncated, has a byte of its header line
+    flipped, is deleted or is replaced by a file of another container format.  A command
+    that may read it exits 0 or 3 with at most one line on stderr and no traceback; a
+    baseline file, which no command reads, loads as a model or raises a ValueError
+    naming it."""
+    config_path, source = derived_run
+    name = data.draw(st.sampled_from(sorted(DERIVED)), label="file")
+    kind = data.draw(st.sampled_from(["truncate", "flip", "delete", "foreign"]), label="damage")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run")
+        shutil.copytree(source, out)
+        rel, foreign = DERIVED[name]
+        path = os.path.join(out, rel)
+        raw = Path(path).read_bytes()
+        if kind == "truncate":
+            Path(path).write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut at")])
+        elif kind == "flip":
+            at = data.draw(st.integers(0, raw.index(b"\n")), label="flip at")
+            flipped = raw[at] ^ data.draw(st.integers(1, 255), label="xor")
+            Path(path).write_bytes(raw[:at] + bytes([flipped]) + raw[at + 1:])
+        elif kind == "delete":
+            os.remove(path)
+        else:
+            shutil.copyfile(os.path.join(out, foreign), path)
+        if name == "baseline":
+            try:
+                model = artifacts.load_baseline(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ") and not isinstance(exc, errors.ConfigError)
+            else:
+                assert model.hist.shape == (2, 20) and model.mode in ("mean", "oracle")
+            return
+        command = data.draw(st.sampled_from([["predict", "--overwrite"], ["evaluate"],
+                                             ["analyze"]]), label="command")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*command, "--config", config_path, "--out", out])
+        err = err.getvalue()
+        assert code in (0, 3), err
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        assert code == 0 or err.startswith("input error: ") and err.endswith("\n")

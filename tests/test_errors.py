@@ -1,7 +1,7 @@
 """The one check of declared field types: JSON values and Python values alike."""
 
 import math
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import pytest
@@ -30,6 +30,8 @@ def sim_config(**overrides):
      "learning_rate: expected a finite number > 0, got Infinity"),
     (lambda: NetworkConfig(input_dim=4, instruments=2, learning_rate=10**400),
      "learning_rate: expected a number, got an integer too large for a float"),
+    (lambda: NetworkConfig(input_dim=4, instruments=2, hidden=2**63),
+     "hidden: expected an integer, got an integer too large for int64"),
     (lambda: sim_config(phase_plan=[PhaseSpec(-1.0)]),
      "phase_plan[0].length_mean: expected a finite number > 0, got -1.0"),
     (lambda: sim_config(usage_rules=(PhaseSpec(1.0),)),
@@ -95,3 +97,26 @@ def test_check_refuses_an_integer_no_float_can_hold_and_fields_that_do_not_fit()
         check({"length_mean": 10**400}, PhaseSpec, "plan")
     with pytest.raises(ConfigError, match="^sim: phase_plan has 0 entries for 1 phases$"):
         check({"instruments": 1, "phases": 1, "duration_mean": 9.0}, SimConfig, "sim")
+
+
+def test_an_int_field_takes_what_int64_can_hold():
+    for value in (2**63 - 1, -2**63, np.int64(-1), np.uint64(2**63 - 1)):
+        assert check(value, int) == value
+    for value in (2**63, -2**63 - 1, 10**400, np.uint64(2**63)):
+        with pytest.raises(ConfigError, match="^n: expected an integer, got an integer too "
+                                              "large for int64$"):
+            check(value, int, "n")
+    with pytest.raises(ConfigError, match="^i: expected a string or an integer, got an "
+                                          "integer too large for int64$"):
+        check(2**63, Union[str, int], "i")
+
+
+def test_a_fixed_tuple_takes_one_item_of_each_type():
+    pair = tuple[str, tuple[_at_least(0), ...]]
+    assert check(["w", [2, 3]], pair) == ("w", (2, 3))
+    for value, message in ((["w"], r"^p: expected a list of 2, got \["),
+                           (["w", [2], 1], r"^p: expected a list of 2, got \["),
+                           ([1, [2]], r"^p\[0\]: expected a string, got 1$"),
+                           (["w", [-2]], r"^p\[1\]\[0\]: expected an integer >= 0, got -2$")):
+        with pytest.raises(ConfigError, match=message):
+            check(value, pair, "p")

@@ -18,6 +18,7 @@ from anticipation import (
     mc_predict,
 )
 from anticipation.artifacts import SUMMARY_ARRAYS, load_summary, save_summary
+from anticipation.errors import ConfigError
 from anticipation.network import block_frames
 
 
@@ -320,6 +321,9 @@ class TestSerialization:
         lambda h: h.pop("names"),
         lambda h: h.update(names="probe"),
         lambda h: h.update(names=["probe", 1]),
+        lambda h: h.update(samples=2 ** 63),
+        lambda h: h.update(horizon=10 ** 400),
+        lambda h: h.update(config_hash="x"),
     ])
     def test_damaged_header_is_a_value_error_naming_the_path(self, tmp_path, damage):
         path = str(tmp_path / "summary.bin")
@@ -332,6 +336,7 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             load_summary(path)
         assert str(info.value).startswith(path)
+        assert not isinstance(info.value, ConfigError)
 
     def test_written_summary_holds_exactly_the_stored_arrays(self, tmp_path):
         rng = np.random.default_rng(6)

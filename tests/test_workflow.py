@@ -385,6 +385,8 @@ class TestDatasetFiles:
         ("frame index before presence and phase", "generic_csv", "frame,a,phase\nx,2,-1\n"),
         ("presence before phase", "generic_csv", "frame,a,phase\n0,2,-1\n"),
         ("negative phase", "generic_csv", "frame,a,phase\n0,1,0\n1,1,-1\n"),
+        ("phase beyond int64", "generic_csv", "frame,a,phase\n0,1,0\n1,1," + "9" * 30 + "\n"),
+        ("phase of 2**63", "generic_csv", f"frame,a,phase\n0,1,{2**63 - 1}\n1,1,{2**63}\n"),
         ("non-integer phase", "generic_csv", "frame,a,phase\n0,1,1.0\n1,2,0\n"),
         ("tsv phase is an instrument", "cholec80_tool_tsv", "Frame\tA\tphase\n0\t1\t3\n"),
         ("header only", "generic_csv", "frame,a\n"),
