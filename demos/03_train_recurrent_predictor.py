@@ -56,11 +56,13 @@ for label, p in (("untrained", fresh), ("trained", params)):
         scores.append(wmae(np.clip(summary.reg_mean, 0, H), r, H))
     print(f"{label:10s} test wMAE per instrument: {np.round(np.nanmean(scores, axis=0), 3)}")
 
-# Checkpoints round-trip exactly (float64 binary + JSON header).
+# Checkpoints round-trip exactly (float64 binary + JSON header).  load_checkpoint,
+# the one checkpoint reader, builds the config from the input width it reads;
+# holding the config already, pass a function that returns it.
 import tempfile, os
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "model.bin")
     ant.save_params(params, path, net)
-    again = ant.load_params(path, net)
+    again, _, _ = ant.load_checkpoint(path, lambda width: net)
     assert all(np.array_equal(again[k], params[k]) for k in params)
     print(f"checkpoint round trip exact ({os.path.getsize(path)} bytes)")

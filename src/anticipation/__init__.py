@@ -6,44 +6,20 @@ baselines, trains a recurrent predictor with per-sequence dropout masks,
 aggregates Monte-Carlo dropout samples into predictive means and
 uncertainties, and evaluates everything with horizon-bounded error metrics
 and uncertainty analyses.
+
+The package root exports what the README quick start and the demos use;
+import anything else from its module (``anticipation.workflow``, ...).
 """
 
-from .analysis import (
-    error_uncertainty_pcc,
-    filter_by_uncertainty,
-    lower_median,
-    pooled,
-    tp_fp_uncertainty,
-    trigger_conditional_uncertainty,
-)
-from .artifacts import load_baseline, load_params, save_baseline, save_params
-from .baselines import BaselineModel, fit_baseline, predict_baseline
-from .inference import PredictiveSummary, aggregate_samples, anticipating_mask, mc_predict
-from .labels import (
-    ANTICIPATING,
-    BACKGROUND,
-    CLASS_NAMES,
-    PRESENT,
-    AnticipationTargets,
-    compute_targets,
-)
-from .metrics import MetricsReport, evaluate_predictions, pmae, wmae
-from .network import (
-    Adam,
-    DropoutMasks,
-    NetworkConfig,
-    RawOutputs,
-    compute_loss,
-    forward,
-    init_params,
-    sample_masks,
-    stack_masks,
-    train,
-)
+from .artifacts import load_baseline, load_checkpoint, save_baseline, save_params
+from .baselines import fit_baseline, predict_baseline
+from .inference import anticipating_mask, mc_predict
+from .labels import compute_targets
+from .metrics import evaluate_predictions, wmae
+from .network import NetworkConfig, init_params, train
 from .workflow import (
     FeatureSpec,
     PhaseSpec,
-    ProcedureSequence,
     SimConfig,
     TriggerRule,
     UsageRule,

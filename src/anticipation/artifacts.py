@@ -6,9 +6,11 @@ histogram baseline; only this module knows their formats.  All three share
 one binary container: a JSON header line (format tag, dtype, every array's
 ``[name, shape]`` and the keys each format declares beside its tag), then
 the arrays as raw little-endian float64, so a reloaded array is the written
-one bit for bit.  :func:`load_checkpoint` and :func:`reusable_summary`
-decide reuse, and raise ``InputError`` naming the file when it may not be
-reused.  Every loader checks what it reads, and a ``ValueError`` names the file.
+one bit for bit.  :func:`load_container` checks a header against its format's
+declaration, and the array names of summaries and baselines.  The two readers
+that decide reuse, :func:`load_checkpoint` (the only checkpoint reader) and
+:func:`reusable_summary`, raise ``InputError`` naming the file when it may not
+be reused; the other loaders raise a ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ BaselineHeader = TypedDict("BaselineHeader", {
     "mean_duration": _at_least(1), "names": _NAMES})
 # The stored arrays of a baseline: (K, bins) counts, exact as float64 below 2**53, and (K,).
 BASELINE_ARRAYS = ("hist", "thresholds")
-_HEADERS = {CHECKPOINT_FORMAT: CheckpointHeader, SUMMARY_FORMAT: SummaryHeader,
-            BASELINE_FORMAT: BaselineHeader}
+# Each format's header declaration, and its array names where they are fixed.
+_FORMATS = {CHECKPOINT_FORMAT: (CheckpointHeader, None),
+            SUMMARY_FORMAT: (SummaryHeader, sorted(SUMMARY_ARRAYS)),
+            BASELINE_FORMAT: (BaselineHeader, sorted(BASELINE_ARRAYS))}
 
 
 def digest(value) -> str:
@@ -94,9 +98,9 @@ def load_container(path: str, tag: str) -> tuple[dict, Params]:
     checked against the format's declaration, and its arrays.
 
     ``ValueError`` names the path on any defect: a file that cannot be read,
-    a foreign or malformed header, an array cut short, or bytes beyond the
-    declared arrays.  The arrays are writable views of one buffer read in a
-    single call.
+    a foreign or malformed header, an array cut short, bytes beyond the
+    declared arrays, or other array names than a format with fixed arrays
+    holds.  The arrays are writable views of one buffer read in a single call.
     """
     try:
         with open(path, "rb") as fh:
@@ -108,8 +112,9 @@ def load_container(path: str, tag: str) -> tuple[dict, Params]:
         header = None
     if not isinstance(header, dict) or header.get("format") != tag:
         raise ValueError(f"{path}: not an {tag} file")
+    declared, names = _FORMATS[tag]
     try:
-        check(header, _HEADERS[tag], "header")
+        check(header, declared, "header")
     except ConfigError as exc:  # a defect of this file, not of the run's config
         raise ValueError(f"{path}: {exc}") from None
     arrays, offset = {}, 0
@@ -125,6 +130,8 @@ def load_container(path: str, tag: str) -> tuple[dict, Params]:
         offset += 8 * count
     if offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - offset} bytes beyond the declared arrays")
+    if names is not None and sorted(arrays) != names:
+        raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {names}")
     return header, arrays
 
 
@@ -139,21 +146,6 @@ def save_params(params: Params, path: str, config: NetworkConfig,
     save_container(path, CHECKPOINT_FORMAT, params, config_hash=digest(asdict(config)), names=names)
 
 
-def _stamped(path: str, header: dict, params: Params, config: NetworkConfig) -> Params:
-    """``params``, unless the checkpoint's header was stamped for another config."""
-    found, expected = header.get("config_hash"), digest(asdict(config))
-    if found != expected:
-        raise ValueError(f"{path}: checkpoint was written for a different configuration "
-                         f"(config hash {found!r}, expected {expected!r})")
-    return params
-
-
-def load_params(path: str, config: NetworkConfig) -> Params:
-    """Read a :func:`save_params` checkpoint written for ``config``; ``ValueError`` names
-    the path on any defect, a config hash that is missing or another's included."""
-    return _stamped(path, *load_container(path, CHECKPOINT_FORMAT), config)
-
-
 def load_checkpoint(path: str, config_for: Callable[[int], NetworkConfig]
                     ) -> tuple[Params, NetworkConfig, Optional[list]]:
     """Open a :func:`save_params` checkpoint once: its params, the config that
@@ -161,8 +153,9 @@ def load_checkpoint(path: str, config_for: Callable[[int], NetworkConfig]
 
     The input width is the row count of the first weight array (``enc0_W``,
     or ``lstm_Wx`` without an encoder).  ``InputError`` names the path if the
-    file is missing or damaged, has no such matrix, was stamped for another
-    config than the one built, or holds other arrays than its model's.
+    file is missing or damaged, has no such matrix, has a config hash that is
+    missing or not that of the config built, or holds other arrays than its
+    model's.  A caller that holds its config passes ``lambda width: config``.
     """
     if not os.path.exists(path):
         raise InputError(f"checkpoint not found: {path} (run 'train' first)")
@@ -172,8 +165,12 @@ def load_checkpoint(path: str, config_for: Callable[[int], NetworkConfig]
         if first is None or first.ndim != 2 or first.shape[0] < 1:
             raise ValueError(f"{path}: checkpoint has no input weight matrix")
         config = config_for(first.shape[0])
+        found, expected = header.get("config_hash"), digest(asdict(config))
+        if found != expected:
+            raise ValueError(f"{path}: checkpoint was written for a different configuration "
+                             f"(config hash {found!r}, expected {expected!r})")
         shapes = {name: value.shape for name, value in init_params(config, 0).items()}
-        if {n: v.shape for n, v in _stamped(path, header, params, config).items()} != shapes:
+        if {name: value.shape for name, value in params.items()} != shapes:
             raise ValueError(f"{path}: checkpoint arrays are not those of its config's model")
         return params, config, header.get("names")
     except ValueError as exc:
@@ -193,8 +190,6 @@ def save_summary(summary: PredictiveSummary, path: str) -> None:
 def load_summary(path: str) -> PredictiveSummary:
     """Read a :func:`save_summary` file; ``ValueError`` names the path on any defect."""
     header, arrays = load_container(path, SUMMARY_FORMAT)
-    if sorted(arrays) != sorted(SUMMARY_ARRAYS):
-        raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(SUMMARY_ARRAYS)}")
     return PredictiveSummary(samples=header["samples"], horizon=float(header["horizon"]),
                              names=header["names"], **arrays)
 
@@ -249,8 +244,6 @@ def save_baseline(model: BaselineModel, path: str) -> None:
 def load_baseline(path: str) -> BaselineModel:
     """Read a :func:`save_baseline` file; ``ValueError`` names the path on any defect."""
     header, arrays = load_container(path, BASELINE_FORMAT)
-    if sorted(arrays) != sorted(BASELINE_ARRAYS):
-        raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(BASELINE_ARRAYS)}")
     hist, thresholds, names = arrays["hist"], arrays["thresholds"], header["names"]
     k = hist.shape[0] if hist.ndim == 2 else 0
     if not k or hist.shape[1] != header["bins"] or thresholds.shape != (k,) \

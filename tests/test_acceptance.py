@@ -24,8 +24,15 @@ from anticipation.analysis import (
 )
 from anticipation.inference import aggregate_samples, mc_predict
 from anticipation.metrics import pmae, wmae
-from anticipation.network import forward, loss_and_gradients
-from anticipation.workflow import FeatureSpec, PhaseSpec, SimConfig, TriggerRule, UsageRule
+from anticipation.network import compute_loss, forward, loss_and_gradients, sample_masks
+from anticipation.workflow import (
+    FeatureSpec,
+    PhaseSpec,
+    ProcedureSequence,
+    SimConfig,
+    TriggerRule,
+    UsageRule,
+)
 
 from oracles import exhaustive_baseline_search, scan_forward_targets
 
@@ -138,7 +145,7 @@ def test_criterion_01_label_oracle_equivalence():
         k = int(rng.integers(1, 6))
         h = float(rng.choice([2.0, 3.0, 5.0, 7.0]))
         presence = rng.random((n, k)) < rng.uniform(0.005, 0.1)
-        seq = ant.ProcedureSequence(id="r", presence=presence)
+        seq = ProcedureSequence(id="r", presence=presence)
         t0 = time.perf_counter()
         got = ant.compute_targets(seq, h)
         elapsed += time.perf_counter() - t0
@@ -168,7 +175,7 @@ def test_criterion_02_gradient_correctness():
         )
         params = ant.init_params(config, seed=trial)
         assert sum(v.size for v in params.values()) <= 1000
-        masks = ant.sample_masks(config, seed=trial + 77)
+        masks = sample_masks(config, seed=trial + 77)
         n = int(rng.integers(5, 31))
         feats = rng.normal(size=(n, config.input_dim))
         remaining = rng.uniform(0, 3.0, size=(n, config.instruments))
@@ -181,9 +188,9 @@ def test_criterion_02_gradient_correctness():
 
         def loss_at():
             out, _ = forward(params, masks, feats, config, state=state)
-            total, _ = ant.compute_loss(out, remaining, classes, params,
-                                        config.lambda_cls, config.weight_decay,
-                                        phase_labels=phase, lambda_phase=config.lambda_phase)
+            total, _ = compute_loss(out, remaining, classes, params,
+                                    config.lambda_cls, config.weight_decay,
+                                    phase_labels=phase, lambda_phase=config.lambda_phase)
             return total
 
         eps = 1e-5
@@ -329,7 +336,7 @@ def test_criterion_06_causality_prefix_invariance():
             horizon=3.0,
         )
         params = ant.init_params(config, seed=trial)
-        masks = ant.sample_masks(config, seed=trial + 999)
+        masks = sample_masks(config, seed=trial + 999)
         n = int(rng.integers(2, 80))
         cut = int(rng.integers(1, n))
         feats = rng.normal(size=(n, config.input_dim))

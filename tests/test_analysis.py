@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from anticipation import (
-    AnticipationTargets,
-    PredictiveSummary,
+from anticipation.analysis import (
     error_uncertainty_pcc,
     filter_by_uncertainty,
     lower_median,
@@ -14,7 +12,8 @@ from anticipation import (
     tp_fp_uncertainty,
     trigger_conditional_uncertainty,
 )
-from anticipation.labels import ANTICIPATING, BACKGROUND, PRESENT
+from anticipation.inference import PredictiveSummary
+from anticipation.labels import ANTICIPATING, BACKGROUND, PRESENT, AnticipationTargets
 
 
 def make_summary(reg_mean, reg_var=None, class_mean=None, cls_epi=None, cls_alea=None,

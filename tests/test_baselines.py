@@ -16,7 +16,6 @@ import anticipation
 
 from anticipation import (
     PhaseSpec,
-    ProcedureSequence,
     SimConfig,
     UsageRule,
     compute_targets,
@@ -33,6 +32,7 @@ from anticipation.baselines import (
     expand_to_frames,
     occurrence_histogram,
 )
+from anticipation.workflow import ProcedureSequence
 
 from oracles import exhaustive_baseline_scores, exhaustive_baseline_search, scan_forward_targets
 
@@ -99,7 +99,8 @@ class TestHistogram:
         """
         src = os.path.dirname(os.path.dirname(os.path.abspath(anticipation.__file__)))
         code = ("import sys, numpy as np; print('numpy.ma' in sys.modules); "
-                "from anticipation import ProcedureSequence, fit_baseline; "
+                "from anticipation import fit_baseline; "
+                "from anticipation.workflow import ProcedureSequence; "
                 "rng = np.random.default_rng(0); "
                 "fit_baseline([ProcedureSequence(id=str(i), presence=rng.random((90, 2)) < 0.2) "
                 "for i in range(3)], 3.0, bins=12); "

@@ -206,8 +206,9 @@ class TestPipeline:
             feats = workflow.load_features(os.path.join(test_dir, f"{seq.id}.features.csv"))
             for h in config["horizons"]:
                 net_config = cli.network_config(config, feats.shape[1], seq.n_instruments, h)
-                params = artifacts.load_params(
-                    os.path.join(out, "checkpoints", f"model_h{h:g}.bin"), net_config)
+                params = artifacts.load_checkpoint(
+                    os.path.join(out, "checkpoints", f"model_h{h:g}.bin"),
+                    lambda width: net_config)[0]
                 ref = mc_predict(params, net_config, feats, samples=config["eval"].samples,
                                  seed=cli._summary_seed(config["seed"], h, index))
                 summary = artifacts.load_summary(
@@ -682,6 +683,30 @@ class TestDamagedRunDirectory:
         assert cli.main(["predict", "--config", config_path, "--out", out, "--overwrite"]) == 0
         assert checksum(path) == before
         run_chain(config_path, out, commands=("evaluate", "analyze"))
+
+    @pytest.mark.parametrize("damage, found", [
+        (lambda arrays: arrays.pop("reg_mean"),
+         "['class_aleatoric_per_class', 'class_epistemic_per_class', 'class_mean', "
+         "'reg_epistemic_var']"),
+        (lambda arrays: arrays.update(extra=np.zeros(2)),
+         "['class_aleatoric_per_class', 'class_epistemic_per_class', 'class_mean', 'extra', "
+         "'reg_epistemic_var', 'reg_mean']"),
+    ], ids=["missing", "extra"])
+    def test_summary_of_other_arrays_is_refused(self, predicted_run, tmp_path, capsys, damage,
+                                                found):
+        """A summary whose container holds one array too few or too many exits 3 naming it."""
+        config_path, out = copy_run(predicted_run, tmp_path)
+        path = os.path.join(out, "summaries", sorted(os.listdir(os.path.join(out, "summaries")))[0])
+        header, arrays = artifacts.load_container(path, artifacts.SUMMARY_FORMAT)
+        damage(arrays)
+        artifacts.save_container(path, artifacts.SUMMARY_FORMAT, arrays, samples=header["samples"],
+                                 horizon=header["horizon"], names=header["names"])
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: unreadable summary: {path}: holds arrays {found}, expected "
+            "['class_aleatoric_per_class', 'class_epistemic_per_class', 'class_mean', "
+            "'reg_epistemic_var', 'reg_mean']\n")
 
     def test_summaries_record_the_checkpoint_instruments(self, predicted_run):
         from anticipation.artifacts import load_summary

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,16 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import serial_mc_predict
 
-from anticipation import (
-    NetworkConfig,
-    PredictiveSummary,
-    aggregate_samples,
-    anticipating_mask,
-    init_params,
-    mc_predict,
+from anticipation import NetworkConfig, anticipating_mask, init_params, mc_predict
+from anticipation.artifacts import (
+    SUMMARY_ARRAYS,
+    SUMMARY_FORMAT,
+    load_summary,
+    save_container,
+    save_summary,
 )
-from anticipation.artifacts import SUMMARY_ARRAYS, load_summary, save_summary
 from anticipation.errors import ConfigError
+from anticipation.inference import PredictiveSummary, aggregate_samples
 from anticipation.network import block_frames
 
 
@@ -336,6 +337,27 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             load_summary(path)
         assert str(info.value).startswith(path)
+        assert not isinstance(info.value, ConfigError)
+
+    @pytest.mark.parametrize("damage, found", [
+        (lambda arrays: arrays.pop("class_mean"),
+         "['class_aleatoric_per_class', 'class_epistemic_per_class', 'reg_epistemic_var', "
+         "'reg_mean']"),
+        (lambda arrays: arrays.update(reg_samples=np.zeros((2, 1, 1))),
+         "['class_aleatoric_per_class', 'class_epistemic_per_class', 'class_mean', "
+         "'reg_epistemic_var', 'reg_mean', 'reg_samples']"),
+    ], ids=["missing", "extra"])
+    def test_other_arrays_are_a_value_error_naming_the_path(self, tmp_path, damage, found):
+        summary = two_sample_summary()
+        arrays = {name: getattr(summary, name) for name in SUMMARY_ARRAYS}
+        damage(arrays)
+        path = str(tmp_path / "summary.bin")
+        save_container(path, SUMMARY_FORMAT, arrays, samples=summary.samples,
+                       horizon=summary.horizon, names=None)
+        message = (f"{path}: holds arrays {found}, expected ['class_aleatoric_per_class', "
+                   "'class_epistemic_per_class', 'class_mean', 'reg_epistemic_var', 'reg_mean']")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            load_summary(path)
         assert not isinstance(info.value, ConfigError)
 
     def test_written_summary_holds_exactly_the_stored_arrays(self, tmp_path):

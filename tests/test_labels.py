@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from anticipation import ProcedureSequence, compute_targets
+from anticipation import compute_targets
 from anticipation.labels import ANTICIPATING, BACKGROUND, PRESENT, classify, remaining_time
+from anticipation.workflow import ProcedureSequence
 
 from oracles import scan_forward_targets
 

@@ -11,13 +11,9 @@ from scipy.special import expit
 
 from anticipation import (
     NetworkConfig,
-    compute_loss,
     compute_targets,
-    forward,
     init_params,
-    load_params,
     mc_predict,
-    sample_masks,
     save_params,
     train,
 )
@@ -32,7 +28,10 @@ from anticipation.network import (
     BLOCK,
     Adam,
     block_frames,
+    compute_loss,
+    forward,
     loss_and_gradients,
+    sample_masks,
     sigmoid,
     smooth_l1,
     stack_masks,
@@ -396,7 +395,8 @@ class TestGradients:
 
     def test_non_finite_gradient_reported_with_name(self, monkeypatch):
         """A NaN gradient behind a finite loss stops training before the Adam step."""
-        from anticipation import ProcedureSequence, network
+        from anticipation import network
+        from anticipation.workflow import ProcedureSequence
 
         config = tiny_config(epochs=1, window=4)
         rng = np.random.default_rng(0)
@@ -572,7 +572,8 @@ class TestLockstep:
         assert max_relative_error(grads, fd) < 1e-4
 
     def test_non_finite_gradient_names_its_horizon(self, monkeypatch):
-        from anticipation import ProcedureSequence, network
+        from anticipation import network
+        from anticipation.workflow import ProcedureSequence
 
         config = tiny_config(epochs=1, window=4)
         rng = np.random.default_rng(0)
@@ -608,7 +609,7 @@ class TestCheckpoints:
         params = init_params(config, seed=21)
         path = str(tmp_path / "model.bin")
         save_params(params, path, config)
-        again = load_params(path, config)
+        again = load_checkpoint(path, lambda width: config)[0]
         assert list(again) == list(params)
         for k in params:
             np.testing.assert_array_equal(again[k], params[k])
@@ -616,10 +617,10 @@ class TestCheckpoints:
     @settings(deadline=None)
     @given(params=st.dictionaries(st.text(max_size=6), FLOAT_ARRAYS, max_size=4))
     def test_round_trip_is_bit_exact(self, tmp_path_factory, params):
-        config = tiny_config()
+        """The container keeps any float64 arrays bit for bit, a model's or not."""
         path = str(tmp_path_factory.mktemp("ckpt") / "model.bin")
-        save_params(params, path, config)
-        again = load_params(path, config)
+        save_container(path, CHECKPOINT_FORMAT, params)
+        _, again = load_container(path, CHECKPOINT_FORMAT)
         assert list(again) == list(params)
         for name, value in params.items():
             assert again[name].shape == value.shape
@@ -650,6 +651,9 @@ class TestCheckpoints:
         (lambda h: h.update(config_hash=3), "header.config_hash: expected a string, got 3"),
         (lambda h: h.update(names="probe"), "header.names: expected a list"),
         (lambda h: h.update(samples=3), "unknown config key(s) in header: samples"),
+        # Renamed or reshaped arrays under the right stamp, their byte count kept.
+        (lambda h: h["params"][-1].__setitem__(0, "cls_c"), "not those of its config's model"),
+        (lambda h: h["params"][-1].__setitem__(1, [2, 3]), "not those of its config's model"),
     ])
     def test_damaged_header_is_a_value_error_naming_the_path(self, tmp_path, damage, message):
         config = tiny_config()
@@ -661,9 +665,9 @@ class TestCheckpoints:
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match=re.escape(message)) as info:
-            load_params(path, config)
+            load_checkpoint(path, lambda width: config)
         assert str(info.value).startswith(path)
-        assert not isinstance(info.value, ConfigError)
+        assert isinstance(info.value, InputError) and not isinstance(info.value, ConfigError)
 
     @pytest.mark.parametrize("encoder", [(4,), ()])
     def test_input_dim_from_the_header(self, tmp_path, encoder):
@@ -706,7 +710,7 @@ class TestCheckpoints:
         save_container(path, CHECKPOINT_FORMAT, init_params(config, seed=0),
                        **({} if stamp == "missing" else {"config_hash": stamp}))
         with pytest.raises(ValueError, match="different configuration") as info:
-            load_params(path, config)
+            load_checkpoint(path, lambda width: config)
         assert str(info.value).startswith(path)
 
     def test_config_hash_mismatch_rejected(self, tmp_path):
@@ -716,7 +720,7 @@ class TestCheckpoints:
         save_params(params, path, config)
         other = tiny_config(hidden=6)
         with pytest.raises(ValueError, match="different configuration"):
-            load_params(path, other)
+            load_checkpoint(path, lambda width: other)
 
     def test_param_count(self):
         config = tiny_config(input_dim=2, instruments=1, hidden=2, encoder=())

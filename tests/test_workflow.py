@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from anticipation import (
     FeatureSpec,
     PhaseSpec,
-    ProcedureSequence,
     SimConfig,
     TriggerRule,
     UsageRule,
@@ -21,7 +20,12 @@ from anticipation import (
     save_features,
 )
 from anticipation.errors import AnnotationParseError
-from anticipation.workflow import _CHUNK_ROWS, emit_features, instrument_onsets
+from anticipation.workflow import (
+    _CHUNK_ROWS,
+    ProcedureSequence,
+    emit_features,
+    instrument_onsets,
+)
 
 from oracles import (
     nearest_signature_decode,
