@@ -27,7 +27,7 @@ import numpy as np
 from .baselines import MODES, BaselineModel
 from .errors import ConfigError, InputError, Positive, _at_least, check
 from .inference import PredictiveSummary
-from .network import NetworkConfig, Params, init_params
+from .network import NetworkConfig, Params, param_shapes
 from .workflow import ProcedureSequence
 
 # Every header holds its format tag, the dtype and each array's [name, shape],
@@ -169,8 +169,7 @@ def load_checkpoint(path: str, config_for: Callable[[int], NetworkConfig]
         if found != expected:
             raise ValueError(f"{path}: checkpoint was written for a different configuration "
                              f"(config hash {found!r}, expected {expected!r})")
-        shapes = {name: value.shape for name, value in init_params(config, 0).items()}
-        if {name: value.shape for name, value in params.items()} != shapes:
+        if {name: value.shape for name, value in params.items()} != param_shapes(config):
             raise ValueError(f"{path}: checkpoint arrays are not those of its config's model")
         return params, config, header.get("names")
     except ValueError as exc:

@@ -110,33 +110,35 @@ class RawOutputs:
         return self.regression.shape[-2]
 
 
+def param_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each array of ``config``'s model, in checkpoint order.
+
+    A weight matrix has one row per input (its fan-in); a bias is a vector.
+    """
+    h, shapes = config.hidden, {}
+    widths = (config.input_dim, *config.encoder)
+    for l, (fan_in, width) in enumerate(zip(widths, config.encoder)):
+        shapes[f"enc{l}_W"], shapes[f"enc{l}_b"] = (fan_in, width), (width,)
+    shapes.update(lstm_Wx=(config.encoder_out, 4 * h), lstm_Wh=(h, 4 * h), lstm_b=(4 * h,))
+    heads = [("reg", config.instruments), ("cls", 3 * config.instruments)]
+    if config.phase_classes > 0:
+        heads.append(("phase", config.phase_classes))
+    for name, width in heads:
+        shapes[f"{name}_W"], shapes[f"{name}_b"] = (h, width), (width,)
+    return shapes
+
+
 def init_params(config: NetworkConfig, seed: int) -> Params:
     """Uniform fan-in initialization; forget-gate bias starts at 1."""
     rng = np.random.default_rng(seed)
-    h = config.hidden
-
-    def uniform(fan_in: int, shape) -> np.ndarray:
-        limit = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-limit, limit, size=shape)
-
     params: Params = {}
-    prev = config.input_dim
-    for l, width in enumerate(config.encoder):
-        params[f"enc{l}_W"] = uniform(prev, (prev, width))
-        params[f"enc{l}_b"] = np.zeros(width)
-        prev = width
-    params["lstm_Wx"] = uniform(prev, (prev, 4 * h))
-    params["lstm_Wh"] = uniform(h, (h, 4 * h))
-    b = np.zeros(4 * h)
-    b[h:2 * h] = 1.0
-    params["lstm_b"] = b
-    params["reg_W"] = uniform(h, (h, config.instruments))
-    params["reg_b"] = np.zeros(config.instruments)
-    params["cls_W"] = uniform(h, (h, 3 * config.instruments))
-    params["cls_b"] = np.zeros(3 * config.instruments)
-    if config.phase_classes > 0:
-        params["phase_W"] = uniform(h, (h, config.phase_classes))
-        params["phase_b"] = np.zeros(config.phase_classes)
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            limit = 1.0 / np.sqrt(shape[0])
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+    params["lstm_b"][config.hidden:2 * config.hidden] = 1.0
     return params
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import copy
 import dataclasses
+import gc
+import glob
 import hashlib
 import io
 import json
@@ -1439,6 +1441,75 @@ class TestMemoryPolicy:
                 assert checksum(os.path.join(out, rel)) == digest
 
 
+# Registers its probe before the CLI registers anything; atexit runs its
+# handlers last in, first out, so the probe sees the heap after the CLI's one.
+EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from anticipation import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestExitPolicy:
+    """The CLI freezes the heap at exit, so the interpreter does not collect it on the
+    way out; while a command runs nothing is frozen, and what it prints and returns
+    reaches its caller."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["--help"], 0), (["simulate"], 2), (["simulate", "--config", "missing.json"], 3),
+        (["simulate", "--config", "{config}"], 0),
+    ], ids=["help", "usage error", "missing config", "simulate"])
+    def test_heap_is_frozen_before_the_probe_runs(self, config_path, tmp_path, args, code):
+        args = [a.format(config=config_path) for a in args]
+        if args[1:]:
+            args += ["--out", str(tmp_path / "run")]
+        result = subprocess.run([sys.executable, "-c", EXIT_PROBE, *args], capture_output=True,
+                                text=True, env=PINNED_ENV, cwd=tmp_path, timeout=120)
+        assert result.returncode == code, result.stderr
+        assert result.stdout.splitlines()[-1] == "frozen at exit: True"
+
+    def test_nothing_is_frozen_while_the_process_runs(self, config_path, tmp_path):
+        before = gc.get_freeze_count(), gc.isenabled()
+        run_chain(config_path, str(tmp_path / "run"), commands=("simulate", "baseline"))
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_one_registration_however_often_main_runs(self, config_path, tmp_path,
+                                                      monkeypatch):
+        handlers, calls = [], []
+
+        def register(func):
+            calls.append(func)
+            handlers.append(func)
+
+        def unregister(func):
+            handlers[:] = [h for h in handlers if h != func]
+
+        monkeypatch.setattr(cli, "atexit", types.SimpleNamespace(register=register,
+                                                                 unregister=unregister))
+        run_chain(config_path, str(tmp_path / "run"), commands=("simulate", "baseline"))
+        assert calls == [gc.freeze, gc.freeze] and handlers == [gc.freeze]
+
+    def test_piped_stdout_and_exit_codes_survive_the_exit(self, config_path, tmp_path):
+        out = str(tmp_path / "run")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        codes = {}
+        for name, config in (("good", config_path), ("bad", str(bad)),
+                             ("missing", str(tmp_path / "missing.json"))):
+            result = subprocess.run(
+                [sys.executable, "-m", "anticipation", "simulate", "--config", config,
+                 "--out", out], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=PINNED_ENV, timeout=120)
+            codes[name] = result.returncode
+            if name == "good":
+                assert re.fullmatch(rf"simulate: wrote \d+ artifact\(s\) under {re.escape(out)}\n",
+                                    result.stdout), result.stdout
+            else:
+                assert result.stdout == "" and result.stderr.count("\n") == 1, result.stderr
+        assert codes == {"good": 0, "bad": 2, "missing": 3}
+
+
 # The options that once set a config key, each with a value and the commands that took it.
 REMOVED_FLAGS = {"--seed": ("99", list(cli.COMMANDS)), "--horizon": ("3", list(cli.COMMANDS)),
                  "--samples": ("7", ["predict", "evaluate"]),
@@ -2039,3 +2110,74 @@ def test_damaged_derived_file_exits_0_or_3_or_is_a_value_error_naming_it(derived
         assert code in (0, 3), err
         assert err.count("\n") <= 1 and "Traceback" not in err
         assert code == 0 or err.startswith("input error: ") and err.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# The error contract of the dataset files: annotations and features
+# ---------------------------------------------------------------------------
+
+# What may be put in one cell: bytes that are not UTF-8, non-finite and
+# oversized numbers, nothing, and numbers that are negative or fractional.
+BAD_CELLS = [b"\xff\xfe", b"NaN", b"inf", b"-inf", b"1e400", b"", b"-1", b"-0.5", b"0.5", b"2.5"]
+READERS = [["baseline"], ["train", "--overwrite"], ["predict", "--overwrite"], ["evaluate"],
+           ["analyze"]]
+
+
+def damaged_dataset_file(data, raw):
+    """``raw`` with one damage drawn from ``data``, or None for a deleted file."""
+    kind = data.draw(st.sampled_from(["drop column", "add column", "swap columns", "truncate",
+                                      "flip", "delete", "cell"]), label="damage")
+    if kind == "delete":
+        return None
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="cut at")]
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="flip at")
+        flipped = raw[at] ^ data.draw(st.integers(1, 255), label="xor")
+        return raw[:at] + bytes([flipped]) + raw[at + 1:]
+    rows = [line.split(b",") for line in raw.splitlines()]
+    j = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+    if kind == "drop column":
+        for row in rows:
+            del row[j]
+    elif kind == "add column":
+        for row in rows:
+            row.insert(j, b"0")
+    elif kind == "swap columns":
+        k = data.draw(st.integers(0, len(rows[0]) - 1).filter(lambda k: k != j), label="with")
+        for row in rows:
+            row[j], row[k] = row[k], row[j]
+    else:
+        i = data.draw(st.integers(0, len(rows) - 1), label="row")
+        rows[i][j] = data.draw(st.sampled_from(BAD_CELLS), label="cell")
+    return b"".join(b",".join(row) + b"\n" for row in rows)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_dataset_file_exits_with_a_documented_code(predicted_run, data):
+    """One annotation or feature file of a predicted run loses, gains or swaps a column,
+    is truncated, has a byte flipped, is deleted or has one cell replaced.  Every command
+    that reads the dataset exits with a documented code, writes one line on stderr
+    exactly when it fails, and raises nothing."""
+    config_path, source = predicted_run
+    files = sorted(os.path.relpath(p, source)
+                   for p in glob.glob(os.path.join(source, "dataset", "*", "*.csv")))
+    rel = data.draw(st.sampled_from(files), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run")
+        shutil.copytree(source, out)
+        path = os.path.join(out, rel)
+        damaged = damaged_dataset_file(data, Path(path).read_bytes())
+        if damaged is None:
+            os.remove(path)
+        else:
+            Path(path).write_bytes(damaged)
+        for command in READERS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*command, "--config", config_path, "--out", out])
+            err = err.getvalue()
+            assert code in (0, 2, 3, 4, 5), err
+            assert err.count("\n") <= 1 and "Traceback" not in err, err
+            assert (code == 0) == (err == ""), err

@@ -11,9 +11,11 @@ from scipy.special import expit
 
 from anticipation import (
     NetworkConfig,
+    artifacts,
     compute_targets,
     init_params,
     mc_predict,
+    network,
     save_params,
     train,
 )
@@ -31,6 +33,7 @@ from anticipation.network import (
     compute_loss,
     forward,
     loss_and_gradients,
+    param_shapes,
     sample_masks,
     sigmoid,
     smooth_l1,
@@ -613,6 +616,28 @@ class TestCheckpoints:
         assert list(again) == list(params)
         for k in params:
             np.testing.assert_array_equal(again[k], params[k])
+
+    @pytest.mark.parametrize("encoder", [(), (4,), (6, 4)])
+    @pytest.mark.parametrize("phase_classes", [0, 3])
+    def test_param_shapes_are_those_of_init_params(self, encoder, phase_classes):
+        config = tiny_config(encoder=encoder, phase_classes=phase_classes)
+        params = init_params(config, seed=0)
+        assert list(param_shapes(config).items()) == [(k, v.shape) for k, v in params.items()]
+
+    def test_load_checkpoint_draws_no_model(self, tmp_path, monkeypatch):
+        config = tiny_config(phase_classes=3)
+        params = init_params(config, seed=21)
+        path = str(tmp_path / "model.bin")
+        save_params(params, path, config)
+
+        def refuse(*args):
+            raise AssertionError("load_checkpoint drew a model")
+
+        # Wherever a reader could reach it: by the module, or by a name it imported.
+        monkeypatch.setattr(network, "init_params", refuse)
+        monkeypatch.setattr(artifacts, "init_params", refuse, raising=False)
+        again = load_checkpoint(path, lambda width: config)[0]
+        assert all(again[k].tobytes() == params[k].tobytes() for k in params)
 
     @settings(deadline=None)
     @given(params=st.dictionaries(st.text(max_size=6), FLOAT_ARRAYS, max_size=4))
