@@ -16,10 +16,11 @@ config, every default and float field included, lands in the run manifest with
 the seed, its hash, and SHA-256 checksums of the artifacts written.
 Artifacts are append-only per run directory: rerunning a command that
 would overwrite its own outputs fails unless ``--overwrite`` is given.
-Each command claims its outputs through one ledger (``_Run``), which
-refuses, makes directories and records them.  A command that fails after
-writing something still leaves a manifest entry: the files it wrote, with
-their checksums, and an ``error`` field holding the message.  Only
+Each command finds its inputs and claims its outputs through one ``_Run``:
+it reads and checks the dataset files, and refuses, makes directories for
+and records the outputs.  A command that fails after writing something still
+leaves a manifest entry: the files it wrote, with their checksums, and an
+``error`` field holding the message.  Only
 ``baseline`` writes ``baselines/baseline_<mode>_h<h>.bin``, and no command
 reads them; ``evaluate`` fits the baselines in memory, both modes from one
 set of train targets per horizon, and is the one command that scores them.
@@ -108,6 +109,7 @@ _METHODS = ("meanhist", "oraclehist", "model")
 # test could not look up the names of this module (see errors).
 Method = Annotated[str, f"one of {', '.join(_METHODS)} (in any case)",
                    lambda v: v.lower() in _METHODS]
+Methods = Annotated[tuple[Method, ...], f"one or more of {', '.join(_METHODS)}", lambda v: len(v) > 0]
 Percentile = Annotated[float, "a number in (0, 100]", lambda v: 0 < v <= 100]
 Instruments = Annotated[tuple[Union[str, int], ...],
                         "one or more distinct instrument names or indices",
@@ -130,7 +132,7 @@ class EvalConfig:
     samples: _at_least(1) = 10
     bins: _at_least(1) = 1000
     instruments: Optional[Instruments] = None
-    methods: tuple[Method, ...] = _METHODS
+    methods: Methods = _METHODS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,21 +201,21 @@ def network_config(config: dict, input_dim: int, instruments: int, horizon: floa
                                  seed=config["seed"], **config["model"], **config["train"])
 
 
-def _dataset_fps(config: dict) -> float:
-    """Frame rate the dataset is read at: the simulated one, or 1.0 for ingested data."""
-    return 1.0 if config["sim"] is None else config["sim"].fps
-
-
 # ---------------------------------------------------------------------------
-# Run directory: the ledger of one command's outputs, datasets
+# Run directory: where one command finds its inputs and claims its outputs
 # ---------------------------------------------------------------------------
+
+_CHECKPOINT = os.path.join("checkpoints", "model_h{:g}.bin")  # by horizon: train writes it
+
 
 class _Run:
-    """The run directory of one command and the ledger of the outputs it claims."""
+    """One command's run directory: where it finds its inputs, and the ledger of its outputs."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, config: dict):
         self.dir = args.out
         self.data_dir = getattr(args, "data", None) or os.path.join(self.dir, "dataset")
+        # The frame rate the dataset is read at: the simulated one, or 1.0 for ingested data.
+        self.fps = 1.0 if config["sim"] is None else config["sim"].fps
         self.overwrite = args.overwrite
         self.claimed: list[str] = []
         self.workers: Optional[int] = None  # processes that drew MC summaries, if any did
@@ -231,6 +233,60 @@ class _Run:
             if not isinstance(runs, list):
                 raise InputError(f"damaged run manifest {self.manifest_path}: "
                                  "expected an object with a 'runs' list")
+
+    def dataset_file(self, split: str, seq_id: str, suffix: str = ".csv") -> str:
+        """The path of a file of sequence ``seq_id`` in a split of the dataset."""
+        return os.path.join(self.data_dir, split, seq_id + suffix)
+
+    def sequences(self, split: str, like: Optional[tuple] = None) -> list[workflow.ProcedureSequence]:
+        """The annotations of one split, without features: see :meth:`features`.
+
+        Every file must name the instruments of the split's first file, and
+        that one those of ``like``, a ``(split, sequence)`` pair, if given.
+        """
+        pattern = self.dataset_file(split, "*")
+        split_dir = os.path.dirname(pattern)
+        if not os.path.isdir(split_dir):
+            raise InputError(f"dataset split directory not found: {split_dir}")
+        sequences = [workflow.load_annotations(path, format="generic_csv", fps=self.fps)
+                     for path in sorted(glob.glob(pattern)) if not path.endswith(".features.csv")]
+        if not sequences:
+            raise InputError(f"no sequences found in {split_dir}")
+        first = split, sequences[0]
+        pairs = [((split, seq), first) for seq in sequences[1:]] + ([(first, like)] if like else [])
+        for (split_a, a), (split_b, b) in pairs:
+            if a.names != b.names:
+                raise InputError(f"{self.dataset_file(split_a, a.id)}: instruments {list(a.names)} "
+                                 f"differ from {list(b.names)} of {self.dataset_file(split_b, b.id)}")
+        return sequences
+
+    def features(self, seq: workflow.ProcedureSequence, split: str, width: Optional[int],
+                 source: str) -> workflow.ProcedureSequence:
+        """``seq`` with the features of its feature file.
+
+        An InputError names a feature file that is missing, holds a cell that is
+        not a finite number (by line and column) or, unless ``width`` is None (the
+        first file of a split), has another number of columns than ``source``.
+        """
+        path = self.dataset_file(split, seq.id, ".features.csv")
+        try:
+            seq = workflow.attach_features(seq, path)
+        except FileNotFoundError:
+            raise InputError(f"feature file not found: {path} "
+                             "(the model needs one per sequence)") from None
+        bad = np.argwhere(~np.isfinite(seq.features))
+        if len(bad):
+            row, col = bad[0]
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:  # np.loadtxt's rows
+                lines = [(no, line) for no, line in enumerate(fh, start=1)
+                         if line.split("#")[0].strip()]
+            no, line = lines[row]
+            cell = line.split("#")[0].split(",")[col].strip()
+            raise InputError(f"{path}: line {no}, column {col + 1}: feature value {cell!r} "
+                             "is not a finite number")
+        if width is not None and seq.feature_dim != width:
+            raise InputError(f"{path}: {seq.feature_dim} feature columns, expected {width} ({source})")
+        return seq
 
     def claim(self, *rel_paths: str) -> list[str]:
         """Paths of outputs about to be written: refused if they exist, unless ``--overwrite``."""
@@ -279,64 +335,6 @@ class _Run:
                 os.remove(tmp_path)
 
 
-def load_dataset(data_dir: str, split: str, fps: float = 1.0) -> list[workflow.ProcedureSequence]:
-    """The annotations of one split, without features: see :func:`_with_features`.
-
-    Every file must name the instruments of the split's first file.
-    """
-    split_dir = os.path.join(data_dir, split)
-    if not os.path.isdir(split_dir):
-        raise InputError(f"dataset split directory not found: {split_dir}")
-    sequences = [workflow.load_annotations(path, format="generic_csv", fps=fps)
-                 for path in sorted(glob.glob(os.path.join(split_dir, "*.csv")))
-                 if not path.endswith(".features.csv")]
-    if not sequences:
-        raise InputError(f"no sequences found in {split_dir}")
-    for seq in sequences[1:]:
-        _same_instruments(data_dir, split, seq, split, sequences[0])
-    return sequences
-
-
-def _same_instruments(data_dir: str, split: str, seq: workflow.ProcedureSequence,
-                      first_split: str, first: workflow.ProcedureSequence) -> None:
-    """An InputError unless ``seq`` names the instruments of ``first``, naming both files."""
-    if seq.names != first.names:
-        path, first_path = (os.path.join(data_dir, s, f"{q.id}.csv")
-                            for s, q in ((split, seq), (first_split, first)))
-        raise InputError(f"{path}: instruments {list(seq.names)} differ from "
-                         f"{list(first.names)} of {first_path}")
-
-
-def _with_features(seq: workflow.ProcedureSequence, run: _Run, split: str,
-                   width: Optional[int], source: str) -> workflow.ProcedureSequence:
-    """``seq`` with features, its feature file read unless they are attached already.
-
-    An InputError names a feature file that is missing, holds a cell that is
-    not a finite number (by line and column) or, unless ``width`` is None (the
-    first file of a split), has another number of columns than ``source``.
-    """
-    path = os.path.join(run.data_dir, split, f"{seq.id}.features.csv")
-    if seq.features is None:
-        try:
-            seq = workflow.attach_features(seq, path)
-        except FileNotFoundError:
-            raise InputError(f"feature file not found: {path} "
-                             "(the model needs one per sequence)") from None
-        bad = np.argwhere(~np.isfinite(seq.features))
-        if len(bad):
-            row, col = bad[0]
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:  # np.loadtxt's rows
-                lines = [(no, line) for no, line in enumerate(fh, start=1)
-                         if line.split("#")[0].strip()]
-            no, line = lines[row]
-            cell = line.split("#")[0].split(",")[col].strip()
-            raise InputError(f"{path}: line {no}, column {col + 1}: feature value {cell!r} "
-                             "is not a finite number")
-    if width is not None and seq.feature_dim != width:
-        raise InputError(f"{path}: {seq.feature_dim} feature columns, expected {width} ({source})")
-    return seq
-
-
 def _summary_seed(seed: int, horizon: float, index: int) -> int:
     return network._derived_seed(seed, 5, int(round(horizon * 1000)), index)
 
@@ -378,7 +376,7 @@ def cmd_simulate(config: dict, run: _Run, args: argparse.Namespace) -> None:
 
 
 def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
-    train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
+    train_seqs = run.sequences("train")
     for h in config["horizons"]:
         model = baselines.fit_baseline(train_seqs, h, bins=config["eval"].bins, mode=args.mode)
         path, = run.claim(os.path.join("baselines", f"baseline_{args.mode}_h{h:g}.bin"))
@@ -386,17 +384,16 @@ def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
 
 
 def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
-    train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
+    train_seqs = run.sequences("train")
     classes = config["model"]["phase_classes"]
     for i, seq in enumerate(train_seqs):
-        seq = train_seqs[i] = _with_features(seq, run, "train", train_seqs[0].feature_dim,
-                                             "as in the first train file")
+        seq = train_seqs[i] = run.features(seq, "train", train_seqs[0].feature_dim,
+                                           "as in the first train file")
         if defect := network.phase_head_defect(seq, classes):
             raise ConfigError(f"model.phase_classes: {defect}")
     dims = train_seqs[0].feature_dim, train_seqs[0].n_instruments
     net_configs = [network_config(config, *dims, h) for h in config["horizons"]]
-    outputs = [run.claim(os.path.join("checkpoints", f"model_h{h:g}.bin"),
-                         os.path.join("reports", f"train_log_h{h:g}.csv"))
+    outputs = [run.claim(_CHECKPOINT.format(h), os.path.join("reports", f"train_log_h{h:g}.csv"))
                for h in config["horizons"]]
     trained = network.train(train_seqs, net_configs[0], horizons=config["horizons"])
     for (params, log), net_config, (ckpt_path, log_path) in zip(trained, net_configs, outputs):
@@ -463,7 +460,7 @@ def _fork_map(fn, items: list) -> tuple[list, int]:
 
 
 def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequence],
-               horizons: tuple[float, ...], reuse: bool = True) -> dict[float, list]:
+               reuse: bool = True) -> dict[float, list]:
     """MC summaries of every test sequence at every horizon, reusing files when present.
 
     This process decides reuse, reads the checkpoints and claims the outputs;
@@ -473,48 +470,40 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
     own seed, so neither the split nor the grouping changes a summary.
     ``predict`` (``reuse=False``) keeps none in memory and gets an empty dict.
     """
-    samples = config["eval"].samples
+    horizons, samples = config["horizons"], config["eval"].samples
     paths = {(seq.id, h): os.path.join("summaries", f"summary_{seq.id}_h{h:g}.bin")
              for seq in test_seqs for h in horizons}
     found, missing = {}, {}  # (id, h) -> summary; id -> horizons to draw
     for seq in test_seqs:
         for h in horizons:
             path = os.path.join(run.dir, paths[seq.id, h])
-            seq_path = os.path.join(run.data_dir, "test", f"{seq.id}.csv")
-            summary = (artifacts.reusable_summary(path, seq, seq_path, h, samples, run.overwrite)
-                       if reuse else None)
+            summary = (artifacts.reusable_summary(path, seq, run.dataset_file("test", seq.id), h,
+                                                  samples, run.overwrite) if reuse else None)
             if summary is None:
                 missing.setdefault(seq.id, []).append(h)
             else:
                 found[seq.id, h] = summary
     models = {}
     for h in (h for h in horizons if any(h in hs for hs in missing.values())):
-        ckpt_path = os.path.join(run.dir, "checkpoints", f"model_h{h:g}.bin")
+        ckpt_path = os.path.join(run.dir, _CHECKPOINT.format(h))
         models[h] = artifacts.load_checkpoint(
             ckpt_path, lambda width: network_config(config, width, test_seqs[0].n_instruments, h))
         names = models[h][2]
         if names is not None and names != list(test_seqs[0].names):
-            test_path = os.path.join(run.data_dir, "test", f"{test_seqs[0].id}.csv")
             raise InputError(f"{ckpt_path}: trained on instruments {names}, but "
-                             f"{test_path} names {list(test_seqs[0].names)}")
+                             f"{run.dataset_file('test', test_seqs[0].id)} names "
+                             f"{list(test_seqs[0].names)}")
     run.claim(*(paths[seq_id, h] for seq_id, hs in missing.items() for h in hs))
     position = {seq.id: idx for idx, seq in enumerate(test_seqs)}
-
-    def stack(hs: tuple) -> network.Params:
-        """The models of horizons ``hs`` on one model axis; views of a single one."""
-        if len(hs) == 1:
-            return network._stacked(models[hs[0]][0])
-        return {name: np.stack([models[h][0][name] for h in hs]) for name in models[hs[0]][0]}
-
-    stacks = {hs: stack(hs) for hs in {tuple(hs) for hs in missing.values()}}
 
     def draw(seq_id: str) -> list:
         hs = missing[seq_id]
         net_config = models[hs[0]][1]
-        seq = _with_features(test_seqs[position[seq_id]], run, "test", net_config.input_dim,
-                             "the checkpoint's input_dim")
+        seq = run.features(test_seqs[position[seq_id]], "test", net_config.input_dim,
+                           "the checkpoint's input_dim")
+        params = {name: np.stack([models[h][0][name] for h in hs]) for name in models[hs[0]][0]}
         drawn = inference.mc_predict(
-            stacks[tuple(hs)], net_config, seq.features, samples=samples, horizons=hs,
+            params, net_config, seq.features, samples=samples, horizons=hs,
             seed=[_summary_seed(config["seed"], h, position[seq_id]) for h in hs])
         for h, summary in zip(hs, drawn):
             summary.names = models[h][2]
@@ -529,19 +518,17 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
 
 
 def cmd_predict(config: dict, run: _Run, args: argparse.Namespace) -> None:
-    test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
-    _summaries(config, run, test_seqs, config["horizons"], reuse=False)
+    _summaries(config, run, run.sequences("test"), reuse=False)
 
 
 def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
-    train_seqs = load_dataset(run.data_dir, "train", _dataset_fps(config))
-    test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
-    _same_instruments(run.data_dir, "test", test_seqs[0], "train", train_seqs[0])
+    train_seqs = run.sequences("train")
+    test_seqs = run.sequences("test", like=("train", train_seqs[0]))
     methods = [m.lower() for m in config["eval"].methods]
     names = test_seqs[0].names
     subset = _instrument_subset(config, names)
     sub_names = tuple(names[j] for j in subset)
-    summaries = _summaries(config, run, test_seqs, config["horizons"]) if "model" in methods else {}
+    summaries = _summaries(config, run, test_seqs) if "model" in methods else {}
     modes = [mode for mode in baselines.MODES if f"{mode}hist" in methods]
     for h in config["horizons"]:
         targets = [labels.compute_targets(s, h) for s in test_seqs]
@@ -569,13 +556,13 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
     percentiles = config["analysis"].percentiles
     use_std = config["analysis"].use_std
     trigger_cfg = config["analysis"].trigger
-    test_seqs = load_dataset(run.data_dir, "test", _dataset_fps(config))
+    test_seqs = run.sequences("test")
     k = test_seqs[0].n_instruments
     for key, j in (trigger_cfg or {}).items():
         if j >= k:
             raise ConfigError(f"analysis.trigger.{key}: instrument {j} out of range "
                               f"for {k} instruments")
-    by_horizon = _summaries(config, run, test_seqs, config["horizons"])
+    by_horizon = _summaries(config, run, test_seqs)
     for h in config["horizons"]:
         summaries = by_horizon.pop(h)  # popped, so freed before the next horizon's arrays
         targets = [labels.compute_targets(s, h) for s in test_seqs]
@@ -657,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    run = _Run(args)
+    run = _Run(args, config)
     try:
         COMMANDS[args.command](config, run, args)
     except BaseException as exc:

@@ -188,17 +188,15 @@ def _segment_length(rng: np.random.Generator, mean: float, std: float) -> int:
 
 def _phase_boundaries(config: SimConfig, duration: int, rng: np.random.Generator) -> np.ndarray:
     """Per-frame phase index; relative lengths rescaled to fill the duration."""
-    raw = np.array(
-        [max(_segment_length(rng, p.length_mean, p.length_std), 1) for p in config.phase_plan],
-        dtype=np.float64,
-    )
+    raw = np.array([_segment_length(rng, p.length_mean, p.length_std) for p in config.phase_plan],
+                   dtype=np.float64)
     cuts = np.floor(np.cumsum(raw) / raw.sum() * duration).astype(int)
     cuts[-1] = duration
     phase = np.empty(duration, dtype=np.int64)
     start = 0
     for p, end in enumerate(cuts):
-        phase[start:max(end, start)] = p
-        start = max(end, start)
+        phase[start:end] = p
+        start = end
     return phase
 
 

@@ -78,6 +78,13 @@ def read_manifest(out):
     return json.loads(Path(out, "manifest.json").read_text())
 
 
+def read_test_split(out):
+    """The annotations of a run's test split, in file order, as the CLI reads them."""
+    paths = sorted(glob.glob(os.path.join(out, "dataset", "test", "*.csv")))
+    return [workflow.load_annotations(path, format="generic_csv") for path in paths
+            if not path.endswith(".features.csv")]
+
+
 def checksum(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -109,6 +116,37 @@ class TestPipeline:
                     "reports/analysis_pcc_h3.csv", "reports/analysis_filtering_h3.csv",
                     "reports/analysis_tpfp_h3.csv", "reports/analysis_trigger_h3.csv"):
             assert checksum(os.path.join(outs[0], rel)) == checksum(os.path.join(outs[1], rel)), rel
+
+    def test_data_option_reads_the_dataset_of_another_run(self, config_path, tmp_path, capsys):
+        """With ``--data``, a run finds annotations and features there and writes what a
+        run over its own ``dataset/`` writes; a missing feature file is named under it."""
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        data = os.path.join(a, "dataset")
+        run_chain(config_path, a, commands=("simulate",))
+        for command in (["baseline"], ["train"], ["predict"], ["evaluate"], ["analyze", "--plots"]):
+            for out, extra in ((a, []), (b, ["--data", data])):
+                assert cli.main([*command, "--config", config_path, "--out", out, *extra]) == 0
+
+        def files(root):
+            return sorted(os.path.relpath(os.path.join(d, f), root)
+                          for d, _, names in os.walk(root) for f in names)
+
+        assert not os.path.exists(os.path.join(b, "dataset"))
+        assert files(b) == [f for f in files(a) if not f.startswith("dataset" + os.sep)]
+        for name in files(b):
+            if name != "manifest.json":
+                assert checksum(os.path.join(a, name)) == checksum(os.path.join(b, name)), name
+        runs_a, runs_b = read_manifest(a)["runs"], read_manifest(b)["runs"]
+        assert {r["config_hash"] for r in runs_a} == {r["config_hash"] for r in runs_b}
+        assert runs_b == runs_a[1:]  # all but simulate's entry
+
+        path = os.path.join(data, "test", f"{read_test_split(a)[0].id}.features.csv")
+        os.remove(path)
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", config_path, "--out", b, "--data", data,
+                         "--overwrite"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"input error: feature file not found: {path} (the model needs one per sequence)"]
 
     def test_horizon_sweep_one_report_each(self, tmp_path):
         config = tiny_config(horizons=[2.0, 3.0, 5.0, 7.0],
@@ -204,7 +242,7 @@ class TestPipeline:
         assert calls == [[1.0, 2.0, 3.0]] * 2
         config = cli.load_config(str(path))
         test_dir = os.path.join(out, "dataset", "test")
-        for index, seq in enumerate(cli.load_dataset(os.path.join(out, "dataset"), "test")):
+        for index, seq in enumerate(read_test_split(out)):
             feats = workflow.load_features(os.path.join(test_dir, f"{seq.id}.features.csv"))
             for h in config["horizons"]:
                 net_config = cli.network_config(config, feats.shape[1], seq.n_instruments, h)
@@ -257,7 +295,7 @@ class TestPipeline:
         for mode in ("mean", "oracle"):
             assert cli.main(["baseline", "--config", str(path), "--out", out, "--mode", mode]) == 0
         run_chain(str(path), out, commands=("evaluate",))
-        test_seqs = cli.load_dataset(os.path.join(out, "dataset"), "test")
+        test_seqs = read_test_split(out)
         for h in (2.0, 3.0):
             table = json.loads(Path(out, "reports", f"metrics_h{h:g}.json").read_text())
             remaining = [labels.compute_targets(s, h).remaining for s in test_seqs]
@@ -640,7 +678,7 @@ class TestDamagedRunDirectory:
             setattr(summary, name, getattr(summary, name)[:2])
         save_summary(summary, path)
         data = Path(path).read_bytes()
-        seq = cli.load_dataset(os.path.join(out, "dataset"), "test")[0]
+        seq = read_test_split(out)[0]
         seq_path = os.path.join(out, "dataset", "test", f"{seq.id}.csv")
         for cut in range(len(data)):
             with open(path, "wb") as fh:
@@ -1111,7 +1149,7 @@ class TestRunLedger:
         from anticipation.inference import PredictiveSummary
 
         rng = np.random.default_rng(int(h))
-        for seq in cli.load_dataset(os.path.join(out, "dataset"), "test"):
+        for seq in read_test_split(out):
             n = seq.n_frames
             probs = [1.0, 0.0, 0.0] if anticipating else [0.0, 0.0, 1.0]
             summary = PredictiveSummary(
