@@ -13,13 +13,14 @@ bin counts (plus a sentinel that marks nothing present), minimizing
 training-set wMAE; ties go to the larger threshold.  All candidates are
 scored in one pass, as the columns of one remaining-time call over the
 concatenated expansions to every distinct length, bit for bit as a pass per
-candidate would score them.
+candidate would score them.  That call finds horizon-free gaps, so one fit
+serves several horizons: only the clip and the scoring run per horizon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,24 +85,30 @@ def _remaining_tracks(bin_presence: np.ndarray, expand_lens: Sequence[int], hori
     return np.split(track, ends[:-1])
 
 
-def _fit_length(track: np.ndarray, out_len: int, horizon: float) -> np.ndarray:
-    """``track`` cut to ``out_len`` frames, or padded with the horizon beyond its end."""
+def _fit_length(track: np.ndarray, out_len: int, pad: float) -> np.ndarray:
+    """``track`` cut to ``out_len`` frames, or padded with ``pad`` beyond its end."""
     if out_len <= track.shape[0]:
         return track[:out_len]
-    return np.concatenate([track, np.full((out_len - track.shape[0],) + track.shape[1:], horizon)])
+    return np.concatenate([track, np.full((out_len - track.shape[0],) + track.shape[1:], pad)])
 
 
-def predict_baseline(model: BaselineModel, duration: int) -> np.ndarray:
+def predict_baseline(model: BaselineModel, duration: Union[int, Sequence[int]]
+                     ) -> Union[np.ndarray, list[np.ndarray]]:
     """Per-frame, per-instrument predictions in ``[0, horizon]`` minutes.
 
     ``duration`` is the frame count of the evaluated video.  Oracle mode
     expands the estimated timeline to it; mean mode expands to the stored
     mean duration and truncates or pads (with the horizon) to ``duration``.
+    A sequence of durations gives a list, one per video, from one expansion
+    in mean mode and one remaining-time call over every duration in oracle mode.
     """
-    out_len = int(duration)
-    expand_len = out_len if model.mode == "oracle" else model.mean_duration
-    track, = _remaining_tracks(model.bin_presence().T, [expand_len], model.horizon, model.fps)
-    return _fit_length(track, out_len, model.horizon)
+    out_lens = [int(d) for d in np.atleast_1d(duration)]
+    expand_lens = sorted(set(out_lens)) if model.mode == "oracle" else [model.mean_duration]
+    tracks = dict(zip(expand_lens, _remaining_tracks(model.bin_presence().T, expand_lens,
+                                                     model.horizon, model.fps)))
+    preds = [_fit_length(tracks[n if model.mode == "oracle" else model.mean_duration], n,
+                         model.horizon) for n in out_lens]
+    return preds if np.ndim(duration) else preds[0]
 
 
 def _candidate_thresholds(counts: np.ndarray) -> np.ndarray:
@@ -120,44 +127,53 @@ def _candidate_scores(
     cands: np.ndarray,
     train_targets: list[np.ndarray],
     expand_lens: list[int],
-    horizon: float,
+    horizon: Union[float, Sequence[float]],
     fps: float,
 ) -> np.ndarray:
-    """Pooled train wMAE of the presence timeline each threshold in ``cands`` induces."""
-    target = np.concatenate(train_targets)
+    """Pooled train wMAE of the presence timeline each threshold in ``cands`` induces:
+    (C,) scores at one ``horizon``, or (H, C) at H of them, against (n, H) targets."""
+    horizons = np.atleast_1d(horizon).tolist()
+    out_lens = [r.shape[0] for r in train_targets]
+    spans = list(zip(np.cumsum(out_lens) - out_lens, out_lens, expand_lens))
+    target = np.concatenate(train_targets).reshape(sum(out_lens), len(horizons)).T
     scores = []
     # Candidates in chunks of at most SCORE_BLOCK candidate-frames.
-    step = max(1, SCORE_BLOCK // target.shape[0])
+    step = max(1, SCORE_BLOCK // target.shape[1])
+    # The gaps depend on the expansion length alone, which mean mode shares across
+    # videos, and not on the horizon: once per distinct length, clipped per horizon.
+    lens = sorted(set(expand_lens))
     for first in range(0, cands.shape[0], step):
         bin_presence = counts[:, None] > cands[first:first + step]  # (B, C)
-        # The tracks depend on the expansion length alone, which mean mode
-        # shares across videos: compute them once per distinct length.
-        lens = sorted(set(expand_lens))
-        tracks = dict(zip(lens, _remaining_tracks(bin_presence, lens, horizon, fps)))
-        preds = np.empty((bin_presence.shape[1], target.shape[0]))
-        start = 0
-        for r_true, n in zip(train_targets, expand_lens):
-            stop = start + r_true.shape[0]
-            preds[:, start:stop] = _fit_length(tracks[n], r_true.shape[0], horizon).T
-            start = stop
-        scores.append(metrics.wmae_rows(preds, target, horizon))
+        gaps = dict(zip(lens, _remaining_tracks(bin_presence, lens, np.inf, fps)))
+        preds = np.empty((bin_presence.shape[1], target.shape[1]))
+        chunk = []
+        for m, h in enumerate(horizons):
+            tracks = {n: np.minimum(gap, h) for n, gap in gaps.items()}
+            for start, out_len, n in spans:
+                preds[:, start:start + out_len] = _fit_length(tracks[n], out_len, h).T
+            chunk.append(metrics.wmae_rows(preds, target[m], h))
+        scores.append(chunk)
     # An instrument present in every train frame has no scored frames at
     # all; every threshold is equally useless then.
-    return np.nan_to_num(np.concatenate(scores), nan=0.0)
+    scores = np.nan_to_num(np.concatenate(scores, axis=1), nan=0.0)
+    return scores if np.ndim(horizon) else scores[0]
 
 
 def fit_baseline(
     train: Sequence[ProcedureSequence],
-    horizon: float,
+    horizon: Union[float, Sequence[float]],
     bins: int = 1000,
     mode: str = "mean",
     *,
-    targets: Optional[Sequence[labels.AnticipationTargets]] = None,
-) -> BaselineModel:
+    targets: Optional[Sequence] = None,
+) -> Union[BaselineModel, list[BaselineModel]]:
     """Fit the histogram and per-instrument thresholds on a train set.
 
-    ``targets`` are the train sequences' targets at ``horizon``, for a caller
-    that fits several modes from one set; by default they are computed here.
+    ``horizon`` may be a sequence of horizons: then a list of models comes
+    back, one per horizon, from one histogram (their shared ``hist``), one
+    candidate set and one gap pass per candidate chunk.  ``targets`` are
+    ``labels.compute_targets(seq, horizon)`` of each train sequence, for a
+    caller that fits several modes from one set; by default computed here.
     """
     if not train:
         raise ValueError("train set must be nonempty")
@@ -170,27 +186,32 @@ def fit_baseline(
     hist = occurrence_histogram(train, bins)
     mean_duration = int(round(np.mean([seq.n_frames for seq in train])))
 
+    several, horizons = np.ndim(horizon) > 0, np.atleast_1d(horizon).tolist()
     if targets is None:
         targets = [labels.compute_targets(seq, horizon) for seq in train]
-    elif len(targets) != len(train) or any(t.horizon != horizon or t.n_frames != seq.n_frames
-                                           for t, seq in zip(targets, train)):
+    per_seq = [ts if several else [ts] for ts in targets]
+    if len(per_seq) != len(train) or any(
+            [t.horizon for t in ts] != horizons or any(t.n_frames != seq.n_frames for t in ts)
+            for ts, seq in zip(per_seq, train)):
         raise ValueError(f"targets must be those of the {len(train)} train sequences "
-                         f"at horizon {horizon:g}")
+                         f"at horizon {', '.join(f'{h:g}' for h in horizons)}")
+    # (n, K, H): every horizon's targets of a sequence, side by side.
+    remaining = [np.stack([t.remaining for t in ts], axis=-1) for ts in per_seq]
     if mode == "oracle":
         expand_lens = [seq.n_frames for seq in train]
     else:
         expand_lens = [mean_duration] * len(train)
 
-    thresholds = np.empty(k)
+    thresholds = np.empty((len(horizons), k))
     for j in range(k):
         cands = _candidate_thresholds(hist[j])
-        values = _candidate_scores(hist[j], cands, [t.remaining[:, j] for t in targets],
-                                   expand_lens, horizon, fps)
+        values = _candidate_scores(hist[j], cands, [r[:, j] for r in remaining],
+                                   expand_lens, horizons, fps)
         # The last of the equal minima: ties break toward the larger threshold.
-        thresholds[j] = cands[cands.shape[0] - 1 - np.argmin(values[::-1])]
+        thresholds[:, j] = cands[cands.shape[0] - 1 - np.argmin(values[:, ::-1], axis=1)]
 
-    return BaselineModel(
-        bins=bins, mode=mode, horizon=float(horizon), fps=fps,
-        mean_duration=mean_duration, hist=hist, thresholds=thresholds,
-        names=train[0].names,
-    )
+    models = [BaselineModel(bins=bins, mode=mode, horizon=float(h), fps=fps,
+                            mean_duration=mean_duration, hist=hist, thresholds=row,
+                            names=train[0].names)
+              for h, row in zip(horizons, thresholds)]
+    return models if several else models[0]

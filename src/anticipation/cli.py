@@ -22,8 +22,10 @@ and records the outputs.  A command that fails after writing something still
 leaves a manifest entry: the files it wrote, with their checksums, and an
 ``error`` field holding the message.  Only
 ``baseline`` writes ``baselines/baseline_<mode>_h<h>.bin``, and no command
-reads them; ``evaluate`` fits the baselines in memory, both modes from one
-set of train targets per horizon, and is the one command that scores them.
+reads them; ``evaluate`` fits the baselines in memory, each mode once for
+all horizons from one set of train targets, and is the one command that
+scores them.  Commands take every horizon's targets of a sequence from one
+pass over it.
 
 A dataset split holds ``<id>.csv`` annotations and, for the network,
 ``<id>.features.csv`` per-frame features.  Every command reads annotations
@@ -244,12 +246,14 @@ class _Run:
         Every file must name the instruments of the split's first file, and
         that one those of ``like``, a ``(split, sequence)`` pair, if given.
         """
-        pattern = self.dataset_file(split, "*")
-        split_dir = os.path.dirname(pattern)
+        split_dir = os.path.join(self.data_dir, split)
         if not os.path.isdir(split_dir):
             raise InputError(f"dataset split directory not found: {split_dir}")
-        sequences = [workflow.load_annotations(path, format="generic_csv", fps=self.fps)
-                     for path in sorted(glob.glob(pattern)) if not path.endswith(".features.csv")]
+        # Matched inside the directory, so a glob character in its path stays literal.
+        sequences = [workflow.load_annotations(os.path.join(split_dir, name),
+                                               format="generic_csv", fps=self.fps)
+                     for name in sorted(glob.glob("*.csv", root_dir=split_dir))
+                     if not name.endswith(".features.csv")]
         if not sequences:
             raise InputError(f"no sequences found in {split_dir}")
         first = split, sequences[0]
@@ -376,9 +380,10 @@ def cmd_simulate(config: dict, run: _Run, args: argparse.Namespace) -> None:
 
 
 def cmd_baseline(config: dict, run: _Run, args: argparse.Namespace) -> None:
-    train_seqs = run.sequences("train")
-    for h in config["horizons"]:
-        model = baselines.fit_baseline(train_seqs, h, bins=config["eval"].bins, mode=args.mode)
+    horizons = config["horizons"]
+    models = baselines.fit_baseline(run.sequences("train"), horizons, bins=config["eval"].bins,
+                                    mode=args.mode)
+    for h, model in zip(horizons, models):
         path, = run.claim(os.path.join("baselines", f"baseline_{args.mode}_h{h:g}.bin"))
         artifacts.save_baseline(model, path)
 
@@ -530,18 +535,20 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     sub_names = tuple(names[j] for j in subset)
     summaries = _summaries(config, run, test_seqs) if "model" in methods else {}
     modes = [mode for mode in baselines.MODES if f"{mode}hist" in methods]
-    for h in config["horizons"]:
-        targets = [labels.compute_targets(s, h) for s in test_seqs]
-        remaining = [t.remaining[:, subset] for t in targets]
+    horizons = config["horizons"]
+    # Every horizon's targets from one pass per sequence, and each mode fit
+    # once for all horizons from one set of train targets, in memory only:
+    # baseline files are the 'baseline' command's.
+    targets = [labels.compute_targets(s, horizons) for s in test_seqs]
+    train_targets = [labels.compute_targets(s, horizons) for s in train_seqs] if modes else None
+    fits = {mode: baselines.fit_baseline(train_seqs, horizons, bins=config["eval"].bins,
+                                         mode=mode, targets=train_targets) for mode in modes}
+    for i, h in enumerate(horizons):
+        remaining = [t[i].remaining[:, subset] for t in targets]
         table: dict[str, metrics.MetricsReport] = {}
-        # Both modes fit from one set of train targets, in memory only:
-        # baseline files are the 'baseline' command's.
-        train_targets = [labels.compute_targets(s, h) for s in train_seqs] if modes else None
-        for mode in modes:
-            model = baselines.fit_baseline(train_seqs, h, bins=config["eval"].bins, mode=mode,
-                                           targets=train_targets)
-            preds = [baselines.predict_baseline(model, duration=s.n_frames)[:, subset]
-                     for s in test_seqs]
+        for mode, models in fits.items():
+            preds = baselines.predict_baseline(models[i], [s.n_frames for s in test_seqs])
+            preds = [p[:, subset] for p in preds]
             table[f"{mode}hist"] = metrics.evaluate_predictions(preds, remaining, h,
                                                                 names=sub_names)
         if "model" in methods:
@@ -563,11 +570,11 @@ def cmd_analyze(config: dict, run: _Run, args: argparse.Namespace) -> None:
             raise ConfigError(f"analysis.trigger.{key}: instrument {j} out of range "
                               f"for {k} instruments")
     by_horizon = _summaries(config, run, test_seqs)
-    for h in config["horizons"]:
+    targets = [labels.compute_targets(s, config["horizons"]) for s in test_seqs]
+    for i, h in enumerate(config["horizons"]):
         summaries = by_horizon.pop(h)  # popped, so freed before the next horizon's arrays
-        targets = [labels.compute_targets(s, h) for s in test_seqs]
         names = test_seqs[0].names
-        pool = analysis.pooled(summaries, targets)
+        pool = analysis.pooled(summaries, [t[i] for t in targets])
 
         pcc = analysis.error_uncertainty_pcc(pool, use_std=use_std)
         curves = analysis.filter_by_uncertainty(pool, percentiles=percentiles)

@@ -8,7 +8,8 @@ A field declares its range in its type, ``Annotated[X, text, test]``: an X
 that passes ``test``, as ``text`` says.  :func:`check` reads these types,
 the same way for a JSON config file at load, which it builds into those
 types, and for a config dataclass that checks itself when it is built
-(``NetworkConfig``, ``SimConfig``).
+(``NetworkConfig``, ``SimConfig``).  It resolves each type into a checker
+once, cached by the type, so checking a value reads no type hint.
 Under postponed annotations a lambda inside a field's annotation looks up
 global names in the class namespace: build such a test at module level.
 """
@@ -76,6 +77,10 @@ def _json(value) -> str:
     return json.dumps(value, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
 
 
+def _refuse(key: str, expected: str, got: str):
+    raise ConfigError(f"{key or 'top level'}: expected {expected}, got {got}")
+
+
 def check(value, hint, key: str = ""):
     """``value`` built as type ``hint``; a ConfigError naming ``key`` unless it is one.
 
@@ -90,56 +95,71 @@ def check(value, hint, key: str = ""):
     float; a value of type ``Annotated[X, text, test]`` is an X whose built
     value passes ``test``.  Messages print values as JSON.
     """
+    return _checker(hint)(value, key)
+
+
+def _checker(hint):
+    """``hint``'s checker, built once; a dict of key types cannot be hashed, so on each call."""
+    return _compile(hint) if isinstance(hint, dict) else _compiled(hint)
+
+
+def _compile(hint):
+    """``hint`` resolved into its checker; field tables and texts are built here, once."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    where = key or "top level"
     if origin is Annotated:
-        built = check(value, args[0], key)
-        if not args[2](built):
-            raise ConfigError(f"{where}: expected {args[1]}, got {_json(value)}")
-        return built
+        inner, text, test = _checker(args[0]), args[1], args[2]
+        def annotated(value, key):
+            built = inner(value, key)
+            return built if test(built) else _refuse(key, text, _json(value))
+        return annotated
     if origin is Union and type(None) in args:  # Optional[X]
-        return None if value is None else check(value, args[0], key)
-    record = isinstance(hint, dict) or dataclasses.is_dataclass(hint) or typing.is_typeddict(hint)
+        inner = _checker(args[0])
+        return lambda value, key: None if value is None else inner(value, key)
     if origin is tuple:
         fixed = args[-1] is not Ellipsis
-        ok = isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args))
+        items = [_checker(a) for a in (args if fixed else args[:1])]
         expected = f"a list of {len(args)}" if fixed else "a list"
-    elif record:
-        ok = isinstance(value, dict) or (dataclasses.is_dataclass(hint) and isinstance(value, hint))
-        expected = "an object"
-    else:  # a scalar type, or a choice of them
-        choices = args or (hint,)
-        ok = any(isinstance(value, _SCALARS[a][1]) and isinstance(value, bool) == (a is bool)
-                 for a in choices)
-        expected = " or ".join(_SCALARS[a][0] for a in choices)
-    if not ok:
-        raise ConfigError(f"{where}: expected {expected}, got {_json(value)}")
-    if origin is tuple:
-        return tuple(check(item, args[i if fixed else 0], f"{key}[{i}]")
-                     for i, item in enumerate(value))
-    if not record:
+        def sequence(value, key):
+            if not isinstance(value, (list, tuple)) or fixed and len(value) != len(args):
+                _refuse(key, expected, _json(value))
+            return tuple(items[i if fixed else 0](item, f"{key}[{i}]")
+                         for i, item in enumerate(value))
+        return sequence
+    if isinstance(hint, dict) or dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
+        fields = hint if isinstance(hint, dict) else _hints(hint)
+        checkers = {name: _checker(field) for name, field in fields.items()}
+        cls, required = hint if dataclasses.is_dataclass(hint) else None, _required(hint)
+        def record(value, key):
+            where, instance = key or "top level", cls is not None and isinstance(value, cls)
+            if not (instance or isinstance(value, dict)):
+                _refuse(key, "an object", _json(value))
+            items = {name: getattr(value, name) for name in fields} if instance else value
+            if unknown := set(items) - set(fields):
+                raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
+            if missing := required - set(items):
+                raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
+            built = {k: checkers[k](item, f"{key}.{k}" if key else k) for k, item in items.items()}
+            if instance or cls is None:
+                return value if instance else built
+            try:
+                return cls(**built)
+            except ValueError as exc:  # fields that do not fit each other
+                raise ConfigError(f"{where}: {exc}") from None
+        return record
+    choices = args or (hint,)  # a scalar type, or a choice of them
+    expected = " or ".join(_SCALARS[a][0] for a in choices)
+    def scalar(value, key):  # the exact built-in type first: the ABCs are slower to ask
+        if type(value) not in choices and not any(
+                isinstance(value, _SCALARS[a][1]) and isinstance(value, bool) == (a is bool)
+                for a in choices):
+            _refuse(key, expected, _json(value))
         if int in choices and isinstance(value, numbers.Integral) and not -2**63 <= value < 2**63:
-            raise ConfigError(f"{where}: expected {expected}, got an integer too large for int64")
+            _refuse(key, expected, "an integer too large for int64")
         try:
             return float(value) if hint is float else value
         except OverflowError:  # an integer beyond the largest float
-            raise ConfigError(f"{where}: expected {expected}, got an integer too large "
-                              "for a float") from None
-    fields = hint if isinstance(hint, dict) else _hints(hint)
-    instance = not isinstance(value, dict)
-    items = {name: getattr(value, name) for name in fields} if instance else value
-    unknown = set(items) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
-    missing = _required(hint) - set(items)
-    if missing:
-        raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
-    built = {k: check(item, fields[k], f"{key}.{k}" if key else k) for k, item in items.items()}
-    if instance:
-        return value
-    if not dataclasses.is_dataclass(hint):
-        return built
-    try:
-        return hint(**built)
-    except ValueError as exc:  # fields that do not fit each other
-        raise ConfigError(f"{where}: {exc}") from None
+            _refuse(key, expected, "an integer too large for a float")
+    return scalar
+
+
+_compiled = functools.cache(_compile)

@@ -10,12 +10,14 @@ three-way class label used as a regularizing objective:
 
 The class order matters: it is also the tie-break order used when turning
 predicted class probabilities back into a label.
+Only the truncation depends on the horizon, so :func:`compute_targets` clips
+one pass over a sequence at each horizon it is given, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -85,15 +87,23 @@ def classify(remaining: np.ndarray, presence: np.ndarray, horizon: float) -> np.
     return classes
 
 
-def compute_targets(seq: ProcedureSequence, horizon: float) -> AnticipationTargets:
+def compute_targets(seq: ProcedureSequence, horizon: Union[float, Sequence[float]]
+                    ) -> Union[AnticipationTargets, list[AnticipationTargets]]:
     """Build :class:`AnticipationTargets` for a sequence.
 
     Any present frame is an occurrence; consecutive present frames all have
     remaining time 0.  A gap of exactly ``horizon`` minutes classifies as
     background (the anticipating band is the open interval ``(0, h)``).
+    ``horizon`` may be a sequence of horizons: then a list of targets comes
+    back, one per horizon, from one remaining-time pass clipped at each.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    r = remaining_time(seq.presence, seq.fps, horizon)
-    c = classify(r, seq.presence, horizon)
-    return AnticipationTargets(horizon=float(horizon), fps=seq.fps, remaining=r, classes=c)
+    horizons = np.atleast_1d(horizon).tolist()
+    if min(horizons) <= 0:
+        raise ValueError(f"horizon must be positive, got {min(horizons)}")
+    gap = remaining_time(seq.presence, seq.fps, np.inf)
+    targets = []
+    for h in horizons:
+        r = np.minimum(gap, h)
+        targets.append(AnticipationTargets(horizon=float(h), fps=seq.fps, remaining=r,
+                                           classes=classify(r, seq.presence, h)))
+    return targets if np.ndim(horizon) else targets[0]

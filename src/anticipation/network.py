@@ -655,7 +655,7 @@ def train(
     models, horizon_array = len(horizon_list), np.array(horizon_list)
     targets = []
     for seq in sequences:
-        per_horizon = [labels.compute_targets(seq, h) for h in horizon_list]
+        per_horizon = labels.compute_targets(seq, horizon_list)
         targets.append((np.stack([t.remaining for t in per_horizon]),
                         np.stack([t.classes for t in per_horizon])))
     params = {name: np.stack([value] * models)

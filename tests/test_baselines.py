@@ -292,6 +292,61 @@ class TestRaggedTrainSets:
                     assert model.thresholds[j] == thr
 
 
+@st.composite
+def several_horizons(draw):
+    """A ragged train set with distinct horizons in any order, most of them a
+    whole number of frames, so that some target or predicted gap equals one."""
+    train, bins, _, fps, block = draw(ragged_train_sets())
+    frames = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True))
+    return train, bins, [f / (fps * 60.0) for f in frames] + draw(st.sampled_from([[], [2.0]])), \
+        fps, block
+
+
+class TestEveryHorizonInOneFit:
+    """One fit over several horizons shares the histogram, the candidates and
+    the gap pass; each horizon's model is the exhaustive search's at that horizon."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(several_horizons())
+    def test_each_horizon_equals_the_exhaustive_search(self, case):
+        train, bins, horizons, fps, block = case
+        hist = occurrence_histogram(train, bins)
+        targets = [compute_targets(s, horizons) for s in train]
+        mean_duration = int(round(np.mean([s.n_frames for s in train])))
+        with mock.patch.object(baselines, "SCORE_BLOCK", block):
+            for mode in baselines.MODES:
+                expand = ([s.n_frames for s in train] if mode == "oracle"
+                          else [mean_duration] * len(train))
+                models = fit_baseline(train, horizons, bins=bins, mode=mode)
+                shared = fit_baseline(train, horizons, bins=bins, mode=mode, targets=targets)
+                assert [m.horizon for m in models] == horizons
+                for j in range(hist.shape[0]):
+                    cands = _candidate_thresholds(hist[j])
+                    scores = _candidate_scores(
+                        hist[j], cands, [np.stack([t.remaining[:, j] for t in ts], axis=-1)
+                                         for ts in targets], expand, horizons, fps)
+                    for m, h in enumerate(horizons):
+                        remaining = [ts[m].remaining[:, j] for ts in targets]
+                        _, values = exhaustive_baseline_scores(hist[j], remaining, expand, h, fps)
+                        assert scores[m].tobytes() == np.nan_to_num(values, nan=0.0).tobytes()
+                        thr, _ = exhaustive_baseline_search(hist[j], remaining, expand, h, fps)
+                        assert models[m].thresholds[j] == shared[m].thresholds[j] == thr
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(several_horizons(), st.lists(st.sampled_from([1, 6, 20, 31, 45, 70]), min_size=1,
+                                        max_size=5))
+    def test_a_prediction_for_several_durations_equals_one_call_each(self, case, durations):
+        train, bins, horizons, _, _ = case
+        for mode in baselines.MODES:
+            for model in fit_baseline(train, horizons, bins=bins, mode=mode):
+                preds = predict_baseline(model, durations)
+                assert len(preds) == len(durations)
+                for n, pred in zip(durations, preds):
+                    alone = predict_baseline(model, n)
+                    assert pred.shape == alone.shape == (n, model.n_instruments)
+                    assert pred.tobytes() == alone.tobytes()
+
+
 class TestSharedTargets:
     @pytest.mark.parametrize("mode", baselines.MODES)
     def test_fit_from_given_targets_saves_the_same_file(self, tmp_path, mode):

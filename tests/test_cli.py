@@ -148,6 +148,21 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == [
             f"input error: feature file not found: {path} (the model needs one per sequence)"]
 
+    def test_a_run_directory_named_with_glob_characters_finds_its_sequences(self, config_path,
+                                                                           tmp_path):
+        """A run or ``--data`` directory is a path, not a pattern: its brackets and
+        stars stay literal.  A hidden ``.csv`` file is still no sequence."""
+        plain, odd = str(tmp_path / "plain"), str(tmp_path / "x[1]*")
+        for out in (plain, odd):
+            run_chain(config_path, out, commands=("simulate",))
+            Path(out, "dataset", "train", ".notes.csv").write_text("not an annotation file\n")
+            assert cli.main(["baseline", "--config", config_path, "--out", out]) == 0
+        assert cli.main(["baseline", "--config", config_path, "--out", str(tmp_path / "b[0]"),
+                         "--data", os.path.join(odd, "dataset")]) == 0
+        name = os.path.join("baselines", "baseline_mean_h3.bin")
+        assert checksum(os.path.join(odd, name)) == checksum(os.path.join(plain, name)) \
+            == checksum(os.path.join(tmp_path, "b[0]", name))
+
     def test_horizon_sweep_one_report_each(self, tmp_path):
         config = tiny_config(horizons=[2.0, 3.0, 5.0, 7.0],
                              train={"epochs": 1, "learning_rate": 1e-3,
@@ -332,9 +347,10 @@ class TestPipeline:
         generated = workflow.generate_dataset(cli.load_config(str(path))["sim"], 5, seed=5)
         for seq in generated[3:]:  # the test split
             expected = compute(seq, 3.0)
-            assert targets[seq.id].fps == 5.0
-            np.testing.assert_array_equal(targets[seq.id].remaining, expected.remaining)
-            np.testing.assert_array_equal(targets[seq.id].classes, expected.classes)
+            got, = targets[seq.id]  # the targets at every horizon of the config
+            assert got.fps == 5.0
+            np.testing.assert_array_equal(got.remaining, expected.remaining)
+            np.testing.assert_array_equal(got.classes, expected.classes)
 
     def test_analyze_emits_svg_plots(self, config_path, tmp_path):
         out = str(tmp_path / "run")
@@ -856,9 +872,9 @@ class TestDamagedRunDirectory:
             == test_files
         assert len(loaded) == len(set(loaded)) == 5
 
-    def test_evaluate_builds_each_sequences_targets_once_per_horizon(self, tmp_path,
-                                                                     monkeypatch):
-        """Both baseline modes fit from one set of train targets per horizon."""
+    def test_evaluate_builds_each_sequences_targets_in_one_pass(self, tmp_path, monkeypatch):
+        """Every horizon's targets of a sequence come from one call, and both
+        baseline modes fit from that one set of train targets."""
         config = tiny_config(horizons=[2.0, 3.0])
         config["eval"]["methods"] = ["meanhist", "oraclehist"]
         config_path = tmp_path / "config.json"
@@ -874,7 +890,7 @@ class TestDamagedRunDirectory:
 
         monkeypatch.setattr(labels, "compute_targets", counting_compute)
         assert cli.main(["evaluate", "--config", str(config_path), "--out", out]) == 0
-        assert sorted(built) == [(f"proc_{i:04d}", h) for i in range(5) for h in (2.0, 3.0)]
+        assert sorted(built) == [(f"proc_{i:04d}", (2.0, 3.0)) for i in range(5)]
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "analyze"])
     def test_each_checkpoint_is_opened_once_per_horizon(self, trained_run, tmp_path,
@@ -1604,6 +1620,7 @@ class TestConfigHandling:
         monkeypatch.setattr(typing, "get_type_hints",
                             lambda cls, **kw: evaluated.append(cls) or get_type_hints(cls, **kw))
         cli._hints.cache_clear()
+        errors._compiled.cache_clear()
         for _ in range(2):
             cli.load_config(str(path))
         assert workflow.SimConfig in evaluated and workflow.TriggerRule in evaluated

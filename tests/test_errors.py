@@ -34,6 +34,15 @@ def sim_config(**overrides):
      "hidden: expected an integer, got an integer too large for int64"),
     (lambda: sim_config(phase_plan=[PhaseSpec(-1.0)]),
      "phase_plan[0].length_mean: expected a finite number > 0, got -1.0"),
+    # numpy scalars take the numbers-ABC path: np.bool_ is neither a bool nor
+    # an integer, and np.float32 is a number but no integer.
+    (lambda: NetworkConfig(input_dim=4, instruments=2, dropout=np.bool_(True)),
+     "dropout: expected a number, got true"),
+    (lambda: NetworkConfig(input_dim=4, instruments=2, hidden=np.bool_(False)),
+     "hidden: expected an integer, got false"),
+    (lambda: NetworkConfig(input_dim=4, instruments=2, hidden=np.float32(64.0)),
+     "hidden: expected an integer, got 64.0"),
+    (lambda: check(np.bool_(True), bool, "use_std"), "use_std: expected true or false, got true"),
     (lambda: sim_config(usage_rules=(PhaseSpec(1.0),)),
      'usage_rules[0]: expected an object, got "PhaseSpec(length_mean=1.0, length_std=0.0)"'),
 ])

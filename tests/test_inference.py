@@ -18,6 +18,7 @@ from anticipation.artifacts import (
     save_container,
     save_summary,
 )
+from anticipation import errors
 from anticipation.errors import ConfigError
 from anticipation.inference import PredictiveSummary, aggregate_samples
 from anticipation.network import block_frames
@@ -285,6 +286,21 @@ class TestSerialization:
                      "class_epistemic_var", "class_aleatoric_var",
                      "class_epistemic_per_class", "class_aleatoric_per_class"):
             np.testing.assert_array_equal(getattr(again, attr), getattr(s, attr))
+
+    def test_a_second_read_builds_no_checker(self, tmp_path):
+        """The header's declared types are compiled into checkers on the first
+        read; the next read of a summary looks each one up."""
+        rng = np.random.default_rng(6)
+        path = str(tmp_path / "summary.bin")
+        save_summary(summary_from(rng.uniform(0, 3, (4, 6, 2)),
+                                  rng.dirichlet([1, 1, 1], size=(4, 6, 2))), path)
+        errors._compiled.cache_clear()
+        load_summary(path)
+        built = errors._compiled.cache_info()
+        assert built.misses > 0 and built.currsize == built.misses
+        load_summary(path)
+        again = errors._compiled.cache_info()
+        assert again.misses == built.misses and again.hits > built.hits
 
     @settings(deadline=None)
     @given(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -122,6 +122,43 @@ class TestRemainingTimeOverSegments:
             assert r[start:stop].tobytes() == r_ref.tobytes()
             assert r[start:stop].tobytes() == remaining_time(part, fps, h).tobytes()
             start = stop
+
+
+@st.composite
+def horizon_lists(draw, fps):
+    """Distinct horizons in any order, most of them a whole number of frames,
+    so that some gap of a drawn track equals the horizon exactly."""
+    frames = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+    extra = draw(st.lists(st.sampled_from([0.05, 1.0, 3.0]), max_size=1))
+    return [f / (fps * 60.0) for f in frames] + [h for h in extra if h * fps * 60.0 not in frames]
+
+
+class TestEveryHorizonInOnePass:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(presence_matrices(), st.data())
+    def test_each_horizon_equals_the_forward_scan_and_a_call_of_its_own(self, case, data):
+        presence, fps, _ = case
+        horizons = data.draw(horizon_lists(fps))
+        seq = seq_from(presence, fps=fps)
+        targets = compute_targets(seq, horizons)
+        assert [t.horizon for t in targets] == horizons
+        for h, t in zip(horizons, targets):
+            r_ref, c_ref = scan_forward_targets(presence, fps, h)
+            alone = compute_targets(seq, h)
+            assert t.remaining.tobytes() == r_ref.tobytes() == alone.remaining.tobytes()
+            assert t.classes.tobytes() == c_ref.tobytes() == alone.classes.tobytes()
+
+    def test_a_gap_of_exactly_one_horizon_is_anticipating_at_a_longer_one(self):
+        presence = np.zeros((121, 1), dtype=bool)
+        presence[120] = True  # 2 minutes ahead of frame 0 at 1 fps
+        short, exact, long = compute_targets(seq_from(presence), (1.0, 2.0, 3.0))
+        assert [t.remaining[0, 0] for t in (short, exact, long)] == [1.0, 2.0, 2.0]
+        assert [t.classes[0, 0] for t in (short, exact, long)] == [BACKGROUND, BACKGROUND,
+                                                                   ANTICIPATING]
+
+    def test_rejects_a_bad_horizon_among_good_ones(self):
+        with pytest.raises(ValueError, match="horizon must be positive, got -1"):
+            compute_targets(seq_from([[0]]), [2.0, -1.0])
 
 
 class TestInvariants:
