@@ -536,10 +536,9 @@ def cmd_evaluate(config: dict, run: _Run, args: argparse.Namespace) -> None:
     summaries = _summaries(config, run, test_seqs) if "model" in methods else {}
     modes = [mode for mode in baselines.MODES if f"{mode}hist" in methods]
     horizons = config["horizons"]
-    # Every horizon's targets from one pass per sequence, and each mode fit
-    # once for all horizons from one set of train targets, in memory only:
-    # baseline files are the 'baseline' command's.
     targets = [labels.compute_targets(s, horizons) for s in test_seqs]
+    # Both modes fit from one set of train targets, in memory only:
+    # baseline files are the 'baseline' command's.
     train_targets = [labels.compute_targets(s, horizons) for s in train_seqs] if modes else None
     fits = {mode: baselines.fit_baseline(train_seqs, horizons, bins=config["eval"].bins,
                                          mode=mode, targets=train_targets) for mode in modes}
