@@ -38,12 +38,9 @@ Checkpoints (``checkpoints/model_h<h>.bin``), MC summaries
 (``summaries/summary_<id>_h<h>.bin``) and baseline files share one container
 format, read and written by ``artifacts``, which decides whether one is reused.
 ``predict`` writes the summaries; ``evaluate`` and ``analyze`` reuse them,
-and compute (and write) any that are missing from the checkpoint, on one
-process per available core (``workers`` in the manifest) if this process is
-single-threaded: pin the BLAS threads (``OPENBLAS_NUM_THREADS=1`` ...) for
-that.  Either way is bit-identical.  A reused summary drawn for other
-instruments, of other shapes or in the v1 format exits 3; ``predict
---overwrite`` redraws it.
+and compute (and write) any that are missing from the checkpoint, one test
+sequence after another.  A reused summary drawn for other instruments, of
+other shapes or in the v1 format exits 3; ``predict --overwrite`` redraws it.
 
 ``main`` first sets the two policies of the process's owner: under glibc,
 freed heap memory stays mapped (``_keep_freed_memory``), so training does
@@ -67,7 +64,6 @@ import gc
 import glob
 import json
 import os
-import pickle
 import sys
 import typing
 from typing import Annotated, Optional, Union
@@ -220,7 +216,6 @@ class _Run:
         self.fps = 1.0 if config["sim"] is None else config["sim"].fps
         self.overwrite = args.overwrite
         self.claimed: list[str] = []
-        self.workers: Optional[int] = None  # processes that drew MC summaries, if any did
         # Read before the command runs, so a damaged manifest stops it before it
         # writes anything that the manifest could then not list.
         self.manifest_path = os.path.join(self.dir, "manifest.json")
@@ -321,17 +316,16 @@ class _Run:
         entry = {"command": command, "seed": config["seed"],
                  "config_hash": artifacts.digest(resolved), "resolved_config": resolved,
                  "artifacts": written}
-        if self.workers is not None:
-            entry["workers"] = self.workers
         if error is not None:
             entry["error"] = error
         # Write beside the old manifest and swap it in, so a failed write never
-        # leaves a truncated manifest behind.
+        # leaves a truncated manifest behind.  Compact, since every command
+        # rewrites all the earlier entries.
         tmp_path = self.manifest_path + ".tmp"
         try:
             with open(tmp_path, "w", encoding="utf-8") as fh:
                 json.dump({**self.manifest, "runs": self.manifest["runs"] + [entry]}, fh,
-                          indent=1, sort_keys=True)
+                          sort_keys=True)
                 fh.write("\n")
             os.replace(tmp_path, self.manifest_path)
         finally:
@@ -407,72 +401,16 @@ def cmd_train(config: dict, run: _Run, args: argparse.Namespace) -> None:
                            (row.values() for row in log))
 
 
-def _fork_map(fn, items: list) -> tuple[list, int]:
-    """``[fn(item) for item in items]`` on one process per available core, and their number.
-
-    Items are dealt round-robin; this process computes share 0, and forked
-    children pickle their outcomes into pipes.  The lowest-index item's error
-    is raised, as in a serial loop.  Only a single-threaded process forks: a
-    child could block on a lock held by a thread it has no copy of (as in an
-    unpinned BLAS pool), and Python 3.12 warns about such forks.
-    """
-    alone = False
-    with contextlib.suppress(OSError):  # no /proc: the thread count is unknown
-        alone = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
-    n = min(len(os.sched_getaffinity(0)), len(items)) if alone else 1
-    if n < 2:
-        return [fn(item) for item in items], 1
-
-    def share(w: int) -> list:  # (ok, result or error) per item, up to the first error
-        done = []
-        for item in items[w::n]:
-            try:
-                done.append((True, fn(item)))
-            except Exception as exc:
-                return done + [(False, exc)]
-        return done
-
-    children, shares = [], {}
-    try:
-        for w in range(1, n):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: send its share's outcomes, then exit
-                try:
-                    with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump(share(w), fh)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write_fd)
-            children.append((w, pid, read_fd))
-        shares[0] = share(0)
-    finally:  # read and reap every child, also when this process failed
-        for i, (w, pid, read_fd) in enumerate(children):
-            with os.fdopen(read_fd, "rb") as fh:
-                children[i] = w, fh.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    for w, data, code in children:
-        shares[w] = pickle.loads(data) if code == 0 else [(False, OSError(
-            f"worker process exited with code {code} before returning its results for "
-            + ", ".join(map(str, items[w::n]))))]
-    outcomes = [None] * len(items)
-    for w, done in shares.items():
-        outcomes[w:w + n * len(done):n] = done
-    for ok, value in outcomes:  # an item without an outcome follows an error in its share
-        if not ok:
-            raise value
-    return [value for _, value in outcomes], n
-
-
 def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequence],
                reuse: bool = True) -> dict[float, list]:
     """MC summaries of every test sequence at every horizon, reusing files when present.
 
-    This process decides reuse, reads the checkpoints and claims the outputs;
-    :func:`_fork_map` splits the sequences that miss summaries.  Each reads
-    its feature file once (checked against the checkpoint's input width) and
-    draws all its missing horizons in one ``mc_predict`` call, each with its
-    own seed, so neither the split nor the grouping changes a summary.
+    Reuse is decided and the outputs are claimed first; then the sequences
+    that miss summaries are drawn in test-split order.  Each reads its feature
+    file once (checked against the checkpoint's input width) and draws all its
+    missing horizons in one ``mc_predict`` call, each with its own seed, so the
+    grouping changes no summary.  Each summary is saved as soon as it is drawn,
+    so a sequence that fails leaves those of the sequences before it written.
     ``predict`` (``reuse=False``) keeps none in memory and gets an empty dict.
     """
     horizons, samples = config["horizons"], config["eval"].samples
@@ -499,26 +437,21 @@ def _summaries(config: dict, run: _Run, test_seqs: list[workflow.ProcedureSequen
                              f"{run.dataset_file('test', test_seqs[0].id)} names "
                              f"{list(test_seqs[0].names)}")
     run.claim(*(paths[seq_id, h] for seq_id, hs in missing.items() for h in hs))
-    position = {seq.id: idx for idx, seq in enumerate(test_seqs)}
-
-    def draw(seq_id: str) -> list:
-        hs = missing[seq_id]
+    for index, seq in enumerate(test_seqs):
+        hs = missing.get(seq.id)
+        if hs is None:
+            continue
         net_config = models[hs[0]][1]
-        seq = run.features(test_seqs[position[seq_id]], "test", net_config.input_dim,
-                           "the checkpoint's input_dim")
+        seq = run.features(seq, "test", net_config.input_dim, "the checkpoint's input_dim")
         params = {name: np.stack([models[h][0][name] for h in hs]) for name in models[hs[0]][0]}
         drawn = inference.mc_predict(
             params, net_config, seq.features, samples=samples, horizons=hs,
-            seed=[_summary_seed(config["seed"], h, position[seq_id]) for h in hs])
+            seed=[_summary_seed(config["seed"], h, index) for h in hs])
         for h, summary in zip(hs, drawn):
             summary.names = models[h][2]
-            artifacts.save_summary(summary, os.path.join(run.dir, paths[seq_id, h]))
-        return drawn if reuse else []
-
-    if missing:
-        drawn, run.workers = _fork_map(draw, list(missing))
-        found.update(((seq_id, h), s) for seq_id, summaries in zip(missing, drawn)
-                     for h, s in zip(missing[seq_id], summaries))
+            artifacts.save_summary(summary, os.path.join(run.dir, paths[seq.id, h]))
+            if reuse:
+                found[seq.id, h] = summary
     return {h: [found[seq.id, h] for seq in test_seqs] for h in horizons} if reuse else {}
 
 

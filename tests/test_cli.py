@@ -251,8 +251,6 @@ class TestPipeline:
 
         mc_predict = inference.mc_predict
         monkeypatch.setattr(inference, "mc_predict", counted)
-        # Serial, so that the calls of every sequence are counted here.
-        monkeypatch.setattr(cli, "_fork_map", lambda fn, items: ([fn(i) for i in items], 1))
         run_chain(str(path), out, commands=("predict",))
         assert calls == [[1.0, 2.0, 3.0]] * 2
         config = cli.load_config(str(path))
@@ -910,21 +908,41 @@ class TestDamagedRunDirectory:
 
     @pytest.mark.parametrize("command, split, seq_id", [
         ("train", "train", "proc_0001"),
+        # Of the three test sequences proc_0003-5: the first, then the middle one.
+        ("predict", "test", "proc_0003"),
         ("predict", "test", "proc_0004"),
         ("evaluate", "test", "proc_0004"),
         ("analyze", "test", "proc_0004"),
     ])
-    def test_missing_feature_file_names_it(self, predicted_run, tmp_path, capsys,
+    def test_missing_feature_file_names_it(self, request, tmp_path, capsys,
                                            command, split, seq_id):
-        """Every sequence is checked, not only the first one of its split."""
-        config_path, out = copy_run(predicted_run, tmp_path)
-        shutil.rmtree(os.path.join(out, "summaries"))
+        """Every sequence is checked, not only the first one of its split.
+
+        ``predict`` draws the test sequences in order, so the one that fails
+        stops those after it, and the summaries of those before it are listed
+        in its manifest entry with the error.
+        """
+        run = request.getfixturevalue("trained_run" if command == "predict" else "predicted_run")
+        config_path, out = copy_run(run, tmp_path)
+        shutil.rmtree(os.path.join(out, "summaries"), ignore_errors=True)
         path = os.path.join(out, "dataset", split, f"{seq_id}.features.csv")
         os.remove(path)
         assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"input error: feature file not found: {path}")
         assert "Traceback" not in err
+        if command == "predict":
+            drawn = ["proc_0003"] if seq_id == "proc_0004" else []
+            files = sorted(os.path.join("summaries", f"summary_{drawn_id}_h{h}.bin")
+                           for drawn_id in drawn for h in (2, 3))
+            assert sorted(os.path.join("summaries", name)
+                          for name in os.listdir(os.path.join(out, "summaries"))) == files
+            entry = read_manifest(out)["runs"][-1]
+            if files:
+                assert entry["command"] == "predict" and path in entry["error"]
+                assert sorted(entry["artifacts"]) == files
+            else:
+                assert entry["command"] == "train"
 
     @pytest.mark.parametrize("command, split, seq_id", [
         ("train", "train", "proc_0001"),
@@ -1071,24 +1089,16 @@ class TestDamagedRunDirectory:
         assert cli.main([command, "--config", config_path, "--out", out, "--overwrite"]) == 0
 
     def test_only_network_commands_read_feature_files(self, tmp_path, monkeypatch):
-        """Feature files are read where the network runs, each once per command.
-
-        Reads are logged to a file opened for appending, so the reads of
-        forked summary workers count as well.
-        """
+        """Feature files are read where the network runs, each once per command."""
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(tiny_config(horizons=[2.0, 3.0])))
         out = str(tmp_path / "run")
         run_chain(str(config_path), out, commands=("simulate",))
-        log = tmp_path / "reads.log"
+        reads = []
         attach = cli.workflow.attach_features
 
         def counting_attach(seq, path):
-            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-            try:
-                os.write(fd, f"{os.path.relpath(path, os.path.join(out, 'dataset'))}\n".encode())
-            finally:
-                os.close(fd)
+            reads.append(os.path.relpath(path, os.path.join(out, "dataset")))
             return attach(seq, path)
 
         monkeypatch.setattr(cli.workflow, "attach_features", counting_attach)
@@ -1097,9 +1107,9 @@ class TestDamagedRunDirectory:
         expected = {"baseline": [], "train": split_files["train"], "predict": split_files["test"],
                     "evaluate": [], "analyze": []}
         for command, files in expected.items():
-            log.write_text("")
+            reads.clear()
             run_chain(str(config_path), out, commands=(command,))
-            assert sorted(log.read_text().splitlines()) == files, command
+            assert sorted(reads) == files, command
 
     def test_checkpoint_without_config_hash(self, predicted_run, tmp_path, capsys):
         """A checkpoint of another model size, stamped with no config hash."""
@@ -1249,33 +1259,11 @@ class TestRunLedger:
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(anticipation.__file__)))
-# With BLAS pinned to one thread, importing numpy starts no thread, so the
-# process may fork its summary workers.
+# Subprocesses run with BLAS pinned to one thread, as the benchmark's stages
+# do: no thread pool starts, so none of its stacks or buffers enter the page
+# faults and the exit path that these tests measure.
 PINNED_ENV = {**os.environ, "PYTHONPATH": SRC, "OMP_NUM_THREADS": "1",
               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-CAN_FORK = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and os.path.isdir("/proc/self/task") and len(os.sched_getaffinity(0)) >= 2)
-# Runs one command in-process, on one core if asked to, then reports its exit
-# code and whether it left a child process behind.
-RUN_AND_REAP = """
-import os, sys
-from anticipation import cli
-if sys.argv[1] == "serial":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-code = cli.main(sys.argv[2:])
-try:
-    os.waitpid(-1, os.WNOHANG)
-    print(code, "child left")
-except ChildProcessError:
-    print(code, "no child left")
-"""
-
-
-def run_pinned(code, *args):
-    """Run ``code`` in a single-threaded Python process on two cores."""
-    two_cores = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
-    return subprocess.run([sys.executable, "-c", two_cores + code, *args], capture_output=True,
-                          text=True, env=PINNED_ENV, timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -1288,128 +1276,6 @@ def trained_run(tmp_path_factory):
     out = str(root / "run")
     run_chain(str(path), out, commands=("simulate", "train"))
     return str(path), out
-
-
-class TestForkedSummaries:
-    """Summaries drawn on forked workers are those of the serial loop."""
-
-    def test_fork_map_without_items_or_with_one_does_not_fork(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert cli._fork_map(abs, []) == ([], 1)
-        assert cli._fork_map(abs, [-2]) == ([2], 1)
-
-    @pytest.mark.skipif(not CAN_FORK, reason="needs os.fork, /proc and two cores")
-    def test_a_second_thread_stops_the_fork(self):
-        code = """
-import os, threading
-from anticipation import cli
-def pids():
-    found, n = cli._fork_map(lambda item: os.getpid(), [0, 1, 2])
-    return len(set(found)), n
-alone = pids()
-stop = threading.Event()
-thread = threading.Thread(target=stop.wait)
-thread.start()
-try:
-    print(alone, pids())
-finally:
-    stop.set()
-    thread.join()
-"""
-        result = run_pinned(code)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["(2,", "2)", "(1,", "1)"]
-
-    @pytest.mark.skipif(not CAN_FORK, reason="needs os.fork, /proc and two cores")
-    def test_fork_map_keeps_order_and_the_serial_error(self):
-        code = """
-import os
-from anticipation import cli
-parent = os.getpid()
-def fn(item):
-    if item == "die" and os.getpid() != parent:
-        os._exit(7)
-    if item.startswith("bad"):
-        raise ValueError(item)
-    return item.upper()
-print(cli._fork_map(fn, list("abcde")))
-for items in (["a", "bad1", "bad2"], ["bad0", "bad1"], ["a", "die", "c"]):
-    try:
-        cli._fork_map(fn, items)
-    except Exception as exc:
-        print(type(exc).__name__, exc)
-try:
-    os.waitpid(-1, os.WNOHANG)
-except ChildProcessError:
-    print("no child left")
-"""
-        result = run_pinned(code)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == [
-            "(['A', 'B', 'C', 'D', 'E'], 2)",
-            "ValueError bad1",
-            "ValueError bad0",
-            "OSError worker process exited with code 7 before returning its results for die",
-            "no child left",
-        ]
-
-    @pytest.mark.skipif(not CAN_FORK, reason="needs os.fork, /proc and two cores")
-    def test_forked_predict_writes_the_serial_summaries(self, trained_run, tmp_path):
-        config_path, out = trained_run
-        runs = {}
-        for mode in ("serial", "forked"):
-            runs[mode] = str(tmp_path / mode)
-            shutil.copytree(out, runs[mode])
-            result = run_pinned(RUN_AND_REAP, mode, "predict", "--config", config_path,
-                                "--out", runs[mode])
-            assert result.stdout.splitlines()[-1] == "0 no child left", result.stderr
-        names = sorted(os.listdir(os.path.join(runs["serial"], "summaries")))
-        assert len(names) == 6
-        assert sorted(os.listdir(os.path.join(runs["forked"], "summaries"))) == names
-        for name in names:
-            assert checksum(os.path.join(runs["serial"], "summaries", name)) == \
-                checksum(os.path.join(runs["forked"], "summaries", name)), name
-        assert read_manifest(runs["serial"])["runs"][-1]["workers"] == 1
-        assert read_manifest(runs["forked"])["runs"][-1]["workers"] == 2
-        # With every summary present, evaluate draws none and records no workers.
-        result = run_pinned(RUN_AND_REAP, "forked", "evaluate", "--config", config_path,
-                            "--out", runs["forked"])
-        assert result.stdout.splitlines()[-1] == "0 no child left", result.stderr
-        assert "workers" not in read_manifest(runs["forked"])["runs"][-1]
-
-    @pytest.mark.skipif(not CAN_FORK, reason="needs os.fork, /proc and two cores")
-    @pytest.mark.parametrize("removed, named, written", [
-        # Shares are round-robin: proc_0003 and proc_0005 in this process,
-        # proc_0004 in the child.
-        (["proc_0004"], "proc_0004", ["proc_0003", "proc_0005"]),
-        (["proc_0004", "proc_0005"], "proc_0004", ["proc_0003"]),
-        (["proc_0003", "proc_0004"], "proc_0003", []),
-    ])
-    def test_missing_feature_file_in_a_share(self, trained_run, tmp_path, removed, named,
-                                             written):
-        config_path, out = copy_run(trained_run, tmp_path)
-        for seq_id in removed:
-            os.remove(os.path.join(out, "dataset", "test", f"{seq_id}.features.csv"))
-        result = run_pinned(RUN_AND_REAP, "forked", "predict", "--config", config_path,
-                            "--out", out)
-        assert result.stdout.splitlines()[-1] == "3 no child left"
-        path = os.path.join(out, "dataset", "test", f"{named}.features.csv")
-        assert result.stderr.startswith(f"input error: feature file not found: {path}")
-        assert "Traceback" not in result.stderr
-        # The summaries the other items wrote are listed with the error.
-        files = sorted(os.path.join("summaries", f"summary_{seq_id}_h{h}.bin")
-                       for seq_id in written for h in (2, 3))
-        assert sorted(os.path.join("summaries", name)
-                      for name in os.listdir(os.path.join(out, "summaries"))) == files
-        entry = read_manifest(out)["runs"][-1]
-        if files:
-            assert entry["command"] == "predict" and "error" in entry
-            assert sorted(entry["artifacts"]) == files
-        else:
-            assert entry["command"] == "train"
 
 
 # Runs commands in-process through cli.main, then allocates and frees the
