@@ -908,9 +908,10 @@ class TestDamagedRunDirectory:
 
     @pytest.mark.parametrize("command, split, seq_id", [
         ("train", "train", "proc_0001"),
-        # Of the three test sequences proc_0003-5: the first, then the middle one.
+        # Of the three test sequences proc_0003-5: the first, the middle, the last one.
         ("predict", "test", "proc_0003"),
         ("predict", "test", "proc_0004"),
+        ("predict", "test", "proc_0005"),
         ("evaluate", "test", "proc_0004"),
         ("analyze", "test", "proc_0004"),
     ])
@@ -932,7 +933,7 @@ class TestDamagedRunDirectory:
         assert err.startswith(f"input error: feature file not found: {path}")
         assert "Traceback" not in err
         if command == "predict":
-            drawn = ["proc_0003"] if seq_id == "proc_0004" else []
+            drawn = [f"proc_{i:04d}" for i in range(3, int(seq_id[-4:]))]
             files = sorted(os.path.join("summaries", f"summary_{drawn_id}_h{h}.bin")
                            for drawn_id in drawn for h in (2, 3))
             assert sorted(os.path.join("summaries", name)
@@ -943,6 +944,85 @@ class TestDamagedRunDirectory:
                 assert sorted(entry["artifacts"]) == files
             else:
                 assert entry["command"] == "train"
+
+    @pytest.mark.parametrize("removed, named, drawn", [
+        (["proc_0004", "proc_0005"], "proc_0004", ["proc_0003"]),
+        (["proc_0003", "proc_0005"], "proc_0003", []),
+    ])
+    def test_predict_stops_at_the_first_missing_feature_file(self, trained_run, tmp_path,
+                                                             capsys, removed, named, drawn):
+        """Of two missing feature files, the error names the one earlier in the
+        test split, and only the sequences before it have summaries."""
+        config_path, out = copy_run(trained_run, tmp_path)
+        for seq_id in removed:
+            os.remove(os.path.join(out, "dataset", "test", f"{seq_id}.features.csv"))
+        assert cli.main(["predict", "--config", config_path, "--out", out]) == 3
+        path = os.path.join(out, "dataset", "test", f"{named}.features.csv")
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: feature file not found: {path}")
+        files = sorted(os.path.join("summaries", f"summary_{seq_id}_h{h}.bin")
+                       for seq_id in drawn for h in (2, 3))
+        assert sorted(os.path.join("summaries", name)
+                      for name in os.listdir(os.path.join(out, "summaries"))) == files
+        entry = read_manifest(out)["runs"][-1]
+        assert entry["command"] == ("predict" if files else "train")
+        if files:
+            assert sorted(entry["artifacts"]) == files and path in entry["error"]
+
+    def test_draws_resume_after_a_failed_predict(self, trained_run, tmp_path, monkeypatch):
+        """After ``predict`` stopped at a missing feature file, ``evaluate`` draws
+        only the sequences that miss summaries, with their own seeds, and every
+        summary equals that of a ``predict`` that never failed."""
+        from anticipation import inference
+
+        config_path, whole = copy_run(trained_run, tmp_path / "whole")
+        assert cli.main(["predict", "--config", config_path, "--out", whole]) == 0
+        _, out = copy_run(trained_run, tmp_path / "resumed")
+        path = os.path.join(out, "dataset", "test", "proc_0004.features.csv")
+        os.rename(path, path + ".aside")
+        assert cli.main(["predict", "--config", config_path, "--out", out]) == 3
+        os.rename(path + ".aside", path)
+        seeds = []
+        mc_predict = inference.mc_predict
+
+        def counted(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return mc_predict(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "mc_predict", counted)
+        assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 0
+        seed = cli.load_config(config_path)["seed"]
+        assert seeds == [[cli._summary_seed(seed, h, index) for h in (2.0, 3.0)]
+                         for index in (1, 2)]
+        names = sorted(os.listdir(os.path.join(whole, "summaries")))
+        assert len(names) == 6 and sorted(os.listdir(os.path.join(out, "summaries"))) == names
+        for name in names:
+            assert checksum(os.path.join(out, "summaries", name)) == \
+                checksum(os.path.join(whole, "summaries", name)), name
+
+    def test_predict_saves_summaries_in_test_split_order(self, trained_run, tmp_path,
+                                                         monkeypatch):
+        config_path, out = copy_run(trained_run, tmp_path)
+        saved = []
+        save = artifacts.save_summary
+
+        def recorded(summary, path):
+            saved.append(os.path.relpath(path, os.path.join(out, "summaries")))
+            return save(summary, path)
+
+        monkeypatch.setattr(artifacts, "save_summary", recorded)
+        assert cli.main(["predict", "--config", config_path, "--out", out]) == 0
+        assert saved == [f"summary_proc_{i:04d}_h{h}.bin" for i in (3, 4, 5) for h in (2, 3)]
+
+    def test_evaluate_with_every_summary_present_draws_none(self, predicted_run, tmp_path,
+                                                            monkeypatch):
+        from anticipation import inference
+
+        config_path, out = copy_run(predicted_run, tmp_path)
+        calls = []
+        monkeypatch.setattr(inference, "mc_predict", lambda *args, **kwargs: calls.append(1))
+        assert cli.main(["evaluate", "--config", config_path, "--out", out]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("command, split, seq_id", [
         ("train", "train", "proc_0001"),
@@ -1247,6 +1327,18 @@ class TestRunLedger:
         assert "Traceback" not in err
         assert files() == before
         assert Path(manifest).read_bytes() == damage
+
+    def test_manifest_is_one_line_of_json_with_sorted_keys(self, trained_run, tmp_path):
+        """Every command rewrites the whole manifest, so it is written compact;
+        a ``predict`` entry carries no more fields than any other."""
+        config_path, out = copy_run(trained_run, tmp_path)
+        assert cli.main(["predict", "--config", config_path, "--out", out]) == 0
+        text = Path(out, "manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, sort_keys=True) + "\n"
+        assert [r["command"] for r in manifest["runs"]] == ["simulate", "train", "predict"]
+        assert sorted(manifest["runs"][-1]) == sorted(manifest["runs"][-2]) == [
+            "artifacts", "command", "config_hash", "resolved_config", "seed"]
 
     def test_evaluate_writes_no_baseline_files(self, predicted_run, tmp_path):
         config_path, out = copy_run(predicted_run, tmp_path)
